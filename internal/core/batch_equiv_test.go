@@ -70,7 +70,6 @@ func runBatchStream(t *testing.T, opts core.Options, faults netif.Faults, seed i
 	mk := func(name string) *core.Stack {
 		s := core.NewStack(name, opts)
 		t.Cleanup(s.Close)
-		e.probes = append(e.probes, s.Pending)
 		return s
 	}
 	cli := mk("cli")
@@ -99,49 +98,43 @@ func runBatchStream(t *testing.T, opts core.Options, faults netif.Faults, seed i
 	// both runs pin them to the same instants: traffic begins only
 	// after autoconfiguration chatter (DAD, MLD) has gone quiet, and
 	// the trace closes at the horizon.
-	quiet := make(chan struct{})
-	e.clock.AfterFunc(10*time.Second, func() { close(quiet) })
-	end := make(chan struct{})
-	e.clock.AfterFunc(horizon, func() { close(end) })
+	quiet := testnet.NewSignal(e.clock)
+	e.clock.AfterFunc(10*time.Second, quiet.Fire)
+	end := testnet.NewSignal(e.clock)
+	e.clock.AfterFunc(horizon, end.Fire)
 	e.start()
 
 	body := batchStreamBody()
-	got := make(chan []byte, 1)
-	srvErr := make(chan error, 1)
-	go func() {
+	var rcvd []byte
+	serve := testnet.Spawn(e.clock, func() error {
 		s, err := l.Accept(5 * time.Minute)
 		if err != nil {
-			srvErr <- fmt.Errorf("accept: %w", err)
-			return
+			return fmt.Errorf("accept: %w", err)
 		}
-		var rcvd []byte
 		for len(rcvd) < batchStreamTotal {
 			chunk, err := s.Recv(1<<16, 5*time.Minute)
 			if err != nil {
-				srvErr <- fmt.Errorf("recv at %d: %w", len(rcvd), err)
-				return
+				return fmt.Errorf("recv at %d: %w", len(rcvd), err)
 			}
 			rcvd = append(rcvd, chunk...)
 		}
-		got <- rcvd
-	}()
+		return nil
+	})
 
-	<-quiet
+	quiet.Wait()
 	if err := c.Connect(core.Addr6(linkLocal(srv), 9009), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Send(body, 5*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-srvErr:
+	if err := serve(); err != nil {
 		t.Fatal(err)
-	case rcvd := <-got:
-		if !bytes.Equal(rcvd, body) {
-			t.Fatalf("stream corrupted: %d bytes received", len(rcvd))
-		}
 	}
-	<-end
+	if !bytes.Equal(rcvd, body) {
+		t.Fatalf("stream corrupted: %d bytes received", len(rcvd))
+	}
+	end.Wait()
 
 	mu.Lock()
 	out := append([]string(nil), trace...)
@@ -150,25 +143,26 @@ func runBatchStream(t *testing.T, opts core.Options, faults netif.Faults, seed i
 }
 
 // diffTraces fails the test at the first divergence between two wire
-// traces, printing enough context to see what batching changed.
-func diffTraces(t *testing.T, label string, off, on []string) {
+// traces, printing enough context to see what changed between the
+// runs the label names ("X vs Y").
+func diffTraces(t *testing.T, label string, x, y []string) {
 	t.Helper()
-	n := len(off)
-	if len(on) < n {
-		n = len(on)
+	n := len(x)
+	if len(y) < n {
+		n = len(y)
 	}
 	for i := 0; i < n; i++ {
-		if off[i] != on[i] {
-			t.Fatalf("%s: traces diverge at frame %d:\n  batching off: %.120s\n  batching on:  %.120s",
-				label, i, off[i], on[i])
+		if x[i] != y[i] {
+			t.Fatalf("%s: traces diverge at frame %d:\n  first:  %.120s\n  second: %.120s",
+				label, i, x[i], y[i])
 		}
 	}
-	if len(off) != len(on) {
-		extra, who := on, "on"
-		if len(off) > len(on) {
-			extra, who = off, "off"
+	if len(x) != len(y) {
+		extra, who := y, "second"
+		if len(x) > len(y) {
+			extra, who = x, "first"
 		}
-		t.Fatalf("%s: batching %s sent %d extra frames, first: %.120s",
+		t.Fatalf("%s: the %s run sent %d extra frames, first: %.120s",
 			label, who, len(extra)-n, extra[n])
 	}
 }
@@ -178,7 +172,9 @@ func diffTraces(t *testing.T, label string, off, on []string) {
 // dequeue, GRO and GSO all disabled, and requires the two wire traces
 // to be byte-identical, frame for frame.  Poisoned mbufs make any
 // freed-buffer reuse in the splitter or coalescer corrupt a frame and
-// fail the comparison.
+// fail the comparison.  The batched run is repeated with the same
+// seed, and must replay the same wire: the driven clock's accounting
+// keeps four netisr workers per stack from leaking scheduling into it.
 func TestBatchingWireEquivalence(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
@@ -190,7 +186,9 @@ func TestBatchingWireEquivalence(t *testing.T) {
 	on, cliSnap, srvSnap := runBatchStream(t,
 		core.Options{NetisrWorkers: 4},
 		lockstep, 1, 30*time.Second)
-	diffTraces(t, "clean link", off, on)
+	diffTraces(t, "clean link, batching off vs on", off, on)
+	again, _, _ := runBatchStream(t, core.Options{NetisrWorkers: 4}, lockstep, 1, 30*time.Second)
+	diffTraces(t, "clean link, batched run vs its replay", on, again)
 
 	// The identical wire must have been produced *by* the batched
 	// machinery, or the test proves nothing: the sender must have
@@ -215,7 +213,8 @@ func TestBatchingWireEquivalence(t *testing.T) {
 // recovery frame must still match the unbatched stack's, in order.
 // The fault RNG is reseeded identically for both runs, and loss draws
 // happen in transmit order, which the lockstep latency makes the
-// timer order — so both runs lose the same frames.
+// timer order — so both runs lose the same frames, and a replay of
+// the batched run loses them again.
 func TestBatchingWireEquivalenceHostileLink(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
@@ -227,7 +226,9 @@ func TestBatchingWireEquivalenceHostileLink(t *testing.T) {
 	on, cliSnap, _ := runBatchStream(t,
 		core.Options{NetisrWorkers: 4},
 		hostile, 42, 2*time.Minute)
-	diffTraces(t, "hostile link", off, on)
+	diffTraces(t, "hostile link, batching off vs on", off, on)
+	again, _, _ := runBatchStream(t, core.Options{NetisrWorkers: 4}, hostile, 42, 2*time.Minute)
+	diffTraces(t, "hostile link, batched run vs its replay", on, again)
 
 	if cliSnap.TCP["SndRexmit"] == 0 {
 		t.Error("hostile link induced no retransmissions; loss model inert")

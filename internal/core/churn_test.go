@@ -20,6 +20,7 @@ import (
 	"bsd6/internal/ipsec"
 	"bsd6/internal/key"
 	"bsd6/internal/mbuf"
+	"bsd6/internal/testnet"
 )
 
 func TestPFKeyChurnRacesSecuredStream(t *testing.T) {
@@ -105,24 +106,22 @@ func TestPFKeyChurnRacesSecuredStream(t *testing.T) {
 	const chunks = 100
 	payload := bytes.Repeat([]byte("line-rate under churn! "), chunk/16)[:chunk]
 	var rcvd []byte
-	done := make(chan error, 1)
-	go func() {
+	recv := testnet.Spawn(b.Clock(), func() error {
 		for len(rcvd) < chunk*chunks {
 			data, err := srv.Recv(4096, 5*time.Second)
 			if err != nil {
-				done <- err
-				return
+				return err
 			}
 			rcvd = append(rcvd, data...)
 		}
-		done <- nil
-	}()
+		return nil
+	})
 	for i := 0; i < chunks; i++ {
 		if _, err := c.Send(payload, 5*time.Second); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	if err := <-done; err != nil {
+	if err := recv(); err != nil {
 		t.Fatalf("recv: %v (got %d of %d bytes)", err, len(rcvd), chunk*chunks)
 	}
 	close(stop)

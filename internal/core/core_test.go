@@ -19,19 +19,24 @@ import (
 )
 
 // env is a virtual-time test environment: stacks and hubs share one
-// virtual clock, and a vclock.Driver advances it whenever every netisr
-// queue and every hub is quiescent. Real goroutines (blocking socket
-// calls) therefore run against simulated protocol time — DAD's seconds
-// of probing or a socket timeout cost microseconds of wall clock.
+// virtual clock, and a vclock.Driver fires its next timer whenever no
+// actor counted on the clock can run. The accounting rule: the test
+// goroutine is counted from newEnv on; any other goroutine that
+// blocks in the stack starts through vclock.Go; an actor parks only
+// inside a socket call, vclock.Sleep (testnet.WaitClock) or a
+// testnet.Signal, each of which the clock sees; netisr workers count
+// their queued frames. Real goroutines therefore run against
+// simulated protocol time — DAD's seconds of probing or a socket
+// timeout cost microseconds of wall clock — and replay identically.
 type env struct {
 	t      *testing.T
 	clock  *vclock.Virtual
-	probes []func() int
 	driver *vclock.Driver
 }
 
 func newEnv(t *testing.T) *env {
 	e := &env{t: t, clock: vclock.NewVirtual(time.Unix(1_000_000, 0))}
+	e.clock.Runnable(1) // the test goroutine
 	t.Cleanup(func() {
 		if e.driver != nil {
 			e.driver.Stop()
@@ -40,26 +45,22 @@ func newEnv(t *testing.T) *env {
 	return e
 }
 
-// start launches the driver; call after every stack and hub exists so
-// their quiescence probes are all registered.
+// start launches the driver; before it, simulated time moves only if
+// the test advances the clock itself.
 func (e *env) start() {
-	e.driver = vclock.NewDriver(e.clock, e.probes...)
+	e.driver = vclock.NewDriver(e.clock)
 	e.driver.Start()
 }
 
 func (e *env) stack(name string) *core.Stack {
 	s := core.NewStack(name, core.Options{Clock: e.clock})
 	e.t.Cleanup(s.Close)
-	e.probes = append(e.probes, s.Pending)
 	return s
 }
 
 func (e *env) hub() *netif.Hub {
 	h := netif.NewHub()
 	h.SetClock(e.clock)
-	// Note: h.Pending is deliberately NOT a driver probe. It counts
-	// clock-gated deliveries (latency faults), which only the next
-	// Step can release — gating Step on it livelocks the driver.
 	return h
 }
 
@@ -123,28 +124,21 @@ func TestStreamSocketsEcho(t *testing.T) {
 	if err := l.Listen(4); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		// Generous virtual-time timeouts: simulated seconds are free,
-		// and the driver may burn through them while this goroutine
-		// waits to be scheduled.
+	serve := testnet.Spawn(b.Clock(), func() error {
 		srv, err := l.Accept(time.Minute)
 		if err != nil {
-			done <- err
-			return
+			return err
 		}
 		for {
 			data, err := srv.Recv(4096, time.Minute)
 			if err != nil {
-				done <- nil // EOF
-				return
+				return nil // EOF
 			}
 			if _, err := srv.Send(data, 5*time.Second); err != nil {
-				done <- err
-				return
+				return err
 			}
 		}
-	}()
+	})
 
 	c, _ := a.NewSocket(inet.AFInet6, core.SockStream)
 	if err := c.Connect(core.Addr6(linkLocal(b), 8080), 5*time.Second); err != nil {
@@ -166,7 +160,7 @@ func TestStreamSocketsEcho(t *testing.T) {
 		t.Fatalf("echo mismatch: %q", got)
 	}
 	c.Close()
-	if err := <-done; err != nil {
+	if err := serve(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -346,8 +340,8 @@ func TestAutoconfThroughRouter(t *testing.T) {
 
 	want := inet.WithPrefix(prefix, 64, inet.LinkLocal(testnet.MacB.Token()))
 	// DAD needs several seconds of timer ticks — simulated ones, which
-	// the driver burns through as soon as the wire is quiet.
-	testnet.WaitFor(t, "autoconf address to become usable", func() bool {
+	// the driver burns through while this goroutine sleeps between polls.
+	testnet.WaitClock(t, e.clock, "autoconf address to become usable", func() bool {
 		for _, a := range hIf.Addrs6() {
 			if a.Addr == want && !a.Tentative && !a.Duplicated {
 				return true

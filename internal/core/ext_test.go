@@ -16,6 +16,7 @@ import (
 	"bsd6/internal/key"
 	"bsd6/internal/route"
 	"bsd6/internal/testnet"
+	"bsd6/internal/vclock"
 )
 
 func TestSecurityBypassSocket(t *testing.T) {
@@ -182,7 +183,7 @@ func TestLossyLinkUDPRetry(t *testing.T) {
 	// Resolve neighbors over a clean wire first, then impair it.
 	srv, _ := b.NewSocket(inet.AFInet6, core.SockDgram)
 	srv.Bind(core.Sockaddr6{Family: inet.AFInet6, Port: 600})
-	go func() {
+	vclock.Go(e.clock, func() {
 		for {
 			data, from, err := srv.RecvFrom(64, time.Hour)
 			if err != nil {
@@ -190,7 +191,7 @@ func TestLossyLinkUDPRetry(t *testing.T) {
 			}
 			srv.SendTo(data, from)
 		}
-	}()
+	})
 	cli, _ := a.NewSocket(inet.AFInet6, core.SockDgram)
 	cli.SendTo([]byte("warm"), core.Addr6(linkLocal(b), 600))
 	cli.RecvFrom(64, 2*time.Second)

@@ -31,7 +31,6 @@ func newFastPathWorld(t *testing.T, workers int) *fastPathWorld {
 	mk := func(name string, n int) *core.Stack {
 		s := core.NewStack(name, core.Options{Clock: e.clock, NetisrWorkers: n})
 		e.t.Cleanup(s.Close)
-		e.probes = append(e.probes, s.Pending)
 		return s
 	}
 	macs := []inet.LinkAddr{testnet.MacA, testnet.MacC, testnet.MacS}

@@ -103,7 +103,6 @@ func TestFloodSoakBoundedState(t *testing.T) {
 		MbufLimit:         soakMbufLimit,
 	})
 	t.Cleanup(victim.Close)
-	e.probes = append(e.probes, victim.Pending)
 	legit := e.stack("legit")
 	victim.AttachLink(hub, testnet.MacB, 1500)
 	legit.AttachLink(hub, testnet.MacA, 1500)
@@ -130,29 +129,34 @@ func TestFloodSoakBoundedState(t *testing.T) {
 	if err := l.Listen(4); err != nil {
 		t.Fatal(err)
 	}
-	serverErr := make(chan error, 2)
-	go func() {
+	echo := func(srv *core.Socket) error {
+		for {
+			data, err := srv.Recv(8192, 10*time.Minute)
+			if err != nil {
+				return nil // EOF
+			}
+			if _, err := srv.Send(data, 10*time.Minute); err != nil {
+				return err
+			}
+		}
+	}
+	accepted := testnet.NewSignal(e.clock)
+	var firstEcho func() error // the legitimate connection's echo loop
+	serve := testnet.Spawn(e.clock, func() error {
+		defer accepted.Fire()
 		for i := 0; i < 2; i++ {
 			srv, err := l.Accept(10 * time.Minute)
 			if err != nil {
-				serverErr <- err
-				return
+				return err
 			}
-			go func() {
-				for {
-					data, err := srv.Recv(8192, 10*time.Minute)
-					if err != nil {
-						serverErr <- nil // EOF
-						return
-					}
-					if _, err := srv.Send(data, 10*time.Minute); err != nil {
-						serverErr <- err
-						return
-					}
-				}
-			}()
+			wait := testnet.Spawn(e.clock, func() error { return echo(srv) })
+			if i == 0 {
+				firstEcho = wait
+				accepted.Fire()
+			}
 		}
-	}()
+		return nil
+	})
 
 	// Establish the legitimate connection before the flood starts; the
 	// data transfer then rides through every round of it.
@@ -162,6 +166,15 @@ func TestFloodSoakBoundedState(t *testing.T) {
 	}
 	if err := c1.Connect(core.Addr6(vLL, echoPort), time.Minute); err != nil {
 		t.Fatal(err)
+	}
+	// Connect returns on the SYN/ACK, while the victim's child is still
+	// embryonic until our final ACK lands. Flood SYNs processed first,
+	// on another netisr worker, would overflow the capped backlog and
+	// evict that child, resetting the connection; so the flood starts
+	// only once the victim has accepted it.
+	accepted.Wait()
+	if firstEcho == nil {
+		t.Fatalf("accept: %v", serve())
 	}
 
 	inject := func(pkt *mbuf.Mbuf) { atk.Output(testnet.MacB, netif.EtherTypeIPv6, pkt) }
@@ -216,7 +229,7 @@ func TestFloodSoakBoundedState(t *testing.T) {
 		}
 	}
 	c1.Close()
-	if err := <-serverErr; err != nil {
+	if err := firstEcho(); err != nil {
 		t.Fatalf("echo server: %v", err)
 	}
 
@@ -288,7 +301,6 @@ func TestMbufLimitRefusesOversizedBurst(t *testing.T) {
 	hub := e.hub()
 	victim := core.NewStack("tiny", core.Options{Clock: e.clock, MbufLimit: 512})
 	t.Cleanup(victim.Close)
-	e.probes = append(e.probes, victim.Pending)
 	victim.AttachLink(hub, testnet.MacB, 1500)
 	atk := netif.New("atk0", testnet.MacC, 1500)
 	atk.SetInput(func(_ *netif.Interface, fr netif.Frame) { fr.Payload.Free() })

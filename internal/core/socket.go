@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bsd6/internal/inet"
@@ -40,6 +41,7 @@ var (
 	ErrHostUnreach = errors.New("socket: no route to host")
 	ErrNotStream   = errors.New("socket: not a stream socket")
 	ErrNotDgram    = errors.New("socket: not a datagram socket")
+	errWouldBlock  = errors.New("socket: operation would block") // waitFor: keep waiting
 )
 
 // Sockaddr6 is struct sockaddr_in6 (paper Figure 7): family, port,
@@ -82,6 +84,13 @@ type Socket struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
+	// Blocking state (waitFor): the wake generation, the waiters in
+	// cond.Wait, and the shared deadline timer, due at timerAt.
+	gen     atomic.Uint64
+	parked  int
+	timer   vclock.Timer
+	timerAt time.Time
+
 	// Datagram state.
 	p       *pcb.PCB
 	rq      []dgramMsg
@@ -89,12 +98,11 @@ type Socket struct {
 	RqMax   int
 
 	// Stream state.
-	conn      *tcp.Conn
-	listening bool
+	conn *tcp.Conn
 
 	sec    ipsec.SockOpts
 	err    error
-	closed bool
+	closed atomic.Bool
 }
 
 // NewSocket is socket(2): create a PF_INET or PF_INET6 socket of the
@@ -110,7 +118,7 @@ func (s *Stack) NewSocket(family inet.Family, typ int) (*Socket, error) {
 		sock.p = s.UDP.Table.Attach(family, sock)
 	case SockStream:
 		sock.conn = s.TCP.Attach(family, sock)
-		sock.conn.Wakeup = sock.broadcast
+		sock.conn.SetSocket(sock, sock.broadcast)
 	default:
 		return nil, fmt.Errorf("socket: unsupported type %d", typ)
 	}
@@ -121,8 +129,73 @@ func (sock *Socket) clock() vclock.Clock { return sock.stack.clock }
 
 func (sock *Socket) broadcast() {
 	sock.mu.Lock()
-	sock.cond.Broadcast()
+	sock.wakeLocked()
 	sock.mu.Unlock()
+}
+
+// wakeLocked ends every wake path: it bumps the generation, disarms
+// the deadline timer (a waiter that parks again re-arms it) and counts
+// parked waiters runnable on the clock before signalling them, so a
+// driven virtual clock never sees the hand-off as quiescence.
+func (sock *Socket) wakeLocked() {
+	sock.gen.Add(1)
+	if sock.parked > 0 {
+		if sock.timer != nil && sock.timer.Stop() {
+			sock.timerAt = time.Time{}
+		}
+		sock.clock().Runnable(sock.parked)
+		sock.parked = 0
+		sock.cond.Broadcast()
+	}
+}
+
+// expire is the deadline timer's callback: the timer is idle again.
+func (sock *Socket) expire() {
+	sock.mu.Lock()
+	sock.timerAt = time.Time{}
+	sock.wakeLocked()
+	sock.mu.Unlock()
+}
+
+// waitFor is the socket layer's only way to block: it retries ready
+// until that returns other than errWouldBlock, or until timeout (<= 0:
+// none) has passed on the stack's clock since it first parked. ready
+// runs without sock.mu (TCP takes it under its own lock), so a wake
+// between the check and the park is caught by the generation instead.
+func (sock *Socket) waitFor(timeout time.Duration, ready func() error) error {
+	clk := sock.clock()
+	var deadline time.Time
+	for {
+		gen := sock.gen.Load()
+		if err := ready(); err != errWouldBlock {
+			return err
+		}
+		sock.mu.Lock()
+		if sock.gen.Load() == gen {
+			if timeout > 0 {
+				now := clk.Now()
+				if deadline.IsZero() {
+					deadline = now.Add(timeout)
+				}
+				if !now.Before(deadline) {
+					sock.mu.Unlock()
+					return ErrTimeoutSock
+				}
+				if sock.timerAt.IsZero() || deadline.Before(sock.timerAt) {
+					sock.timerAt = deadline
+					if sock.timer == nil {
+						sock.timer = clk.AfterFunc(deadline.Sub(now), sock.expire)
+					} else {
+						sock.timer.Reset(deadline.Sub(now))
+					}
+				}
+			}
+			sock.parked++
+			clk.Runnable(-1)
+			sock.cond.Wait()
+		}
+		sock.mu.Unlock()
+	}
 }
 
 // SecurityOpts returns the socket's requested security levels; the
@@ -243,10 +316,7 @@ func (sock *Socket) Connect(sa Sockaddr6, timeout time.Duration) error {
 		if timeout == 0 {
 			timeout = 30 * time.Second
 		}
-		deadline := sock.clock().Now().Add(timeout)
-		sock.mu.Lock()
-		defer sock.mu.Unlock()
-		for {
+		return sock.waitFor(timeout, func() error {
 			st := sock.conn.State()
 			if st == tcp.StateEstablished {
 				return nil
@@ -257,46 +327,10 @@ func (sock *Socket) Connect(sa Sockaddr6, timeout time.Duration) error {
 			if st == tcp.StateClosed {
 				return ErrClosedSock
 			}
-			if !sock.waitLocked(deadline) {
-				return ErrTimeoutSock
-			}
-		}
-	}
-	return ErrNotStream
-}
-
-// waitLocked waits on the condition until broadcast or deadline
-// (measured on the stack's clock, so virtual-time stacks time out in
-// simulated time). Returns false on timeout. Caller holds sock.mu.
-func (sock *Socket) waitLocked(deadline time.Time) bool {
-	clk := sock.clock()
-	if !deadline.IsZero() && !clk.Now().Before(deadline) {
-		return false
-	}
-	done := make(chan struct{})
-	var fired bool
-	var tm vclock.Timer
-	if !deadline.IsZero() {
-		tm = clk.AfterFunc(deadline.Sub(clk.Now()), func() {
-			sock.mu.Lock()
-			fired = true
-			sock.cond.Broadcast()
-			sock.mu.Unlock()
-			close(done)
+			return errWouldBlock
 		})
 	}
-	sock.cond.Wait()
-	if tm != nil {
-		if tm.Stop() {
-			// Timer cancelled; it never fired.
-		} else if !fired {
-			// Let the callback finish to avoid racing the lock.
-			sock.mu.Unlock()
-			<-done
-			sock.mu.Lock()
-		}
-	}
-	return !fired
+	return ErrNotStream
 }
 
 // Listen is listen(2).
@@ -304,9 +338,6 @@ func (sock *Socket) Listen(backlog int) error {
 	if sock.typ != SockStream {
 		return ErrNotStream
 	}
-	sock.mu.Lock()
-	sock.listening = true
-	sock.mu.Unlock()
 	return sock.conn.Listen(backlog)
 }
 
@@ -316,31 +347,23 @@ func (sock *Socket) Accept(timeout time.Duration) (*Socket, error) {
 	if sock.typ != SockStream {
 		return nil, ErrNotStream
 	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = sock.clock().Now().Add(timeout)
+	var child *tcp.Conn
+	if err := sock.waitFor(timeout, func() error {
+		if child = sock.conn.Accept(); child != nil {
+			return nil
+		}
+		if sock.closed.Load() {
+			return ErrClosedSock
+		}
+		return errWouldBlock
+	}); err != nil {
+		return nil, err
 	}
-	for {
-		child := sock.conn.Accept()
-		if child != nil {
-			cs := &Socket{stack: sock.stack, family: sock.family, typ: SockStream, conn: child, RqMax: sock.RqMax}
-			cs.cond = sync.NewCond(&cs.mu)
-			cs.sec = sock.SecurityOpts() // children inherit security levels
-			child.Wakeup = cs.broadcast
-			child.PCB().Socket = cs
-			return cs, nil
-		}
-		sock.mu.Lock()
-		if sock.closed {
-			sock.mu.Unlock()
-			return nil, ErrClosedSock
-		}
-		ok := sock.waitLocked(deadline)
-		sock.mu.Unlock()
-		if !ok {
-			return nil, ErrTimeoutSock
-		}
-	}
+	cs := &Socket{stack: sock.stack, family: sock.family, typ: SockStream, conn: child, RqMax: sock.RqMax}
+	cs.cond = sync.NewCond(&cs.mu)
+	cs.sec = sock.SecurityOpts() // children inherit security levels
+	child.SetSocket(cs, cs.broadcast)
+	return cs, nil
 }
 
 // SendTo is sendto(2) for datagram sockets (paper Figure 7).
@@ -365,27 +388,21 @@ func (sock *Socket) Send(data []byte, timeout time.Duration) (int, error) {
 		}
 		return len(data), nil
 	case SockStream:
-		var deadline time.Time
-		if timeout > 0 {
-			deadline = sock.clock().Now().Add(timeout)
-		}
 		sent := 0
-		for sent < len(data) {
-			n, err := sock.conn.Send(data[sent:])
-			if err != nil {
-				return sent, err
-			}
-			sent += n
-			if n == 0 {
-				sock.mu.Lock()
-				ok := sock.waitLocked(deadline)
-				sock.mu.Unlock()
-				if !ok {
-					return sent, ErrTimeoutSock
+		err := sock.waitFor(timeout, func() error {
+			for sent < len(data) {
+				n, err := sock.conn.Send(data[sent:])
+				if err != nil {
+					return err
 				}
+				if n == 0 {
+					return errWouldBlock // send buffer full
+				}
+				sent += n
 			}
-		}
-		return sent, nil
+			return nil
+		})
+		return sent, err
 	}
 	return 0, ErrNotStream
 }
@@ -397,7 +414,7 @@ func (sock *Socket) enqueueDgram(data []byte, src inet.IP6, sport uint16, flow u
 	if sock.rqBytes+len(data) <= sock.RqMax {
 		sock.rq = append(sock.rq, dgramMsg{append([]byte(nil), data...), src, sport, flow})
 		sock.rqBytes += len(data)
-		sock.cond.Broadcast()
+		sock.wakeLocked()
 	}
 	sock.mu.Unlock()
 }
@@ -408,50 +425,45 @@ func (sock *Socket) setError(err error) {
 	if sock.err == nil {
 		sock.err = err
 	}
-	sock.cond.Broadcast()
+	sock.wakeLocked()
 	sock.mu.Unlock()
 }
 
 // RecvFrom is recvfrom(2): blocks for a datagram (or stream data; the
 // source is then the connected peer).
 func (sock *Socket) RecvFrom(max int, timeout time.Duration) ([]byte, Sockaddr6, error) {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = sock.clock().Now().Add(timeout)
-	}
 	switch sock.typ {
 	case SockDgram:
-		sock.mu.Lock()
-		defer sock.mu.Unlock()
-		for {
-			if len(sock.rq) > 0 {
-				m := sock.rq[0]
-				sock.rq = sock.rq[1:]
+		var m dgramMsg
+		if err := sock.waitFor(timeout, func() error {
+			sock.mu.Lock()
+			defer sock.mu.Unlock()
+			switch err := sock.err; {
+			case len(sock.rq) > 0:
+				m, sock.rq = sock.rq[0], sock.rq[1:]
 				sock.rqBytes -= len(m.data)
-				data := m.data
-				if max > 0 && len(data) > max {
-					data = data[:max] // excess is discarded, as recvfrom does
-				}
-				fam := inet.AFInet6
-				if m.src.IsV4Mapped() && sock.family == inet.AFInet {
-					fam = inet.AFInet
-				}
-				return data, Sockaddr6{Family: fam, Addr: m.src, Port: m.port, FlowInfo: m.flow}, nil
-			}
-			if sock.err != nil {
-				err := sock.err
+				return nil
+			case err != nil:
 				sock.err = nil // asynchronous errors report once
-				return nil, Sockaddr6{}, err
+				return err
+			case sock.closed.Load():
+				return ErrClosedSock
 			}
-			if sock.closed {
-				return nil, Sockaddr6{}, ErrClosedSock
-			}
-			if !sock.waitLocked(deadline) {
-				return nil, Sockaddr6{}, ErrTimeoutSock
-			}
+			return errWouldBlock
+		}); err != nil {
+			return nil, Sockaddr6{}, err
 		}
+		data := m.data
+		if max > 0 && len(data) > max {
+			data = data[:max] // excess is discarded, as recvfrom does
+		}
+		fam := inet.AFInet6
+		if m.src.IsV4Mapped() && sock.family == inet.AFInet {
+			fam = inet.AFInet
+		}
+		return data, Sockaddr6{Family: fam, Addr: m.src, Port: m.port, FlowInfo: m.flow}, nil
 	case SockStream:
-		data, err := sock.recvStream(max, deadline)
+		data, err := sock.recvStream(max, timeout)
 		return data, sock.RemoteAddr(), err
 	}
 	return nil, Sockaddr6{}, ErrNotDgram
@@ -464,35 +476,31 @@ func (sock *Socket) Recv(max int, timeout time.Duration) ([]byte, error) {
 		data, _, err := sock.RecvFrom(max, timeout)
 		return data, err
 	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = sock.clock().Now().Add(timeout)
-	}
-	return sock.recvStream(max, deadline)
+	return sock.recvStream(max, timeout)
 }
 
-func (sock *Socket) recvStream(max int, deadline time.Time) ([]byte, error) {
+func (sock *Socket) recvStream(max int, timeout time.Duration) ([]byte, error) {
 	if max <= 0 {
 		max = 64 << 10
 	}
-	for {
-		data, err := sock.conn.Recv(max)
-		if err != nil {
-			if errors.Is(err, tcp.ErrClosed) {
-				return nil, ErrClosedSock // EOF
-			}
-			return nil, err
-		}
-		if data != nil {
-			return data, nil
-		}
-		sock.mu.Lock()
-		ok := sock.waitLocked(deadline)
-		sock.mu.Unlock()
-		if !ok {
-			return nil, ErrTimeoutSock
-		}
+	var data []byte
+	err := sock.waitFor(timeout, func() (err error) {
+		data, err = sock.conn.Recv(max)
+		return streamErr(data != nil, err)
+	})
+	return data, err
+}
+
+// streamErr is a stream read's waitFor verdict: TCP's end of stream
+// becomes the socket layer's EOF, and no data yet means wait.
+func streamErr(got bool, err error) error {
+	switch {
+	case errors.Is(err, tcp.ErrClosed):
+		return ErrClosedSock
+	case err == nil && !got:
+		return errWouldBlock
 	}
+	return err
 }
 
 // ReadInto is read(2): it copies stream data into p, blocking until
@@ -504,41 +512,21 @@ func (sock *Socket) ReadInto(p []byte, timeout time.Duration) (int, error) {
 		data, _, err := sock.RecvFrom(len(p), timeout)
 		return copy(p, data), err
 	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = sock.clock().Now().Add(timeout)
-	}
-	for {
-		n, err := sock.conn.ReadInto(p)
-		if err != nil {
-			if errors.Is(err, tcp.ErrClosed) {
-				return 0, ErrClosedSock // EOF
-			}
-			return 0, err
-		}
-		if n > 0 {
-			return n, nil
-		}
-		sock.mu.Lock()
-		ok := sock.waitLocked(deadline)
-		sock.mu.Unlock()
-		if !ok {
-			return 0, ErrTimeoutSock
-		}
-	}
+	var n int
+	err := sock.waitFor(timeout, func() (err error) {
+		n, err = sock.conn.ReadInto(p)
+		return streamErr(n > 0, err)
+	})
+	return n, err
 }
 
 // Close is close(2) (for streams: graceful FIN; the final release
 // happens when TCP finishes).
 func (sock *Socket) Close() error {
-	sock.mu.Lock()
-	if sock.closed {
-		sock.mu.Unlock()
+	if sock.closed.Swap(true) {
 		return nil
 	}
-	sock.closed = true
-	sock.cond.Broadcast()
-	sock.mu.Unlock()
+	sock.broadcast()
 	switch sock.typ {
 	case SockDgram:
 		sock.stack.UDP.Table.Detach(sock.p)

@@ -332,7 +332,8 @@ func NewStack(name string, opts Options) *Stack {
 func (s *Stack) Clock() vclock.Clock { return s.clock }
 
 // Pending reports frames queued on (or being dispatched from) the
-// netisr input queue — a quiescence probe for vclock.Driver.
+// netisr input queues. The same frames are counted runnable on the
+// stack's clock, which is how a vclock.Driver sees them.
 func (s *Stack) Pending() int { return int(s.pending.Load()) }
 
 // Close stops the stack's goroutines.
@@ -374,11 +375,13 @@ func (s *Stack) enqueue(ifp *netif.Interface, fr netif.Frame) {
 		q = s.inqs[flowHash(fr)%uint32(len(s.inqs))]
 	}
 	s.pending.Add(1)
+	s.clock.Runnable(1)
 	s.inqBytes.Add(int64(n))
 	select {
 	case q <- inputItem{ifp, fr, n}:
 	default:
 		s.pending.Add(-1)
+		s.clock.Runnable(-1)
 		s.inqBytes.Add(-int64(n))
 		s.InqDrops.Inc()
 		s.Drops.DropNote(stat.RInqFull, ifp.Name)
@@ -437,9 +440,9 @@ func macHash(mac inet.LinkAddr) uint32 {
 // queued frames and dispatches them as one batch — amortizing the
 // channel receive, the queue accounting (one inqBytes/pending settle
 // per batch instead of per frame) and feeding the worker's GRO engine
-// runs of consecutive same-flow frames to coalesce.  pending stays
-// raised until the whole batch is dispatched, so quiescence probes
-// never observe a half-processed burst.
+// runs of consecutive same-flow frames to coalesce.  pending (and the
+// clock's runnable count) stays raised until the whole batch is
+// dispatched, so nobody observes a half-processed burst as quiescence.
 func (s *Stack) netisr(w int, q chan inputItem) {
 	defer s.wg.Done()
 	burst := make([]inputItem, 0, s.burst)
@@ -465,6 +468,7 @@ func (s *Stack) netisr(w int, q chan inputItem) {
 			}
 			s.inqBytes.Add(-bytes)
 			s.pending.Add(-int64(len(burst)))
+			s.clock.Runnable(-len(burst))
 		}
 	}
 }
@@ -631,6 +635,9 @@ func (s *Stack) AttachLink(hub *netif.Hub, mac inet.LinkAddr, mtu int) *netif.In
 	return ifp
 }
 
+// dadPoll is how often AttachLinkDAD checks whether DAD has concluded.
+const dadPoll = 100 * time.Millisecond
+
 // AttachLinkDAD connects the stack to a hub and runs duplicate address
 // detection on the link-local address (§4.2.1), returning after DAD
 // concludes. ok is false if the address turned out to be a duplicate.
@@ -638,8 +645,18 @@ func (s *Stack) AttachLinkDAD(hub *netif.Hub, mac inet.LinkAddr, mtu int) (*neti
 	ifp := s.newLink(hub, mac, mtu)
 	ll := inet.LinkLocal(mac.Token())
 	ifp.AddAddr6(netif.Addr6{Addr: ll, Plen: 64, Tentative: true})
+	// Poll on the stack's clock instead of blocking on done: a
+	// sleeping poller is parked where a driven virtual clock can see
+	// it, and DAD concludes only as time moves.
 	done := s.ICMP6.StartDAD(ifp, ll)
-	<-done
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			vclock.Sleep(s.clock, dadPoll)
+		}
+	}
 	for _, a := range ifp.Addrs6() {
 		if a.Addr == ll {
 			return ifp, !a.Duplicated

@@ -52,32 +52,27 @@ func streamEcho(t *testing.T, cli, srv *core.Stack, family inet.Family, dial cor
 	for i, c := range body {
 		back[len(body)-1-i] = c
 	}
-	srvErr := make(chan error, 1)
-	go func() {
+	serve := testnet.Spawn(srv.Clock(), func() error {
 		s, err := l.Accept(5 * time.Minute)
 		if err != nil {
-			srvErr <- fmt.Errorf("accept: %w", err)
-			return
+			return fmt.Errorf("accept: %w", err)
 		}
 		var rcvd []byte
 		for len(rcvd) < len(body) {
 			chunk, err := s.Recv(1<<16, 5*time.Minute)
 			if err != nil {
-				srvErr <- fmt.Errorf("recv at %d: %w", len(rcvd), err)
-				return
+				return fmt.Errorf("recv at %d: %w", len(rcvd), err)
 			}
 			rcvd = append(rcvd, chunk...)
 		}
 		if !bytes.Equal(rcvd, body) {
-			srvErr <- fmt.Errorf("forward stream corrupted (%d bytes)", len(rcvd))
-			return
+			return fmt.Errorf("forward stream corrupted (%d bytes)", len(rcvd))
 		}
 		if _, err := s.Send(back, 5*time.Minute); err != nil {
-			srvErr <- fmt.Errorf("send back: %w", err)
-			return
+			return fmt.Errorf("send back: %w", err)
 		}
-		srvErr <- nil
-	}()
+		return nil
+	})
 
 	c, err := cli.NewSocket(family, core.SockStream)
 	if err != nil {
@@ -101,7 +96,7 @@ func streamEcho(t *testing.T, cli, srv *core.Stack, family inet.Family, dial cor
 	if !bytes.Equal(got, back) {
 		t.Fatalf("reverse stream corrupted (%d bytes)", len(got))
 	}
-	if err := <-srvErr; err != nil {
+	if err := serve(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -330,7 +325,6 @@ func runTunnelStream(t *testing.T, opts core.Options, faults netif.Faults, seed 
 	mk := func(name string) *core.Stack {
 		s := core.NewStack(name, opts)
 		t.Cleanup(s.Close)
-		e.probes = append(e.probes, s.Pending)
 		return s
 	}
 	cli := mk("cli")
@@ -369,49 +363,43 @@ func runTunnelStream(t *testing.T, opts core.Options, faults netif.Faults, seed 
 	}
 	c.SetBuffers(1<<20, 1<<20)
 
-	quiet := make(chan struct{})
-	e.clock.AfterFunc(10*time.Second, func() { close(quiet) })
-	end := make(chan struct{})
-	e.clock.AfterFunc(horizon, func() { close(end) })
+	quiet := testnet.NewSignal(e.clock)
+	e.clock.AfterFunc(10*time.Second, quiet.Fire)
+	end := testnet.NewSignal(e.clock)
+	e.clock.AfterFunc(horizon, end.Fire)
 	e.start()
 
 	body := batchStreamBody()
-	got := make(chan []byte, 1)
-	srvErr := make(chan error, 1)
-	go func() {
+	var rcvd []byte
+	serve := testnet.Spawn(e.clock, func() error {
 		s, err := l.Accept(5 * time.Minute)
 		if err != nil {
-			srvErr <- fmt.Errorf("accept: %w", err)
-			return
+			return fmt.Errorf("accept: %w", err)
 		}
-		var rcvd []byte
 		for len(rcvd) < batchStreamTotal {
 			chunk, err := s.Recv(1<<16, 5*time.Minute)
 			if err != nil {
-				srvErr <- fmt.Errorf("recv at %d: %w", len(rcvd), err)
-				return
+				return fmt.Errorf("recv at %d: %w", len(rcvd), err)
 			}
 			rcvd = append(rcvd, chunk...)
 		}
-		got <- rcvd
-	}()
+		return nil
+	})
 
-	<-quiet
+	quiet.Wait()
 	if err := c.Connect(core.Addr6(s6, 9009), time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Send(body, 5*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-srvErr:
+	if err := serve(); err != nil {
 		t.Fatal(err)
-	case rcvd := <-got:
-		if !bytes.Equal(rcvd, body) {
-			t.Fatalf("stream corrupted: %d bytes received", len(rcvd))
-		}
 	}
-	<-end
+	if !bytes.Equal(rcvd, body) {
+		t.Fatalf("stream corrupted: %d bytes received", len(rcvd))
+	}
+	end.Wait()
 
 	mu.Lock()
 	out := append([]string(nil), trace...)
@@ -425,7 +413,8 @@ func runTunnelStream(t *testing.T, opts core.Options, faults netif.Faults, seed 
 // byte-identical frames on the v4 core as an unbatched stack.  Were a
 // super's descriptor to survive into the outer path, the splitter
 // would cut encapsulated packets at inner-derived offsets and the
-// traces would diverge immediately.
+// traces would diverge immediately.  A same-seed replay of the
+// batched run must put the same frames on the wire again.
 func TestGSOTunnelWireEquivalence(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
@@ -437,7 +426,9 @@ func TestGSOTunnelWireEquivalence(t *testing.T) {
 	on, cliSnap, _ := runTunnelStream(t,
 		core.Options{NetisrWorkers: 4},
 		lockstep, 1, 30*time.Second)
-	diffTraces(t, "tunnel path", off, on)
+	diffTraces(t, "tunnel path, batching off vs on", off, on)
+	again, _, _ := runTunnelStream(t, core.Options{NetisrWorkers: 4}, lockstep, 1, 30*time.Second)
+	diffTraces(t, "tunnel path, batched run vs its replay", on, again)
 
 	// The equivalence must have been earned: the batched sender really
 	// built supers for the tunnel boundary to split and flush.

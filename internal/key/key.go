@@ -287,11 +287,14 @@ func (e *Engine) indexAddLocked(k saKey, sa *SA) {
 }
 
 // indexDelLocked removes the association stored under k from the
-// inbound and outbound indexes.  Caller holds e.mu exclusive.
+// inbound and outbound indexes; an inbound entry already replaced by
+// a successor stays.  Caller holds e.mu exclusive.
 func (e *Engine) indexDelLocked(k saKey, sa *SA) {
 	sh := e.shardFor(k.spi)
 	sh.mu.Lock()
-	delete(sh.m, k)
+	if sh.m[k] == sa {
+		delete(sh.m, k)
+	}
 	sh.mu.Unlock()
 	dk := dstKey{k.dst, k.proto}
 	l := e.byDst[dk]
@@ -401,9 +404,11 @@ func (e *Engine) Update(sa *SA) error {
 	} {
 		atomic.AddUint64(c[0], atomic.LoadUint64(c[1]))
 	}
-	e.indexDelLocked(k, old)
+	// Index the successor before unindexing old: inbound lookups take
+	// only the shard lock, and must never see the SPI missing mid-swap.
 	e.sas[k] = sa
 	e.indexAddLocked(k, sa)
+	e.indexDelLocked(k, old)
 	e.gen.Add(1)
 	e.notifyLocked(Message{Type: MsgUpdate, SA: sa})
 	return nil

@@ -150,6 +150,39 @@ func TestLookupSPIClassification(t *testing.T) {
 	}
 }
 
+// TestUpdateNeverHidesSPI: an in-place rekey (SADB_UPDATE) swaps the
+// association object under a live SPI, and an inbound lookup racing
+// the swap — it takes only the shard lock — must find the old object
+// or the new one, never neither.
+func TestUpdateNeverHidesSPI(t *testing.T) {
+	e := churnEngine()
+	dst := ip6(t, "2001:db8::2")
+	if err := e.Add(lookupSA(0x100, dst, ProtoAH)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			e.Update(lookupSA(0x100, dst, ProtoAH))
+		}
+	}()
+	misses := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if sa, _ := e.LookupSPI(0x100, dst, ProtoAH); sa == nil {
+			misses++
+		}
+	}
+	if misses != 0 {
+		t.Fatalf("%d lookups missed a live SPI during rekeys", misses)
+	}
+}
+
 func TestGenerationBumpsOnMutation(t *testing.T) {
 	e := churnEngine()
 	dst := ip6(t, "2001:db8::2")

@@ -366,6 +366,15 @@ func (t *TCP) Attach(family inet.Family, socket any) *Conn {
 // PCB exposes the connection's protocol control block.
 func (c *Conn) PCB() *pcb.PCB { return c.pcb }
 
+// SetSocket publishes c's owner under the stack lock: sock becomes the
+// PCB's back pointer and wakeup the connection's Wakeup. An accepted
+// child needs it because TCP input may already be running on it.
+func (c *Conn) SetSocket(sock any, wakeup func()) {
+	c.t.mu.Lock()
+	c.pcb.Socket, c.Wakeup = sock, wakeup
+	c.t.mu.Unlock()
+}
+
 // State returns the connection state. A handle that collapsed into a
 // compressed TIME_WAIT record reports CLOSED once the record expires.
 func (c *Conn) State() State {

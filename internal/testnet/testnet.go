@@ -7,6 +7,7 @@ package testnet
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,12 +175,15 @@ func (n *Node) LinkLocal(i int) inet.IP6 {
 	return ll
 }
 
-// WaitFor waits until cond holds. Testnet links deliver synchronously
-// and simulated time only moves under explicit control, so for
-// single-goroutine tests cond is true on the first check; for tests
-// with real goroutines (core stacks, a vclock.Driver) it spin-yields
-// until the other goroutines catch up — no sleeping, no 1ms polling.
-// Tests that need simulated time to pass use Sim.WaitFor instead.
+// WaitFor waits until cond holds, spin-yielding with the caller still
+// running. Testnet links deliver synchronously and simulated time
+// only moves under explicit control, so for single-goroutine tests
+// cond is true on the first check. Under a vclock.Driver the caller
+// is a counted actor and never parks here, so simulated time stands
+// still while it spins: cond must come true through work already
+// under way — queued frames, woken sockets — never through a timer.
+// WaitClock parks between polls instead; Sim.WaitFor steps the clock
+// itself.
 func WaitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -188,6 +192,94 @@ func WaitFor(t testing.TB, what string, cond func() bool) {
 			t.Fatalf("timeout waiting for %s", what)
 		}
 		runtime.Gosched()
+	}
+}
+
+// pollEvery is how much simulated time Until lets pass between polls.
+const pollEvery = 10 * time.Millisecond
+
+// WaitClock waits until cond holds in a world whose clock a
+// vclock.Driver advances. Between polls the caller parks on clk for a
+// few simulated milliseconds, so timers (DAD, RA, retransmission) run
+// while it waits and cond is polled at the same simulated instants on
+// every run. It fails the test after five simulated minutes.
+func WaitClock(t testing.TB, clk vclock.Clock, what string, cond func() bool) {
+	t.Helper()
+	if !Until(clk, 5*time.Minute, cond) {
+		t.Fatalf("timeout (simulated) waiting for %s", what)
+	}
+}
+
+// Until polls cond as WaitClock does, for up to budget of clk's time,
+// and reports whether cond came true.
+func Until(clk vclock.Clock, budget time.Duration, cond func() bool) bool {
+	for waited := time.Duration(0); !cond(); waited += pollEvery {
+		if waited >= budget {
+			return false
+		}
+		vclock.Sleep(clk, pollEvery)
+	}
+	return true
+}
+
+// Signal is a one-shot hand-off between two actors of a clock: Fire
+// counts the goroutine parked in Wait runnable before releasing it,
+// so a driven virtual clock never mistakes the hand-off for
+// quiescence. Tests use it where a counted goroutine would otherwise
+// block on a done channel.
+type Signal struct {
+	clk    vclock.Clock
+	mu     sync.Mutex
+	fired  bool
+	parked bool
+	ch     chan struct{}
+}
+
+// NewSignal returns an unfired signal on clk.
+func NewSignal(clk vclock.Clock) *Signal {
+	return &Signal{clk: clk, ch: make(chan struct{})}
+}
+
+// Fire releases the waiter, now or when it arrives; later calls do
+// nothing.
+func (s *Signal) Fire() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.fired {
+		return
+	}
+	s.fired = true
+	if s.parked {
+		s.clk.Runnable(1)
+	}
+	close(s.ch)
+}
+
+// Wait parks the calling actor until Fire. At most one goroutine may
+// wait on a signal.
+func (s *Signal) Wait() {
+	s.mu.Lock()
+	if !s.fired {
+		s.parked = true
+		s.clk.Runnable(-1)
+	}
+	s.mu.Unlock()
+	<-s.ch
+}
+
+// Spawn runs f on a goroutine counted on clk (vclock.Go) and returns a
+// function that parks the caller until f has returned and yields f's
+// error — the clock-visible form of a goroutine plus a done channel.
+func Spawn(clk vclock.Clock, f func() error) (wait func() error) {
+	var err error
+	done := NewSignal(clk)
+	vclock.Go(clk, func() {
+		defer done.Fire()
+		err = f()
+	})
+	return func() error {
+		done.Wait()
+		return err
 	}
 }
 

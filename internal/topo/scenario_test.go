@@ -9,7 +9,6 @@ package topo
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -18,22 +17,6 @@ import (
 	"bsd6/internal/testnet"
 	"bsd6/internal/tunnel"
 )
-
-// waitUntil polls cond for up to d of real time, returning whether it
-// ever held.  Unlike testnet.WaitFor it does not fail the test — PMTU
-// convergence loops use it to distinguish "reply arrived" from "try
-// again with the newly learned MTU".
-func waitUntil(d time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	return false
-}
 
 // tcpEcho runs one stream connection from a to b's addr:port, pushes
 // body over it, and fails unless the byte-reversed echo comes back
@@ -56,33 +39,28 @@ func tcpEcho(t *testing.T, a, b *core.Stack, dst inet.IP6, port uint16, body []b
 	for i, c := range body {
 		back[len(body)-1-i] = c
 	}
-	srvErr := make(chan error, 1)
-	go func() {
+	serve := testnet.Spawn(b.Clock(), func() error {
 		s, err := l.Accept(5 * time.Minute)
 		if err != nil {
-			srvErr <- fmt.Errorf("accept: %w", err)
-			return
+			return fmt.Errorf("accept: %w", err)
 		}
 		defer s.Close()
 		var rcvd []byte
 		for len(rcvd) < len(body) {
 			chunk, err := s.Recv(1<<16, 5*time.Minute)
 			if err != nil {
-				srvErr <- fmt.Errorf("recv at %d: %w", len(rcvd), err)
-				return
+				return fmt.Errorf("recv at %d: %w", len(rcvd), err)
 			}
 			rcvd = append(rcvd, chunk...)
 		}
 		if !bytes.Equal(rcvd, body) {
-			srvErr <- fmt.Errorf("forward stream corrupted (%d bytes)", len(rcvd))
-			return
+			return fmt.Errorf("forward stream corrupted (%d bytes)", len(rcvd))
 		}
 		if _, err := s.Send(back, 5*time.Minute); err != nil {
-			srvErr <- fmt.Errorf("send back: %w", err)
-			return
+			return fmt.Errorf("send back: %w", err)
 		}
-		srvErr <- nil
-	}()
+		return nil
+	})
 	c, err := a.NewSocket(inet.AFInet6, core.SockStream)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +88,7 @@ func tcpEcho(t *testing.T, a, b *core.Stack, dst inet.IP6, port uint16, body []b
 	if !bytes.Equal(got, back) {
 		t.Fatal("echoed stream corrupted")
 	}
-	if err := <-srvErr; err != nil {
+	if err := serve(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,7 +115,7 @@ func TestPMTUChainConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Progress is either the reply or a narrower PMTU to retry at.
-		if !waitUntil(2*time.Second, func() bool {
+		if !testnet.Until(nw.Clock, 2*time.Second, func() bool {
 			return replies() > base || pmtus() > lastPmtu
 		}) {
 			t.Fatalf("attempt %d: no reply and no PMTU progress", attempt)
@@ -185,7 +163,7 @@ func TestAutoconfCascadeTree(t *testing.T) {
 	leaves := []int{3, 4, 5, 6}
 	for _, id := range leaves {
 		id := id
-		testnet.WaitFor(t, fmt.Sprintf("n%d autoconf address", id), func() bool {
+		testnet.WaitClock(t, nw.Clock, fmt.Sprintf("n%d autoconf address", id), func() bool {
 			_, ok := nw.Nodes[id].AutoAddr()
 			return ok
 		})

@@ -106,10 +106,11 @@ func TestChurnSoakFleet(t *testing.T) {
 
 	// Leak audit: with every link healed and all traffic quiesced, the
 	// pool gauge must return to its pre-soak level — churn left no
-	// orphaned mbufs in any of the N nodes' queues.  The virtual clock
-	// free-runs here, so reassembly and ND expirations all fire.
+	// orphaned mbufs in any of the N nodes' queues.  Simulated time
+	// runs while this goroutine sleeps between polls, so reassembly and
+	// ND expirations all fire.
 	nw.HealAll()
-	if !waitUntil(10*time.Second, func() bool {
+	if !testnet.Until(nw.Clock, 5*time.Minute, func() bool {
 		return nw.Pending() == 0 && mbuf.Outstanding() == base
 	}) {
 		t.Fatalf("pool gauge stuck at %d (baseline %d) after %d churn events — leaked mbufs",

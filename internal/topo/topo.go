@@ -364,18 +364,17 @@ func (nw *Network) installRoutes() {
 	}
 }
 
-// Start launches the virtual-clock driver with every stack's Pending
-// as a probe (hubs are clock-gated and must not hold the clock back).
+// Start launches the virtual-clock driver. It fires the next timer
+// whenever nothing counted on the clock can run (see vclock.Driver):
+// netisr work, woken socket waiters and goroutines started with
+// vclock.Go are counted; the caller is not, so a goroutine that will
+// block in a socket call must count itself first (Clock.Runnable(1)).
 // No-op on real-clock networks.
 func (nw *Network) Start() {
 	if nw.Clock == nil || nw.driver != nil {
 		return
 	}
-	probes := make([]func() int, len(nw.Nodes))
-	for i, n := range nw.Nodes {
-		probes[i] = n.S.Pending
-	}
-	nw.driver = vclock.NewDriver(nw.Clock, probes...)
+	nw.driver = vclock.NewDriver(nw.Clock)
 	nw.driver.Start()
 }
 

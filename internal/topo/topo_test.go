@@ -20,6 +20,10 @@ func buildStart(t *testing.T, spec Spec) *Network {
 	}
 	t.Cleanup(nw.Close)
 	nw.Start()
+	// The test goroutine blocks in sockets (tcpEcho), so it is an actor
+	// the driver must count; it parks only in socket calls and
+	// testnet.WaitClock/Until, which let simulated time move.
+	nw.Clock.Runnable(1)
 	return nw
 }
 
@@ -36,7 +40,7 @@ func ping(t *testing.T, nw *Network, a, b int) {
 	if err := src.S.Ping6(dst, uint16(a+1), uint16(b+1), []byte("topo")); err != nil {
 		t.Fatalf("ping n%d -> n%d: %v", a, b, err)
 	}
-	testnet.WaitFor(t, fmt.Sprintf("echo reply n%d->n%d", a, b), func() bool {
+	testnet.WaitClock(t, nw.Clock, fmt.Sprintf("echo reply n%d->n%d", a, b), func() bool {
 		return src.S.Snapshot().ICMP6["InEchoReps"] > before
 	})
 }

@@ -1,37 +1,21 @@
 package vclock
 
-import (
-	"runtime"
-	"sync"
-)
-
-// Driver advances a Virtual clock automatically whenever the system
-// under test is quiescent: every registered probe reports zero pending
-// work. Probes must count only scheduler-gated work — items another
-// goroutine will finish without time moving, like netisr input queues.
-// Clock-gated work (a hub's delayed in-flight frames, say) must NOT be
-// a probe: it is released only by firing the next timer, so gating
-// Step on it livelocks the driver. It exists for tests
-// that exercise blocking APIs on real goroutines — they cannot advance
-// the clock themselves, so the driver steps simulated time to the next
-// timer the moment everything else has settled, collapsing seconds of
-// protocol time (DAD probes, retransmission backoff) into microseconds
-// of wall time.
-//
-// Tests that run on a single goroutine should advance the clock
-// directly instead; the driver trades determinism for convenience.
+// Driver advances a Virtual clock by itself: whenever the clock's
+// count of runnable actors (Clock.Runnable) is zero it Steps to the
+// next deadline, then waits for whatever that woke to park again.
+// The count is exact — goroutines started with Go, socket waiters and
+// netisr workers with queued frames all hold it up — so time never
+// moves while work that needs none is under way, and a simulated
+// network replays identically whatever the scheduler does.
 type Driver struct {
-	clock  *Virtual
-	probes []func() int
-
-	mu      sync.Mutex
-	stopped bool
+	clock   *Virtual
+	stopped bool // guarded by clock.mu
 	done    chan struct{}
 }
 
-// NewDriver creates a driver; probes report outstanding work counts.
-func NewDriver(c *Virtual, probes ...func() int) *Driver {
-	return &Driver{clock: c, probes: probes, done: make(chan struct{})}
+// NewDriver creates a driver for c.
+func NewDriver(c *Virtual) *Driver {
+	return &Driver{clock: c, done: make(chan struct{})}
 }
 
 // Start launches the driver goroutine. Call Stop when the test ends.
@@ -41,50 +25,27 @@ func (d *Driver) Start() {
 
 // Stop halts the driver and waits for its goroutine to exit.
 func (d *Driver) Stop() {
-	d.mu.Lock()
-	already := d.stopped
+	v := d.clock
+	v.mu.Lock()
 	d.stopped = true
-	d.mu.Unlock()
-	if !already {
-		<-d.done
-	}
+	v.idle.Broadcast()
+	v.mu.Unlock()
+	<-d.done
 }
 
 func (d *Driver) loop() {
 	defer close(d.done)
-	// Hysteresis: only step time after several consecutive quiescent
-	// observations with scheduler yields in between. A goroutine that
-	// is *about* to enqueue work (mid-SendTo, say) is invisible to the
-	// probes; giving it a few scheduling opportunities before firing
-	// the next timer keeps virtual deadlines from beating real work.
-	const settle = 4
-	calm := 0
+	v := d.clock
+	v.mu.Lock()
+	defer v.mu.Unlock()
 	for {
-		d.mu.Lock()
-		stopped := d.stopped
-		d.mu.Unlock()
-		if stopped {
+		for !d.stopped && (v.runnable > 0 || len(v.heap) == 0) {
+			v.idle.Wait()
+		}
+		if d.stopped {
 			return
 		}
-		if d.quiescent() {
-			calm++
-			if calm >= settle {
-				calm = 0
-				d.clock.Step()
-			}
-		} else {
-			calm = 0
-		}
-		// Yield so the goroutines we just woke get scheduled.
-		runtime.Gosched()
+		v.advanceToLocked(v.heap[0].when)
+		v.mu.Lock()
 	}
-}
-
-func (d *Driver) quiescent() bool {
-	for _, p := range d.probes {
-		if p() > 0 {
-			return false
-		}
-	}
-	return true
 }

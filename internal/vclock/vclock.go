@@ -20,6 +20,9 @@ type Timer interface {
 	// Stop cancels the timer; it reports whether the timer was still
 	// pending (false when it already fired or was stopped).
 	Stop() bool
+	// Reset re-arms the timer to fire d from now (fired or not); it
+	// reports whether the timer was still pending.
+	Reset(d time.Duration) bool
 }
 
 // Clock abstracts "now" and one-shot callbacks. It is the only timing
@@ -28,6 +31,26 @@ type Timer interface {
 type Clock interface {
 	Now() time.Time
 	AfterFunc(d time.Duration, f func()) Timer
+	// Runnable adjusts the count of actors that can progress without
+	// time moving: an actor subtracts itself as it parks, and whoever
+	// wakes it, or hands work to an idle one, adds before signalling.
+	// A Driver advances a Virtual clock only while the count is zero.
+	Runnable(delta int)
+}
+
+// Go runs f on a goroutine counted runnable on c until f returns: how
+// a goroutine that may block in the stack starts on a driven clock.
+func Go(c Clock, f func()) {
+	c.Runnable(1)
+	go func() { defer c.Runnable(-1); f() }()
+}
+
+// Sleep parks the calling actor for d of c's time.
+func Sleep(c Clock, d time.Duration) {
+	woke := make(chan struct{})
+	c.AfterFunc(d, func() { c.Runnable(1); close(woke) })
+	c.Runnable(-1)
+	<-woke
 }
 
 // ---------------------------------------------------------------------
@@ -40,11 +63,15 @@ type realTimer struct{ t *time.Timer }
 
 func (rt realTimer) Stop() bool { return rt.t.Stop() }
 
+func (rt realTimer) Reset(d time.Duration) bool { return rt.t.Reset(d) }
+
 func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{time.AfterFunc(d, f)}
 }
+
+func (realClock) Runnable(int) {}
 
 // Real returns the wall-clock implementation used in production.
 func Real() Clock { return realClock{} }
@@ -59,34 +86,51 @@ func Real() Clock { return realClock{} }
 // (deadline, creation order) order. Callbacks may schedule new timers;
 // those fire too if they land inside the window being advanced.
 type Virtual struct {
-	mu   sync.Mutex
-	now  time.Time
-	seq  uint64
-	heap timerHeap
+	mu       sync.Mutex
+	now      time.Time
+	seq      uint64
+	heap     timerHeap
+	runnable int       // see Clock.Runnable
+	idle     sync.Cond // a Driver waits here for runnable==0 and a timer
 }
 
 // NewVirtual returns a virtual clock starting at epoch. Any fixed
 // epoch works; tests compare durations, not absolute dates.
 func NewVirtual(epoch time.Time) *Virtual {
-	return &Virtual{now: epoch}
+	v := &Virtual{now: epoch}
+	v.idle.L = &v.mu
+	return v
 }
 
 type vtimer struct {
-	when    time.Time
-	seq     uint64
-	fn      func()
-	clock   *Virtual
-	index   int // heap index, -1 once fired or stopped
-	stopped bool
+	when  time.Time
+	seq   uint64
+	fn    func()
+	clock *Virtual
+	index int // heap index, -1 once fired or stopped
 }
 
 func (t *vtimer) Stop() bool {
 	t.clock.mu.Lock()
 	defer t.clock.mu.Unlock()
-	if t.index < 0 || t.stopped {
+	return t.unlinkLocked()
+}
+
+func (t *vtimer) Reset(d time.Duration) bool {
+	v := t.clock
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	pending := t.unlinkLocked()
+	t.when, t.seq = v.now.Add(d), v.seq
+	v.seq++
+	v.pushLocked(t)
+	return pending
+}
+
+func (t *vtimer) unlinkLocked() bool {
+	if t.index < 0 {
 		return false
 	}
-	t.stopped = true
 	heap.Remove(&t.clock.heap, t.index)
 	t.index = -1
 	return true
@@ -103,12 +147,30 @@ func (v *Virtual) Now() time.Time {
 // now. Non-positive d fires at the current instant on the next
 // advance (Advance(0) runs it).
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
+	t := &vtimer{fn: f, clock: v, index: -1}
+	t.Reset(d)
+	return t
+}
+
+func (v *Virtual) pushLocked(t *vtimer) {
+	heap.Push(&v.heap, t)
+	if len(v.heap) == 1 {
+		v.idle.Signal()
+	}
+}
+
+// Runnable adjusts the count of runnable actors (see Clock). It panics
+// if the count goes negative: an uncounted goroutine parked.
+func (v *Virtual) Runnable(delta int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	t := &vtimer{when: v.now.Add(d), seq: v.seq, fn: f, clock: v}
-	v.seq++
-	heap.Push(&v.heap, t)
-	return t
+	v.runnable += delta
+	switch {
+	case v.runnable < 0:
+		panic("vclock: runnable count went negative: an uncounted goroutine parked")
+	case v.runnable == 0:
+		v.idle.Signal()
+	}
 }
 
 // Pending reports how many timers are scheduled.
@@ -116,17 +178,6 @@ func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return len(v.heap)
-}
-
-// NextAt returns the deadline of the earliest pending timer. ok is
-// false when no timer is pending.
-func (v *Virtual) NextAt() (when time.Time, ok bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if len(v.heap) == 0 {
-		return time.Time{}, false
-	}
-	return v.heap[0].when, true
 }
 
 // Advance moves time forward by d, firing every timer whose deadline
@@ -143,8 +194,8 @@ func (v *Virtual) AdvanceTo(t time.Time) {
 	v.advanceToLocked(t)
 }
 
-// Step fires the earliest pending timer (advancing time to its
-// deadline) and reports whether one fired.
+// Step advances time to the earliest pending deadline, firing every
+// timer due then, and reports whether one fired.
 func (v *Virtual) Step() bool {
 	v.mu.Lock()
 	if len(v.heap) == 0 {

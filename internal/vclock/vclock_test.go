@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -132,5 +133,74 @@ func TestRealClock(t *testing.T) {
 	<-done
 	if tm.Stop() {
 		t.Fatal("Stop returned true after firing")
+	}
+}
+
+func TestReset(t *testing.T) {
+	v := NewVirtual(epoch)
+	n := 0
+	tm := v.AfterFunc(time.Second, func() { n++ })
+	if !tm.Reset(3 * time.Second) {
+		t.Fatal("Reset of a pending timer returned false")
+	}
+	v.Advance(2 * time.Second)
+	if n != 0 {
+		t.Fatal("reset timer fired at its old deadline")
+	}
+	v.Advance(time.Second)
+	if n != 1 {
+		t.Fatalf("fired %d times at the new deadline, want 1", n)
+	}
+	if tm.Reset(time.Second) {
+		t.Fatal("Reset of a fired timer returned true")
+	}
+	v.Advance(time.Second)
+	if n != 2 {
+		t.Fatal("re-armed timer did not fire")
+	}
+}
+
+func TestRunnableNegativePanics(t *testing.T) {
+	v := NewVirtual(epoch)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("parking an uncounted actor did not panic")
+		}
+	}()
+	v.Runnable(-1)
+}
+
+// TestDriverAdvancesOnlyWhenIdle: the driver holds time still while any
+// actor is runnable, and steps straight to the next deadline once
+// every actor has parked.
+func TestDriverAdvancesOnlyWhenIdle(t *testing.T) {
+	v := NewVirtual(epoch)
+	v.Runnable(1) // this goroutine
+	d := NewDriver(v)
+	d.Start()
+	defer d.Stop()
+	v.AfterFunc(time.Second, func() {})
+	time.Sleep(10 * time.Millisecond) // wall clock: give a faulty driver rope
+	if !v.Now().Equal(epoch) {
+		t.Fatalf("driver moved time to %v while an actor was runnable", v.Now())
+	}
+	Sleep(v, 5*time.Second)
+	if got := v.Now().Sub(epoch); got != 5*time.Second {
+		t.Fatalf("woke at +%v, want +5s", got)
+	}
+
+	// A goroutine started with Go holds time until it parks, and its
+	// own sleeps interleave with ours in deadline order.
+	var order []string
+	var mu sync.Mutex
+	note := func(s string) { mu.Lock(); order = append(order, s); mu.Unlock() }
+	Go(v, func() {
+		Sleep(v, time.Second)
+		note("child")
+	})
+	Sleep(v, 2*time.Second)
+	note("parent")
+	if len(order) != 2 || order[0] != "child" || order[1] != "parent" {
+		t.Fatalf("wake order %v, want [child parent]", order)
 	}
 }
