@@ -90,7 +90,7 @@ type Stack struct {
 	ifps   []*netif.Interface
 	stop   chan struct{}
 	wg     sync.WaitGroup
-	closed bool
+	closed atomic.Bool
 
 	tmu    sync.Mutex
 	ttimer []vclock.Timer
@@ -336,15 +336,15 @@ func (s *Stack) Clock() vclock.Clock { return s.clock }
 // stack's clock, which is how a vclock.Driver sees them.
 func (s *Stack) Pending() int { return int(s.pending.Load()) }
 
-// Close stops the stack's goroutines.
+// Close stops the stack's goroutines.  Frames still queued for the
+// netisr workers are freed and uncounted — from Pending, the queued-byte
+// gauge and the clock's runnable count — so closing one stack of a
+// world that shares a virtual clock never freezes that clock.  A
+// closed stack refuses further input.
 func (s *Stack) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	s.closed = true
-	s.mu.Unlock()
 	s.tmu.Lock()
 	for _, tm := range s.ttimer {
 		tm.Stop()
@@ -352,6 +352,26 @@ func (s *Stack) Close() {
 	s.tmu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
+	s.drainInqs()
+}
+
+// drainInqs frees every frame left on the input queues of a closed
+// stack and settles its accounting.  It may race enqueue and another
+// drain: each queued frame is received, so released, exactly once.
+func (s *Stack) drainInqs() {
+	for _, q := range s.inqs {
+		for drained := false; !drained; {
+			select {
+			case it := <-q:
+				it.fr.Payload.Free()
+				s.inqBytes.Add(-int64(it.n))
+				s.pending.Add(-1)
+				s.clock.Runnable(-1)
+			default:
+				drained = true
+			}
+		}
+	}
 }
 
 // enqueue is the driver-side input hook: non-blocking, dropping on
@@ -363,6 +383,10 @@ func (s *Stack) Close() {
 // way a refused frame is freed here — enqueue is its terminal
 // consumer, so overload backpressures the pool instead of leaking.
 func (s *Stack) enqueue(ifp *netif.Interface, fr netif.Frame) {
+	if s.closed.Load() {
+		fr.Payload.Free() // nobody is left to process it
+		return
+	}
 	n := fr.Payload.Len()
 	if s.mbufLimit > 0 && s.inqBytes.Load()+int64(n) > int64(s.mbufLimit) {
 		s.MbufDrops.Inc()
@@ -379,6 +403,11 @@ func (s *Stack) enqueue(ifp *netif.Interface, fr netif.Frame) {
 	s.inqBytes.Add(int64(n))
 	select {
 	case q <- inputItem{ifp, fr, n}:
+		if s.closed.Load() {
+			// Close ran between the check above and the send, and
+			// its drain may have finished already.
+			s.drainInqs()
+		}
 	default:
 		s.pending.Add(-1)
 		s.clock.Runnable(-1)
@@ -593,10 +622,7 @@ func (s *Stack) every(d time.Duration, fn func(now time.Time)) {
 	s.ttimer = append(s.ttimer, nil)
 	var arm func()
 	arm = func() {
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
+		if s.closed.Load() {
 			return
 		}
 		fn(s.clock.Now())

@@ -30,10 +30,7 @@ func TestAEADESPRoundTrip(t *testing.T) {
 	for _, alg := range []string{"aes-gcm", "aes256-gcm"} {
 		sa := aeadSA(t, alg)
 		payload := []byte("upper layer header and data carried at line rate")
-		wire, err := buildESPTransport(sa, payload, proto.TCP)
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
+		wire := sealBytes(t, sa, payload, proto.TCP)
 		if get32be(wire) != sa.SPI {
 			t.Fatalf("%s: SPI not cleartext", alg)
 		}
@@ -43,12 +40,12 @@ func TestAEADESPRoundTrip(t *testing.T) {
 		if bytes.Contains(wire, payload[:8]) {
 			t.Fatalf("%s: plaintext visible", alg)
 		}
-		inner, nh, err := openESP(sa, wire)
+		inner, nh, err := openCopy(t, sa, wire)
 		if err != nil || nh != proto.TCP || !bytes.Equal(inner, payload) {
 			t.Fatalf("%s: unwrap = %q nh=%d err=%v", alg, inner, nh, err)
 		}
 		// The sequence number advances per packet.
-		wire2, _ := buildESPTransport(sa, payload, proto.TCP)
+		wire2 := sealBytes(t, sa, payload, proto.TCP)
 		if get64be(wire2[4:]) != 2 {
 			t.Fatalf("%s: second sequence number = %d", alg, get64be(wire2[4:]))
 		}
@@ -57,11 +54,11 @@ func TestAEADESPRoundTrip(t *testing.T) {
 
 func TestAEADESPTamperFails(t *testing.T) {
 	sa := aeadSA(t, "aes-gcm")
-	wire, _ := buildESPTransport(sa, []byte("integrity protected"), proto.UDP)
+	wire := sealBytes(t, sa, []byte("integrity protected"), proto.UDP)
 	for _, flip := range []int{0, 5, espAEADHdr + 3, len(wire) - 1} {
 		img := append([]byte(nil), wire...)
 		img[flip] ^= 1
-		if _, _, err := openESP(sa, img); err == nil {
+		if _, _, err := openCopy(t, sa, img); err == nil {
 			t.Fatalf("tamper at byte %d accepted", flip)
 		} else if flip >= 4 && err != errESPAuth {
 			t.Fatalf("tamper at byte %d: err=%v, want errESPAuth", flip, err)
@@ -70,30 +67,24 @@ func TestAEADESPTamperFails(t *testing.T) {
 	// Flipping the SPI byte changes only the AAD — still errESPAuth.
 	img := append([]byte(nil), wire...)
 	img[0] ^= 1
-	if _, _, err := openESP(sa, img); err != errESPAuth {
+	if _, _, err := openCopy(t, sa, img); err != errESPAuth {
 		t.Fatalf("AAD tamper: err=%v", err)
 	}
 }
 
 func TestAEADWireSeq(t *testing.T) {
+	// The seal path numbers an association's packets 1, 2, 3, ... in
+	// the cleartext framing the replay window reads.
 	sa := aeadSA(t, "aes-gcm")
 	for want := uint64(1); want <= 5; want++ {
-		wire, err := buildESPTransport(sa, []byte("p"), proto.UDP)
+		out, err := wrapESPChain(sa, nil, mbuf.New([]byte("p")), proto.UDP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, _ := espLookup(sa.EncAlg)
-		st, ok := e.transform.(SeqTransform)
-		if !ok {
-			t.Fatal("AEAD transform not sequenced")
+		if seq := get64be(out.Bytes()[4:]); seq != want {
+			t.Fatalf("wire seq = %d want %d", seq, want)
 		}
-		if seq, ok := st.WireSeq(wire); !ok || seq != want {
-			t.Fatalf("WireSeq = %d,%v want %d", seq, ok, want)
-		}
-	}
-	e, _ := espLookup("aes-gcm")
-	if _, ok := e.transform.(SeqTransform).WireSeq([]byte{1, 2, 3}); ok {
-		t.Fatal("short payload yielded a sequence number")
+		out.Free()
 	}
 }
 
@@ -101,7 +92,10 @@ func TestAEADKeySizeEnforced(t *testing.T) {
 	sa := aeadSA(t, "aes-gcm")
 	sa.EncKey = sa.EncKey[:16] // missing the salt
 	if _, err := buildESPTransport(sa, []byte("x"), proto.UDP); err == nil {
-		t.Fatal("short AEAD key accepted")
+		t.Fatal("short AEAD key accepted by the oracle")
+	}
+	if _, err := wrapESPChain(sa, nil, mbuf.New([]byte("x")), proto.UDP); err == nil {
+		t.Fatal("short AEAD key accepted by the seal path")
 	}
 }
 
@@ -175,22 +169,13 @@ func chainOf(data []byte, cuts ...int) *mbuf.Mbuf {
 }
 
 func TestWrapESPChainMatchesFlat(t *testing.T) {
-	// The chain-aware wrap must produce a payload the flat opener
-	// accepts, for both the AEAD and classic CBC rows.
-	for _, alg := range []string{"aes-gcm", "des-cbc"} {
-		var sa *key.SA
-		if alg == "aes-gcm" {
-			sa = aeadSA(t, alg)
-		} else {
-			sa = espSA(t, alg)
-		}
+	// The chain-aware seal must produce a payload the flat opener
+	// accepts, for every AEAD and classic CBC row.
+	for _, alg := range espRows {
+		sa := rowSA(t, alg, key.ProtoESPTransport, 0x3003, ip6(t, "2001:db8::1"), ip6(t, "2001:db8::2"))
 		data := bytes.Repeat([]byte("chain-aware segment data "), 20)
 		chain := chainOf(data, 17, 100, 333)
-		e, err := espLookup(sa.EncAlg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := wrapESPChain(sa, e, nil, chain, proto.TCP)
+		out, err := wrapESPChain(sa, nil, chain, proto.TCP)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -210,8 +195,7 @@ func TestWrapESPChainPrefix(t *testing.T) {
 	prefix := []byte("INNER-HEADER")
 	data := []byte("inner payload bytes")
 	chain := chainOf(data, 5)
-	e, _ := espLookup(sa.EncAlg)
-	out, err := wrapESPChain(sa, e, prefix, chain, proto.IPv6)
+	out, err := wrapESPChain(sa, prefix, chain, proto.IPv6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +234,11 @@ func BenchmarkAEADSeal(b *testing.B) {
 	data := bytes.Repeat([]byte("x"), 1400)
 	chain := mbuf.New(data)
 	defer chain.Free()
-	e, _ := espLookup(sa.EncAlg)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := wrapESPChain(sa, e, nil, chain, proto.TCP)
+		out, err := wrapESPChain(sa, nil, chain, proto.TCP)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -268,13 +251,38 @@ func BenchmarkDESCBCSeal(b *testing.B) {
 	data := bytes.Repeat([]byte("x"), 1400)
 	chain := mbuf.New(data)
 	defer chain.Free()
-	e, _ := espLookup(sa.EncAlg)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := wrapESPChain(sa, e, nil, chain, proto.TCP)
+		out, err := wrapESPChain(sa, nil, chain, proto.TCP)
 		if err != nil {
+			b.Fatal(err)
+		}
+		out.Free()
+	}
+}
+
+// BenchmarkESPSealOpen is one secured packet's crypto round trip on the
+// production paths: a 1400-byte aes-gcm seal, the base header
+// prepended into the slab headroom, and the in-place open.
+func BenchmarkESPSealOpen(b *testing.B) {
+	sa := aeadSA(b, "aes-gcm")
+	data := bytes.Repeat([]byte("x"), 1400)
+	chain := mbuf.New(data)
+	defer chain.Free()
+	hdr := make([]byte, ipv6.HeaderLen)
+	s := espSchedule(sa)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := wrapESPChain(sa, nil, chain, proto.TCP)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Prepend(hdr)
+		if _, _, err := openESPInPlace(s, out.Bytes(), ipv6.HeaderLen); err != nil {
 			b.Fatal(err)
 		}
 		out.Free()

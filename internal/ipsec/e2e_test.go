@@ -267,14 +267,9 @@ func TestTunnelForgedInnerSourceLosesFlags(t *testing.T) {
 	}
 	// Forged inner datagram: source claims to be b itself.
 	forgedSrc := b.ll()
-	inner := &ipv6.Header{NextHdr: proto.ICMPv6, HopLimit: 64, Src: forgedSrc, Dst: b.ll()}
+	inner := &ipv6.Header{HopLimit: 64, Src: forgedSrc, Dst: b.ll()}
 	echo := []byte{128, 0, 0, 0, 0, 1, 0, 1} // un-checksummed; never dispatched anyway
-	innerWire := inner.Marshal(nil)
-	inner.PayloadLen = len(echo)
-	innerWire = inner.Marshal(nil)
-	innerWire = append(innerWire, echo...)
-	e, _ := espLookup(sa.EncAlg)
-	espPayload, err := e.transform.Wrap(sa, e.cipher, innerWire, proto.IPv6)
+	espPayload, err := buildESPTunnel(sa, inner, echo, proto.ICMPv6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,10 +138,7 @@ func TestESPWrapUnwrapAllCiphers(t *testing.T) {
 	for _, alg := range []string{"des-cbc", "3des-cbc", "idea-cbc"} {
 		sa := espSA(t, alg)
 		payload := []byte("upper layer header and data")
-		wire, err := buildESPTransport(sa, payload, proto.TCP)
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
+		wire := sealBytes(t, sa, payload, proto.TCP)
 		// SPI is in the clear.
 		if get32be(wire) != sa.SPI {
 			t.Fatalf("%s: SPI not cleartext", alg)
@@ -150,7 +147,7 @@ func TestESPWrapUnwrapAllCiphers(t *testing.T) {
 		if bytes.Contains(wire, payload[:8]) {
 			t.Fatalf("%s: plaintext visible", alg)
 		}
-		inner, nh, err := openESP(sa, wire)
+		inner, nh, err := openCopy(t, sa, wire)
 		if err != nil || nh != proto.TCP || !bytes.Equal(inner, payload) {
 			t.Fatalf("%s: unwrap = %q nh=%d err=%v", alg, inner, nh, err)
 		}
@@ -160,14 +157,11 @@ func TestESPWrapUnwrapAllCiphers(t *testing.T) {
 func TestESPPaddingQuick(t *testing.T) {
 	sa := espSA(t, "des-cbc")
 	f := func(payload []byte, nh uint8) bool {
-		wire, err := buildESPTransport(sa, payload, nh)
-		if err != nil {
-			return false
-		}
+		wire := sealBytes(t, sa, payload, nh)
 		if (len(wire)-4-8)%8 != 0 { // SPI + IV + whole blocks
 			return false
 		}
-		inner, gotNH, err := openESP(sa, wire)
+		inner, gotNH, err := openCopy(t, sa, wire)
 		return err == nil && gotNH == nh && bytes.Equal(inner, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -177,10 +171,10 @@ func TestESPPaddingQuick(t *testing.T) {
 
 func TestESPWrongKeyFails(t *testing.T) {
 	sa := espSA(t, "des-cbc")
-	wire, _ := buildESPTransport(sa, []byte("secret"), proto.UDP)
+	wire := sealBytes(t, sa, []byte("secret"), proto.UDP)
 	bad := espSA(t, "des-cbc")
 	bad.EncKey = []byte("WRONGKEY")
-	inner, nh, err := openESP(bad, wire)
+	inner, nh, err := openCopy(t, bad, wire)
 	// CBC decryption with a wrong key yields garbage: either the pad
 	// check fails or the payload differs.
 	if err == nil && nh == proto.UDP && bytes.Equal(inner, []byte("secret")) {
@@ -190,12 +184,12 @@ func TestESPWrongKeyFails(t *testing.T) {
 
 func TestESPTruncated(t *testing.T) {
 	sa := espSA(t, "des-cbc")
-	wire, _ := buildESPTransport(sa, []byte("x"), proto.UDP)
-	if _, _, err := openESP(sa, wire[:10]); err == nil {
+	wire := sealBytes(t, sa, []byte("x"), proto.UDP)
+	if _, _, err := openCopy(t, sa, wire[:10]); err == nil {
 		t.Fatal("truncated ESP accepted")
 	}
 	// Non-block-aligned ciphertext.
-	if _, _, err := openESP(sa, wire[:len(wire)-3]); err == nil {
+	if _, _, err := openCopy(t, sa, wire[:len(wire)-3]); err == nil {
 		t.Fatal("misaligned ESP accepted")
 	}
 }

@@ -287,11 +287,7 @@ func (m *Module) OutputPolicy(hdr *ipv6.Header, payload *mbuf.Mbuf, nh uint8, so
 	}
 
 	if sa := v.esp; sa != nil {
-		e, werr := espLookup(sa.EncAlg)
-		if werr != nil {
-			return fail(werr)
-		}
-		out, werr := wrapESPChain(sa, e, nil, cur, curNH)
+		out, werr := wrapESPChain(sa, nil, cur, curNH)
 		if werr != nil {
 			return fail(werr)
 		}
@@ -309,14 +305,11 @@ func (m *Module) OutputPolicy(hdr *ipv6.Header, payload *mbuf.Mbuf, nh uint8, so
 		// is a security gateway ("prepending an additional cleartext
 		// IP header outside the encrypted IP datagram so that the
 		// packet can be routed", §3).
-		e, werr := espLookup(sa.EncAlg)
-		if werr != nil {
-			return fail(werr)
-		}
 		inner := *hdr
 		inner.NextHdr = curNH
 		inner.PayloadLen = cur.Len()
-		out, werr := wrapESPChain(sa, e, inner.Marshal(nil), cur, proto.IPv6)
+		var ib [ipv6.HeaderLen]byte
+		out, werr := wrapESPChain(sa, inner.Marshal(ib[:0]), cur, proto.IPv6)
 		if werr != nil {
 			return fail(werr)
 		}
@@ -375,22 +368,24 @@ func (m *Module) replayDrop(sa *key.SA, b []byte) {
 // recording the SPI for the transport-layer policy check.  Sequenced
 // framings are checked against the association's replay window before
 // the cryptography (a replayed packet is rejected for free) and
-// committed to it only after the integrity check passes.
-func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) (ipv6.SecAction, *mbuf.Mbuf) {
+// committed to it only after the integrity check passes.  ESP is
+// opened in place: pkt is trimmed down to the rebuilt datagram and the
+// layer reinjects it.  Input never frees pkt.
+func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) ipv6.SecAction {
 	b := pkt.Bytes()
 	switch p {
 	case proto.AH:
 		if off+ahFixedLen > len(b) {
 			m.Stats.InAuthFail.Inc()
 			m.l.Drops.DropPkt(stat.RSecAuthFail, b)
-			return ipv6.SecDrop, nil
+			return ipv6.SecDrop
 		}
 		spi := get32be(b[off+4:])
 		sa, res := m.Key.LookupSPI(spi, hdr.Dst, key.ProtoAH)
 		if sa == nil {
 			m.Stats.InNoSA.Inc()
 			m.l.Drops.DropPkt(spiMissReason(res), b)
-			return ipv6.SecDrop, nil
+			return ipv6.SecDrop
 		}
 		// Replay pre-check for sequenced framings, before paying for
 		// the digest.
@@ -400,34 +395,34 @@ func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) (ipv6
 			if off+ahFixedLen+ahSeqLen > len(b) {
 				m.Stats.InAuthFail.Inc()
 				m.l.Drops.DropPkt(stat.RSecAuthFail, b)
-				return ipv6.SecDrop, nil
+				return ipv6.SecDrop
 			}
 			if sa.Replay != nil && !sa.Replay.Check(get64be(b[off+ahFixedLen:])) {
 				m.replayDrop(sa, b)
-				return ipv6.SecDrop, nil
+				return ipv6.SecDrop
 			}
 		}
 		_, _, seq, ok := verifyAHSeq(sa, hdr, b, off)
 		if !ok {
 			m.Stats.InAuthFail.Inc()
 			m.l.Drops.DropPkt(stat.RSecAuthFail, b)
-			return ipv6.SecDrop, nil
+			return ipv6.SecDrop
 		}
 		if seqFramed && sa.Replay != nil && !sa.Replay.Update(seq) {
 			m.replayDrop(sa, b)
-			return ipv6.SecDrop, nil
+			return ipv6.SecDrop
 		}
 		m.Stats.InAuthOK.Inc()
 		sa.CountIn(len(b) - off)
 		pkt.Hdr().Flags |= mbuf.MAuthentic
 		pkt.Hdr().AuxSPI = append(pkt.Hdr().AuxSPI, spi)
-		return ipv6.SecContinue, nil
+		return ipv6.SecContinue
 
 	case proto.ESP:
 		if off+4 > len(b) {
 			m.Stats.InDecryptFail.Inc()
 			m.l.Drops.DropPkt(stat.RSecDecryptFail, b)
-			return ipv6.SecDrop, nil
+			return ipv6.SecDrop
 		}
 		spi := get32be(b[off:])
 		sa, res := m.Key.LookupSPI(spi, hdr.Dst, key.ProtoESPTransport)
@@ -440,30 +435,23 @@ func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) (ipv6
 		if sa == nil {
 			m.Stats.InNoSA.Inc()
 			m.l.Drops.DropPkt(spiMissReason(res), b)
-			return ipv6.SecDrop, nil
+			return ipv6.SecDrop
 		}
-		e, lerr := espLookup(sa.EncAlg)
-		if lerr != nil {
-			m.Stats.InDecryptFail.Inc()
-			m.l.Drops.DropPkt(stat.RSecDecryptFail, b)
-			return ipv6.SecDrop, nil
-		}
+		s := espSchedule(sa)
 		var seq uint64
-		seqFramed := false
-		if st, ok := e.transform.(SeqTransform); ok {
-			seq, ok = st.WireSeq(b[off:])
-			if !ok {
+		if s.seq {
+			if off+espAEADHdr > len(b) {
 				m.Stats.InDecryptFail.Inc()
 				m.l.Drops.DropPkt(stat.RSecDecryptFail, b)
-				return ipv6.SecDrop, nil
+				return ipv6.SecDrop
 			}
-			seqFramed = true
+			seq = get64be(b[off+4:])
 			if sa.Replay != nil && !sa.Replay.Check(seq) {
 				m.replayDrop(sa, b)
-				return ipv6.SecDrop, nil
+				return ipv6.SecDrop
 			}
 		}
-		inner, payloadType, err := e.transform.Unwrap(sa, e.cipher, b[off:])
+		inner, payloadType, err := openESPInPlace(s, b, off)
 		if err != nil {
 			m.Stats.InDecryptFail.Inc()
 			if errors.Is(err, errESPAuth) {
@@ -471,28 +459,30 @@ func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) (ipv6
 			} else {
 				m.l.Drops.DropPkt(stat.RSecDecryptFail, b)
 			}
-			return ipv6.SecDrop, nil
+			return ipv6.SecDrop
 		}
-		if seqFramed && sa.Replay != nil && !sa.Replay.Update(seq) {
+		if s.seq && sa.Replay != nil && !sa.Replay.Update(seq) {
 			m.replayDrop(sa, b)
-			return ipv6.SecDrop, nil
+			return ipv6.SecDrop
 		}
 		m.Stats.InDecryptOK.Inc()
 		sa.CountIn(len(b) - off)
 
+		// inner aliases b: its offset is the difference of their
+		// capacities.
+		start := cap(b) - cap(inner)
+		end := start + len(inner)
+		h := pkt.Hdr()
+		h.Flags |= mbuf.MDecrypted
+		h.AuxSPI = append(h.AuxSPI, spi)
 		if sa.Proto == key.ProtoESPTunnel || payloadType == proto.IPv6 {
 			// Tunnel mode: the plaintext is a complete datagram.
 			ih, perr := ipv6.Parse(inner)
 			if perr != nil {
 				m.Stats.InDecryptFail.Inc()
 				m.l.Drops.DropPkt(stat.RSecDecryptFail, b)
-				return ipv6.SecDrop, nil
+				return ipv6.SecDrop
 			}
-			rebuilt := mbuf.NewNoCopy(inner)
-			h := rebuilt.Hdr()
-			h.RcvIf = pkt.Hdr().RcvIf
-			h.Flags = pkt.Hdr().Flags | mbuf.MDecrypted
-			h.AuxSPI = append(append([]uint32(nil), pkt.Hdr().AuxSPI...), spi)
 			// Tunnel source-address check (§3.4): a forged inner
 			// packet must not inherit the outer packet's credentials.
 			if ih.Src != hdr.Src {
@@ -500,24 +490,21 @@ func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) (ipv6
 				m.l.Drops.DropNote(stat.RSecTunnelAddr, ih.Src.String()+"!="+hdr.Src.String())
 				h.Flags &^= mbuf.MAuthentic | mbuf.MDecrypted
 			}
-			return ipv6.SecReinject, rebuilt
+		} else {
+			// Transport mode: rebuild the base header in the dead
+			// bytes just before the plaintext, so the decrypted
+			// upper-layer content sits directly under it.
+			start -= ipv6.HeaderLen
+			nhdr := *hdr
+			nhdr.NextHdr = payloadType
+			nhdr.PayloadLen = len(inner)
+			nhdr.Marshal(b[start:start:end])
 		}
-
-		// Transport mode: rebuild the datagram with the decrypted
-		// upper-layer content directly under the base header.
-		nhdr := *hdr
-		nhdr.NextHdr = payloadType
-		nhdr.PayloadLen = len(inner)
-		data := nhdr.Marshal(nil)
-		data = append(data, inner...)
-		rebuilt := mbuf.NewNoCopy(data)
-		h := rebuilt.Hdr()
-		h.RcvIf = pkt.Hdr().RcvIf
-		h.Flags = pkt.Hdr().Flags | mbuf.MDecrypted
-		h.AuxSPI = append(append([]uint32(nil), pkt.Hdr().AuxSPI...), spi)
-		return ipv6.SecReinject, rebuilt
+		pkt.Adj(end - len(b))
+		pkt.Adj(start)
+		return ipv6.SecReinject
 	}
-	return ipv6.SecDrop, nil
+	return ipv6.SecDrop
 }
 
 // InputPolicy is ipsec_input_policy() (§3.4): transport protocols call

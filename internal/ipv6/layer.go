@@ -82,14 +82,14 @@ type SecAction int
 const (
 	SecDrop     SecAction = iota // packet failed security processing
 	SecContinue                  // AH verified: continue the header walk
-	SecReinject                  // packet replaced (ESP): reprocess it
+	SecReinject                  // packet rewritten (ESP): reprocess it
 )
 
-// SecInputFunc processes an AH or ESP header found at off. For
-// SecReinject, Packet is the replacement datagram (decrypted transport
-// content rebuilt under the original base header, or the tunneled
-// inner datagram).
-type SecInputFunc func(pkt *mbuf.Mbuf, hdr *Header, p uint8, off int) (SecAction, *mbuf.Mbuf)
+// SecInputFunc processes an AH or ESP header found at off.  It never
+// frees pkt.  For SecReinject it has rewritten pkt in place into the
+// datagram to reprocess: the decrypted transport content under a
+// rebuilt base header, or the tunneled inner datagram.
+type SecInputFunc func(pkt *mbuf.Mbuf, hdr *Header, p uint8, off int) SecAction
 
 // SecOutputFunc is the ipsec_output_policy() call (§3.3), invoked by
 // Output "immediately before IP fragmentation is performed". hdr has
@@ -1062,8 +1062,7 @@ func (l *Layer) process(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, depth i
 				pkt.Free()
 				return
 			}
-			action, _ := l.SecIn(pkt, h, proto.AH, rec.Offset)
-			if action == SecDrop {
+			if l.SecIn(pkt, h, proto.AH, rec.Offset) == SecDrop {
 				pkt.Free() // ipsec recorded the drop; the packet ends here
 				return
 			}
@@ -1087,17 +1086,15 @@ func (l *Layer) dispatch(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, final 
 			pkt.Free()
 			return
 		}
-		action, replacement := l.SecIn(pkt, h, proto.ESP, off)
-		if action != SecReinject || replacement == nil {
+		if l.SecIn(pkt, h, proto.ESP, off) != SecReinject {
 			pkt.Free()
 			return
 		}
-		// Decrypted transport content or tunneled inner datagram:
-		// reprocess from the top ("After security input processing is
-		// completed, the normal input processing resumes", §3.4).  The
-		// replacement owns fresh bytes; the ciphertext carrier is done.
-		pkt.Free()
-		l.input(ifp, replacement, depth+1)
+		// Decrypted transport content or tunneled inner datagram,
+		// opened in place: reprocess from the top ("After security
+		// input processing is completed, the normal input processing
+		// resumes", §3.4).
+		l.input(ifp, pkt, depth+1)
 		return
 	}
 	meta := &proto.Meta{

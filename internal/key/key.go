@@ -125,7 +125,29 @@ type SA struct {
 	// Engine.Add; nil until the association is installed.
 	Replay *Replay
 
+	// sched is the keyed transform state the ipsec layer derives from
+	// EncAlg/EncKey on first use (KAME's sav->sched); see Sched.
+	sched atomic.Value
+
 	softSent bool // soft-expire notification already emitted
+}
+
+// Sched returns the transform schedule stored by SetSched, or nil if
+// the association has not carried a packet yet.  The Key Engine never
+// looks inside it.  A rekey (Update) installs a new *SA and so starts
+// from an empty slot; a copy of an SA made after first use shares the
+// schedule of the original, so change keys by building a new SA.
+func (sa *SA) Sched() any { return sa.sched.Load() }
+
+// SetSched stores v as the association's schedule unless one is
+// already stored, and returns the stored one: concurrent first uses
+// agree on a single schedule.  Every schedule stored on SAs must have
+// the same concrete type.
+func (sa *SA) SetSched(v any) any {
+	if sa.sched.CompareAndSwap(nil, v) {
+		return v
+	}
+	return sa.sched.Load()
 }
 
 // String renders the association for logs and key(8)-style dumps.

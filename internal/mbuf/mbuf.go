@@ -101,14 +101,14 @@ type PktHdr struct {
 // segment is one buffer in the chain (an mbuf without a packet header).
 //
 // A segment backed by a pooled slab (slab != nil) keeps the invariant
-// data == slab[off : off+len(data)]: Adj, PullUp and Prepend maintain
-// off so the slab's spare front capacity can absorb prepended headers
-// in place, and Free can return the whole slab to its pool.
+// data == (*slab)[off : off+len(data)]: Adj, PullUp and Prepend
+// maintain off so the slab's spare front capacity can absorb prepended
+// headers in place, and Free can return the whole slab to its pool.
 type segment struct {
 	data []byte
 	next *segment
-	slab []byte // pooled backing array, nil when not pool-owned
-	off  int    // start of data within slab
+	slab *[]byte // the pool's handle on the backing array, nil when not pool-owned
+	off  int     // start of data within slab
 }
 
 // Mbuf is a packet: a chain of data segments plus a packet header.
@@ -197,8 +197,9 @@ func (m *Mbuf) Prepend(data []byte) {
 	}
 	if h := m.head; h != nil && h.slab != nil && h.off >= len(data) {
 		h.off -= len(data)
-		copy(h.slab[h.off:], data)
-		h.data = h.slab[h.off : h.off+len(data)+len(h.data)]
+		slab := *h.slab
+		copy(slab[h.off:], data)
+		h.data = slab[h.off : h.off+len(data)+len(h.data)]
 		m.hdr.Len += len(data)
 		return
 	}
@@ -348,6 +349,17 @@ func (m *Mbuf) CopySum(initial uint32, dst []byte) uint32 {
 	sum = sum>>32 + sum&0xffffffff
 	sum = sum>>32 + sum&0xffffffff
 	return uint32(sum)
+}
+
+// CopyTo copies the packet contents into dst without altering the
+// chain structure (BSD's m_copydata into a caller buffer) and returns
+// the number of bytes copied: the smaller of len(dst) and Len().
+func (m *Mbuf) CopyTo(dst []byte) int {
+	n := 0
+	for s := m.head; s != nil && n < len(dst); s = s.next {
+		n += copy(dst[n:], s.data)
+	}
+	return n
 }
 
 // CopyBytes returns a copy of the packet contents without altering the

@@ -89,32 +89,37 @@ func SetPoison(on bool) { poison.Store(on) }
 // callers overwrite all n bytes. Free returns the slab to its pool.
 func Get(n int) *Mbuf {
 	total := n + Headroom
-	slab := getSlab(total)
+	h := getSlab(total)
 	m := &Mbuf{}
 	seg := &m.seg0
-	seg.data = slab[Headroom : Headroom+n]
-	seg.slab = slab
+	seg.data = (*h)[Headroom : Headroom+n]
+	seg.slab = h
 	seg.off = Headroom
 	m.head, m.tail = seg, seg
 	m.hdr.Len = n
 	return m
 }
 
-func getSlab(total int) []byte {
+// getSlab returns the pool's handle on a slab of at least total bytes.
+// The handle travels with the segment and goes back to the pool as is,
+// so a put allocates nothing.
+func getSlab(total int) *[]byte {
 	for i, sz := range slabClasses {
 		if total <= sz {
 			slabGets.Add(1)
 			outBytes.Add(int64(sz))
 			if v := slabPools[i].Get(); v != nil {
-				return *(v.(*[]byte))
+				return v.(*[]byte)
 			}
-			return make([]byte, sz)
+			slab := make([]byte, sz)
+			return &slab
 		}
 	}
 	// Oversize: plain allocation, never pooled (Free lets it GC).
 	slabGets.Add(1)
 	outBytes.Add(int64(total))
-	return make([]byte, total)
+	slab := make([]byte, total)
+	return &slab
 }
 
 // Free releases the packet's pooled slabs back to their pools and
@@ -139,10 +144,10 @@ func (m *Mbuf) Free() {
 	m.hdr.Len = 0
 }
 
-func putSlab(slab []byte) {
+func putSlab(h *[]byte) {
+	slab := *h
 	slabFrees.Add(1)
 	outBytes.Add(-int64(cap(slab)))
-	slab = slab[:cap(slab)]
 	if poison.Load() {
 		for i := range slab {
 			slab[i] = 0xDB
@@ -150,7 +155,7 @@ func putSlab(slab []byte) {
 	}
 	for i, sz := range slabClasses {
 		if cap(slab) == sz {
-			slabPools[i].Put(&slab)
+			slabPools[i].Put(h)
 			return
 		}
 	}
