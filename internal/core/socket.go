@@ -307,7 +307,7 @@ func (sock *Socket) Connect(sa Sockaddr6, timeout time.Duration) error {
 		sock.mu.Lock()
 		sock.p.FlowInfo = sa.FlowInfo
 		sock.mu.Unlock()
-		return sock.stack.UDP.Table.Connect(sock.p, sa.Addr, sa.Port)
+		return sock.stack.UDP.Connect(sock.p, sa.Addr, sa.Port)
 	case SockStream:
 		sock.conn.PCB().FlowInfo = sa.FlowInfo
 		if err := sock.conn.Connect(sa.Addr, sa.Port); err != nil {

@@ -184,7 +184,7 @@ func v6(b []byte) string {
 			}
 		}
 	}
-	return head + ", " + upper6(info.Final, b[info.FinalOff:], h)
+	return head + ", " + upper6(info.Final, b[info.FinalOff:], &h)
 }
 
 type sum4 struct{ src, dst inet.IP4 }

@@ -54,18 +54,23 @@ func arpMarshal(op uint16, sha inet.LinkAddr, spa inet.IP4, tha inet.LinkAddr, t
 // packet either way.
 func (l *Layer) arpResolve(ifp *netif.Interface, rt *route.Entry, nextHop inet.IP4, pkt *mbuf.Mbuf) (inet.LinkAddr, bool) {
 	// ARP entry state (route fields + llinfo) lives under the routing
-	// table lock, as in BSD where splnet guards both.
-	now := l.routes.Now()
+	// table lock, as in BSD where splnet guards both.  Fast path: a
+	// resolved entry needs no state transition and no clock, so the
+	// per-packet cost is one shared lock, as in ND's Resolve.
 	var mac inet.LinkAddr
 	resolved := false
+	l.routes.View(func() {
+		mac, resolved = arpResolved(rt)
+	})
+	if resolved {
+		return mac, true
+	}
+	now := l.routes.Now()
 	rejected := false
 	needSend := false
 	l.routes.Mutate(func() {
-		if m, ok := rt.Gateway.(inet.LinkAddr); ok && rt.Flags&route.FlagReject == 0 {
-			if e, _ := rt.LLInfo.(*arpEntry); e == nil || e.resolved {
-				mac, resolved = m, true
-				return
-			}
+		if mac, resolved = arpResolved(rt); resolved {
+			return // resolved since the fast path looked
 		}
 		if rt.Flags&route.FlagReject != 0 {
 			if now.Before(rt.Expire) {
@@ -113,6 +118,19 @@ func (l *Layer) arpResolve(ifp *netif.Interface, rt *route.Entry, nextHop inet.I
 		l.Stats.ArpRequests.Inc()
 	}
 	return inet.LinkAddr{}, false
+}
+
+// arpResolved returns the link-layer address of a resolved, usable
+// ARP entry.  The caller holds the table lock (shared or exclusive).
+func arpResolved(rt *route.Entry) (inet.LinkAddr, bool) {
+	m, ok := rt.Gateway.(inet.LinkAddr)
+	if !ok || rt.Flags&route.FlagReject != 0 {
+		return inet.LinkAddr{}, false
+	}
+	if e, _ := rt.LLInfo.(*arpEntry); e != nil && !e.resolved {
+		return inet.LinkAddr{}, false
+	}
+	return m, true
 }
 
 // ArpInput processes a received ARP frame (the stack demuxes on

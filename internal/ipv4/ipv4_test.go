@@ -236,6 +236,49 @@ func TestPingWithARPResolution(t *testing.T) {
 	}
 }
 
+// TestARPResolvedParallelSend sends from several goroutines at once
+// through a resolved ARP entry while ARP replies keep refreshing it:
+// the sends read the entry under the table's shared lock, learning
+// rewrites it under the exclusive one, and no send re-ARPs or loses
+// its packet.  Run it with -race.
+func TestARPResolvedParallelSend(t *testing.T) {
+	a, _ := twoNodes(t)
+	p := &pinger{}
+	p.hook(a.ic)
+	if err := a.ic.SendEcho(addrB, 9, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "first reply", func() bool { return p.count() >= 1 })
+	arpBefore := a.l.Stats.ArpRequests.Get()
+
+	const senders, each = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < senders; w++ {
+		wg.Add(1)
+		go func(id uint16) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := a.ic.SendEcho(addrB, id, uint16(i), []byte("parallel")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(uint16(10 + w))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < each; i++ {
+			a.l.ArpInput(a.ifps[0], mbuf.New(arpMarshal(arpReply, macB, addrB, macA, addrA)))
+		}
+	}()
+	wg.Wait()
+	waitFor(t, "every reply", func() bool { return p.count() >= 1+senders*each })
+	if got := a.l.Stats.ArpRequests.Get(); got != arpBefore {
+		t.Fatalf("resolved neighbor re-ARPed %d times", got-arpBefore)
+	}
+}
+
 func TestPingSelfViaLoopback(t *testing.T) {
 	a, _ := twoNodes(t)
 	p := &pinger{}

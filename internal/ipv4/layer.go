@@ -378,8 +378,9 @@ func (l *Layer) transmit(ifp *netif.Interface, rt *route.Entry, dst inet.IP4, pk
 			return ErrNoRoute
 		}
 		nextHop = gw
-		// The gateway itself must be on-link: find its neighbor route.
-		grt, ok := l.routes.Lookup(inet.AFInet, gw[:])
+		// The gateway itself must be on-link: its neighbor route is
+		// held on rt.
+		grt, ok := l.routes.GatewayRoute(rt, gw[:])
 		if !ok {
 			l.Stats.OutNoRoute.Inc()
 			pkt.Free()

@@ -62,15 +62,16 @@ func (h *Header) Marshal(dst []byte) []byte {
 
 // Parse decodes the base header. An IPv6 receiver "initially only has
 // to check the validity of the version and destination address" — no
-// checksum verification (§2.1).
-func Parse(b []byte) (*Header, error) {
+// checksum verification (§2.1).  The header is returned by value so
+// the input path can keep it on its stack.
+func Parse(b []byte) (Header, error) {
 	if len(b) < HeaderLen {
-		return nil, ErrShort
+		return Header{}, ErrShort
 	}
 	if b[0]>>4 != 6 {
-		return nil, ErrVersion
+		return Header{}, ErrVersion
 	}
-	h := &Header{
+	h := Header{
 		FlowInfo:   uint32(b[0]&0x0f)<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]),
 		PayloadLen: int(b[4])<<8 | int(b[5]),
 		NextHdr:    b[6],

@@ -38,7 +38,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *h {
+	if got != *h {
 		t.Fatalf("round trip: %+v != %+v", got, h)
 	}
 }
@@ -47,7 +47,7 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 	f := func(flow uint32, plen uint16, nh, hops uint8, src, dst inet.IP6) bool {
 		h := &Header{FlowInfo: flow & 0x0fffffff, PayloadLen: int(plen), NextHdr: nh, HopLimit: hops, Src: src, Dst: dst}
 		got, err := Parse(h.Marshal(nil))
-		return err == nil && *got == *h
+		return err == nil && got == *h
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -909,7 +909,7 @@ func (l *Layer) transmit(ifp *netif.Interface, rt *route.Entry, dst inet.IP6, pk
 			return ErrNoRoute
 		}
 		nextHop = gwAddr
-		grt, ok := l.routes.Lookup(inet.AFInet6, gwAddr[:])
+		grt, ok := l.routes.GatewayRoute(rt, gwAddr[:])
 		if !ok {
 			l.Stats.OutNoRoute.Inc()
 			pkt.Free()
@@ -995,7 +995,7 @@ func (l *Layer) input(ifp *netif.Interface, pkt *mbuf.Mbuf, depth int) {
 	}
 	if !local {
 		if l.Forwarding && !h.Dst.IsMulticast() {
-			l.forward(ifp, h, pkt)
+			l.forward(ifp, &h, pkt)
 			return
 		}
 		l.Stats.InAddrErrors.Inc()
@@ -1003,7 +1003,7 @@ func (l *Layer) input(ifp *netif.Interface, pkt *mbuf.Mbuf, depth int) {
 		pkt.Free()
 		return
 	}
-	l.process(ifp, h, pkt, depth)
+	l.process(ifp, &h, pkt, depth)
 }
 
 // process runs the pre-parse and the header walk for a locally
@@ -1062,7 +1062,10 @@ func (l *Layer) process(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, depth i
 				pkt.Free()
 				return
 			}
-			if l.SecIn(pkt, h, proto.AH, rec.Offset) == SecDrop {
+			// The hook gets its own copy of the header, so only a
+			// secured packet moves one to the heap.
+			hc := *h
+			if l.SecIn(pkt, &hc, proto.AH, rec.Offset) == SecDrop {
 				pkt.Free() // ipsec recorded the drop; the packet ends here
 				return
 			}
@@ -1086,7 +1089,8 @@ func (l *Layer) dispatch(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, final 
 			pkt.Free()
 			return
 		}
-		if l.SecIn(pkt, h, proto.ESP, off) != SecReinject {
+		hc := *h // as for AH: the hook's copy, not the caller's header
+		if l.SecIn(pkt, &hc, proto.ESP, off) != SecReinject {
 			pkt.Free()
 			return
 		}

@@ -581,7 +581,10 @@ type Faults struct {
 // hub's clock, so tests on a virtual clock get bit-for-bit
 // reproducible hostile-link runs.
 type Hub struct {
-	mu         sync.Mutex
+	mu sync.Mutex
+	// ports is copy-on-write: Attach and Detach install a new slice,
+	// so transmit can range over the one it read under mu without
+	// copying it.
 	ports      []*Interface
 	faults     Faults                // hub-wide fault model
 	linkFaults map[*Interface]Faults // per-receiver overrides
@@ -690,7 +693,7 @@ func (h *Hub) Pending() int {
 // Attach connects an interface to the hub and brings it up.
 func (h *Hub) Attach(ifp *Interface) {
 	h.mu.Lock()
-	h.ports = append(h.ports, ifp)
+	h.ports = append(h.ports[:len(h.ports):len(h.ports)], ifp)
 	h.mu.Unlock()
 	ifp.mu.Lock()
 	ifp.output = func(fr Frame) error { return h.transmit(ifp, fr) }
@@ -703,7 +706,7 @@ func (h *Hub) Detach(ifp *Interface) {
 	h.mu.Lock()
 	for i, p := range h.ports {
 		if p == ifp {
-			h.ports = append(h.ports[:i], h.ports[i+1:]...)
+			h.ports = append(h.ports[:i:i], h.ports[i+1:]...)
 			break
 		}
 	}
@@ -732,7 +735,7 @@ func (h *Hub) transmit(src *Interface, fr Frame) error {
 	if h.Capture != nil {
 		h.Capture(fr)
 	}
-	ports := append([]*Interface(nil), h.ports...)
+	ports := h.ports
 	hubFaults := h.faults
 	linkFaults := h.linkFaults
 	partition := h.partition
@@ -750,7 +753,11 @@ func (h *Hub) transmit(src *Interface, fr Frame) error {
 		delay   time.Duration
 		corrupt bool
 	}
-	var dels []delivery
+	// The delivery list lives on the stack for segments of up to
+	// eight receivers (duplicates included); only a larger fan-out
+	// grows it onto the heap.
+	var stack [8]delivery
+	dels := stack[:0]
 	for _, p := range ports {
 		if p == src {
 			continue

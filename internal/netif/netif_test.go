@@ -581,3 +581,30 @@ func TestRNGConcurrency(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestHubPerfectWireAllocatesNothing pins the hub's common case: a
+// frame crossing a fault-free two-port segment hands the sender's
+// buffer to the receiver without copying the port list, building a
+// delivery list on the heap or copying the payload.
+func TestHubPerfectWireAllocatesNothing(t *testing.T) {
+	h := NewHub()
+	a, b := New("a0", macA, 1500), New("b0", macB, 1500)
+	var got *mbuf.Mbuf
+	b.SetInput(func(_ *Interface, fr Frame) { got = fr.Payload })
+	h.Attach(a)
+	h.Attach(b)
+	pkt := mbuf.New(make([]byte, 64))
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := a.Output(macB, EtherTypeIPv6, pkt); err != nil {
+			t.Fatal(err)
+		}
+		if got != pkt {
+			t.Fatal("the receiver did not get the sender's buffer")
+		}
+		got = nil
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per frame, want 0", allocs)
+	}
+	pkt.Free()
+}

@@ -34,6 +34,8 @@ import (
 	"sync"
 
 	"bsd6/internal/inet"
+	"bsd6/internal/ipv4"
+	"bsd6/internal/ipv6"
 	"bsd6/internal/key"
 	"bsd6/internal/route"
 )
@@ -90,6 +92,9 @@ type PCB struct {
 	Owner any
 
 	table *Table
+	// localChosen records that SelectLocal, not Bind, set LAddr, so a
+	// later connect to another peer selects again.
+	localChosen bool
 	// idx snapshots the tuple under which this PCB is currently filed
 	// in the demux, so a mutation can unhook the old chains without
 	// trusting the already-rewritten public fields.
@@ -468,6 +473,36 @@ func (t *Table) Connect(p *PCB, faddr inet.IP6, fport uint16) error {
 	t.indexLocked(p)
 	t.mu.Unlock()
 	return nil
+}
+
+// SelectLocal is in_pcbconnect's source selection: unless p is bound
+// to a local address, it fixes the local address to LocalFor's choice
+// toward p.FAddr and refiles the PCB.  TCP and UDP call it at connect
+// time, so a connected session's datagrams and segments skip source
+// selection and the demux files the PCB under its final tuple.
+func (t *Table) SelectLocal(p *PCB, v4 *ipv4.Layer, v6 *ipv6.Layer) {
+	if !p.LAddr.IsUnspecified() && !p.localChosen {
+		return
+	}
+	p.localChosen = true
+	t.SetTuple(p, LocalFor(v4, v6, p.FAddr), p.LPort, p.FAddr, p.FPort)
+}
+
+// LocalFor returns the local address, in unified form, that the IP
+// layers select as the source toward faddr (a v4-mapped faddr gets a
+// v4-mapped source).  A destination no configured address can reach
+// is treated as local: it is its own source.
+func LocalFor(v4 *ipv4.Layer, v6 *ipv6.Layer, faddr inet.IP6) inet.IP6 {
+	if d4, ok := faddr.MappedV4(); ok {
+		if s, found := v4.SourceFor(d4); found {
+			return inet.V4Mapped(s)
+		}
+		return faddr
+	}
+	if s, found := v6.SourceFor(faddr, nil); found {
+		return s
+	}
+	return faddr
 }
 
 // Disconnect clears the foreign association.

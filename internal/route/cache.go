@@ -71,13 +71,15 @@ func (c *Cache) get(t *Table, f inet.Family, dst []byte) (*Entry, bool) {
 func (t *Table) fill(c *Cache, f inet.Family, dst []byte, e *Entry) {
 	cr := &cachedRoute{e: e, fam: f, dl: len(dst)}
 	copy(cr.dst[:], dst)
-	ok := false
 	t.mu.RLock()
-	// Sample the generation under the lock, after the lookup: a
-	// concurrent structural change between the two leaves the cached
-	// pair stale, never wrongly fresh.
+	// Sample the generation under the lock and hold e only if dst
+	// still resolves to it: a structural change that slipped in after
+	// the caller's lookup either shows here (nothing is held) or comes
+	// after the sample (the held pair goes stale), so the pair is
+	// never wrongly fresh.
 	cr.gen = t.gen.Load()
-	ok = e.Expire.IsZero() || e.Flags&FlagLLInfo != 0
+	v, found := t.tree(f).Lookup(dst)
+	ok := found && v.(*Entry) == e && (e.Expire.IsZero() || e.Flags&FlagLLInfo != 0)
 	t.mu.RUnlock()
 	if ok {
 		c.p.Store(cr)

@@ -24,7 +24,7 @@ import (
 	"bsd6/internal/vclock"
 )
 
-func lineNet(t *testing.T, n int) *topo.Network {
+func lineNet(t testing.TB, n int) *topo.Network {
 	t.Helper()
 	nw, err := topo.Build(topo.Spec{Kind: topo.Line, N: n, Seed: 1,
 		Clock: vclock.NewVirtual(time.Unix(0, 0))})

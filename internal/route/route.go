@@ -99,6 +99,10 @@ type Entry struct {
 	// neighbor-cache eviction can pick the least recently used entry
 	// without touching the clock on the fast path.
 	lastUse uint64
+
+	// gwRoute holds an indirect route's gateway neighbor route (BSD's
+	// rt_gwroute), filled and validated by GatewayRoute.
+	gwRoute Cache
 }
 
 // NeighborPin is implemented by Entry.LLInfo values that can veto
@@ -543,6 +547,17 @@ func (t *Table) Len(f inet.Family) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.tree(f).Len()
+}
+
+// GatewayRoute returns the neighbor route for gw, the gateway of the
+// indirect route rt — BSD's rt_gwroute, held on rt itself so a
+// forwarded or locally sent packet does not walk the radix tree for
+// its next hop.  The held entry is used only while the table
+// generation and the gateway address are both unchanged; otherwise
+// this is Lookup(gw), and the result is held again.  gw is the
+// gateway address the caller read from rt under the table lock.
+func (t *Table) GatewayRoute(rt *Entry, gw []byte) (*Entry, bool) {
+	return t.LookupCached(rt.Family, gw, &rt.gwRoute)
 }
 
 // Gen returns the table's structural generation. It changes whenever a

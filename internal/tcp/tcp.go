@@ -220,6 +220,12 @@ type TCP struct {
 	outbox   []outSeg
 	wakeups  []func()
 	flushing bool
+	// spareOut and spareWake are the backing arrays of the batch the
+	// active flusher last drained, cleared and kept by it (there is
+	// only one) to become the next empty outbox and wakeups, so a
+	// steady stream of flushes reallocates neither.
+	spareOut  []outSeg
+	spareWake []func()
 }
 
 type outSeg struct {
@@ -452,20 +458,9 @@ func (c *Conn) Connect(faddr inet.IP6, fport uint16) error {
 		t.mu.Unlock()
 		return err
 	}
-	// Fix the local address now (in_pcbconnect): the checksum needs it,
-	// and the demux must refile the PCB under its final tuple.
-	if c.pcb.LAddr.IsUnspecified() {
-		laddr := faddr // local destination
-		if v4, ok := faddr.MappedV4(); ok {
-			laddr = inet.V4Mapped(v4)
-			if s, found := t.v4.SourceFor(v4); found {
-				laddr = inet.V4Mapped(s)
-			}
-		} else if s, found := t.v6.SourceFor(faddr, nil); found {
-			laddr = s
-		}
-		t.Table.SetTuple(c.pcb, laddr, c.pcb.LPort, c.pcb.FAddr, c.pcb.FPort)
-	}
+	// Fix the local address now: the checksum needs it, and the demux
+	// must refile the PCB under its final tuple.
+	t.Table.SelectLocal(c.pcb, t.v4, t.v6)
 	// Recycle a 2MSL record from a previous incarnation of this exact
 	// tuple, pushing the ISS beyond its old sequence space (RFC 6191).
 	if e := t.tw.get(twTuple{laddr: c.pcb.LAddr, faddr: c.pcb.FAddr, lport: c.pcb.LPort, fport: c.pcb.FPort}); e != nil {
@@ -851,8 +846,6 @@ func (t *TCP) flush() {
 		t.mu.Lock()
 		segs := t.outbox
 		wake := t.wakeups
-		t.outbox = nil
-		t.wakeups = nil
 		if len(segs) == 0 && len(wake) == 0 {
 			// Clearing the flag and observing the empty queue happen
 			// under one lock hold, so a concurrent enqueuer either
@@ -862,6 +855,7 @@ func (t *TCP) flush() {
 			t.mu.Unlock()
 			return
 		}
+		t.outbox, t.wakeups = t.spareOut, t.spareWake
 		t.mu.Unlock()
 		for _, s := range segs {
 			var err error
@@ -890,5 +884,10 @@ func (t *TCP) flush() {
 		for _, w := range wake {
 			w()
 		}
+		// Drop the batch's mbuf, connection and wakeup references
+		// before its arrays wait as the next spares.
+		clear(segs)
+		clear(wake)
+		t.spareOut, t.spareWake = segs[:0], wake[:0]
 	}
 }

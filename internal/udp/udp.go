@@ -138,6 +138,18 @@ func buildWireSum(sport, dport uint16, data []byte, psum uint32) *mbuf.Mbuf {
 	return pkt
 }
 
+// Connect is connect(2) on a UDP socket: in_pcbconnect fixes the
+// foreign endpoint and, unless the socket is bound to an address, the
+// local address (Table.SelectLocal), so each datagram sent on the
+// connection skips source selection.
+func (u *UDP) Connect(p *pcb.PCB, faddr inet.IP6, fport uint16) error {
+	if err := u.Table.Connect(p, faddr, fport); err != nil {
+		return err
+	}
+	u.Table.SelectLocal(p, u.v4, u.v6)
+	return nil
+}
+
 // Output is udp_output: create and send a datagram.  It "determines
 // whether to create an IPv4 or IPv6 datagram by looking at the
 // protocol control block"; faddr/fport override the connected peer for
@@ -161,21 +173,20 @@ func (u *UDP) Output(p *pcb.PCB, data []byte, faddr inet.IP6, fport uint16) erro
 		}
 	}
 	length := HeaderLen + len(data)
+	src := p.LAddr
+	if src.IsUnspecified() {
+		// sendto on a socket with no local address: in_pcbconnect's
+		// choice for this one datagram.  A connected socket fixed its
+		// source in Connect.
+		src = pcb.LocalFor(u.v4, u.v6, faddr)
+	}
 
 	if v4dst, isV4 := faddr.MappedV4(); isV4 || (p.Family == inet.AFInet) {
 		// IPv4 path: ip_output is called instead of ipv6_output.
 		if !isV4 {
 			return pcb.ErrFamilyMismatch
 		}
-		var src4 inet.IP4
-		if l4, ok := p.LAddr.MappedV4(); ok {
-			src4 = l4
-		} else if s, ok := u.v4.SourceFor(v4dst); ok {
-			src4 = s
-		} else if u.v4.Routes() != nil {
-			// Local destination: source = destination.
-			src4 = v4dst
-		}
+		src4, _ := src.MappedV4()
 		var pkt *mbuf.Mbuf
 		if u.SumTx {
 			pkt = buildWireSum(p.LPort, fport, data,
@@ -191,14 +202,6 @@ func (u *UDP) Output(p *pcb.PCB, data []byte, faddr inet.IP6, fport uint16) erro
 	// IPv6 path: checksum mandatory — "necessary to provide integrity
 	// protection of the source and destination address that is not
 	// provided by IPv6, which lacks an IP header checksum" (§5.2).
-	src := p.LAddr
-	if src.IsUnspecified() {
-		if s, ok := u.v6.SourceFor(faddr, nil); ok {
-			src = s
-		} else {
-			src = faddr // local destination
-		}
-	}
 	pkt := buildWireSum(p.LPort, fport, data,
 		inet.PseudoHeader6(src, faddr, uint32(length), proto.UDP))
 	pkt.Hdr().Socket = p.Socket
