@@ -85,13 +85,11 @@ type microCell struct {
 }
 
 // batchCell is one row of the batching table: bulk IPv6 TCP
-// throughput with the datapath batching stages toggled individually,
-// across netisr worker counts.
+// throughput with the datapath batching stages toggled individually.
 type batchCell struct {
-	GRO     bool    `json:"gro"`
-	GSO     bool    `json:"gso"`
-	Workers int     `json:"workers"`
-	KBps    float64 `json:"kbps"`
+	GRO  bool    `json:"gro"`
+	GSO  bool    `json:"gso"`
+	KBps float64 `json:"kbps"`
 }
 
 // tunnelCell is one row of the transition-path table: bulk TCP
@@ -611,14 +609,11 @@ func conns() {
 
 // streamTable regenerates the batching table: bulk IPv6 TCP streaming
 // with GRO (receive coalescing) and GSO (send super-segments) toggled
-// one at a time, across netisr worker counts.  This is the table that
-// justifies the batched datapath — the "both" row should pull away
-// from the "neither" row at every worker count, and add workers
-// without collapsing (sharded stats keep the counters off the shared
-// cache lines the workers would otherwise fight over).
+// one at a time.  This is the table that justifies the batched
+// datapath — the "both" row should pull away from the "neither" row.
 func streamTable() {
 	fmt.Println("\nStream: batched-datapath TCP throughput, IPv6 (KB/s)")
-	fmt.Printf("%6s %6s %9s %12s\n", "gro", "gso", "workers", "KB/s")
+	fmt.Printf("%6s %6s %12s\n", "gro", "gso", "KB/s")
 	onoff := func(b bool) string {
 		if b {
 			return "on"
@@ -628,22 +623,18 @@ func streamTable() {
 	for _, cfg := range []struct{ gro, gso bool }{
 		{false, false}, {true, false}, {false, true}, {true, true},
 	} {
-		for _, workers := range []int{1, 4, 8} {
-			opts := bsd6.Options{NetisrWorkers: workers}
-			if !cfg.gro {
-				opts.GRO = -1
-			}
-			if !cfg.gso {
-				opts.GSO = -1
-			}
-			tb := newTestbedOpts(opts)
-			kbps := tb.stream(true, true, 1<<16, 1<<20, nil)
-			tb.close()
-			fmt.Printf("%6s %6s %9d %12.0f\n", onoff(cfg.gro), onoff(cfg.gso), workers, kbps)
-			results.Stream = append(results.Stream, batchCell{
-				GRO: cfg.gro, GSO: cfg.gso, Workers: workers, KBps: kbps,
-			})
+		var opts bsd6.Options
+		if !cfg.gro {
+			opts.GRO = -1
 		}
+		if !cfg.gso {
+			opts.GSO = -1
+		}
+		tb := newTestbedOpts(opts)
+		kbps := tb.stream(true, true, 1<<16, 1<<20, nil)
+		tb.close()
+		fmt.Printf("%6s %6s %12.0f\n", onoff(cfg.gro), onoff(cfg.gso), kbps)
+		results.Stream = append(results.Stream, batchCell{GRO: cfg.gro, GSO: cfg.gso, KBps: kbps})
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 func testStack(t *testing.T) *core.Stack {
 	t.Helper()
-	s := core.NewStack("a1", core.Options{NoTimers: true, NetisrWorkers: 1})
+	s := core.NewStack("a1", core.Options{NoTimers: true})
 	t.Cleanup(s.Close)
 	hub := netif.NewHub()
 	ifp := s.AttachLink(hub, inet.LinkAddr{2, 0, 0, 0, 0, 1}, 1500)

@@ -174,20 +174,20 @@ func diffTraces(t *testing.T, label string, x, y []string) {
 // freed-buffer reuse in the splitter or coalescer corrupt a frame and
 // fail the comparison.  The batched run is repeated with the same
 // seed, and must replay the same wire: the driven clock's accounting
-// keeps four netisr workers per stack from leaking scheduling into it.
+// keeps goroutine scheduling from leaking into it.
 func TestBatchingWireEquivalence(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
 
 	lockstep := netif.Faults{Latency: 2 * time.Millisecond}
 	off, _, _ := runBatchStream(t,
-		core.Options{NetisrWorkers: 4, BurstSize: -1, GRO: -1, GSO: -1},
+		core.Options{BurstSize: -1, GRO: -1, GSO: -1},
 		lockstep, 1, 30*time.Second)
 	on, cliSnap, srvSnap := runBatchStream(t,
-		core.Options{NetisrWorkers: 4},
+		core.Options{},
 		lockstep, 1, 30*time.Second)
 	diffTraces(t, "clean link, batching off vs on", off, on)
-	again, _, _ := runBatchStream(t, core.Options{NetisrWorkers: 4}, lockstep, 1, 30*time.Second)
+	again, _, _ := runBatchStream(t, core.Options{}, lockstep, 1, 30*time.Second)
 	diffTraces(t, "clean link, batched run vs its replay", on, again)
 
 	// The identical wire must have been produced *by* the batched
@@ -221,13 +221,13 @@ func TestBatchingWireEquivalenceHostileLink(t *testing.T) {
 
 	hostile := netif.Faults{Latency: 2 * time.Millisecond, Loss: 0.02}
 	off, _, _ := runBatchStream(t,
-		core.Options{NetisrWorkers: 4, BurstSize: -1, GRO: -1, GSO: -1},
+		core.Options{BurstSize: -1, GRO: -1, GSO: -1},
 		hostile, 42, 2*time.Minute)
 	on, cliSnap, _ := runBatchStream(t,
-		core.Options{NetisrWorkers: 4},
+		core.Options{},
 		hostile, 42, 2*time.Minute)
 	diffTraces(t, "hostile link, batching off vs on", off, on)
-	again, _, _ := runBatchStream(t, core.Options{NetisrWorkers: 4}, hostile, 42, 2*time.Minute)
+	again, _, _ := runBatchStream(t, core.Options{}, hostile, 42, 2*time.Minute)
 	diffTraces(t, "hostile link, batched run vs its replay", on, again)
 
 	if cliSnap.TCP["SndRexmit"] == 0 {

@@ -22,16 +22,16 @@ func TestCloseWithQueuedInput(t *testing.T) {
 	hub := e.hub()
 	a := e.stack("a")
 	b := e.stack("b")
-	// One worker draining one frame per wakeup, so everything sent to
-	// c queues behind the frame its worker is held on.
-	c := core.NewStack("c", core.Options{Clock: e.clock, NetisrWorkers: 1, BurstSize: -1})
+	// c's netisr drains one frame per wakeup, so everything sent to c
+	// queues behind the frame its netisr is held on.
+	c := core.NewStack("c", core.Options{Clock: e.clock, BurstSize: -1})
 	t.Cleanup(c.Close)
 	a.AttachLink(hub, testnet.MacA, 1500)
 	b.AttachLink(hub, testnet.MacB, 1500)
 	c.AttachLink(hub, testnet.MacC, 1500)
 	e.start()
 
-	// Hold c's worker inside its echo-reply upcall.  Until released,
+	// Hold c's netisr inside its echo-reply upcall.  Until released,
 	// the reply's frame stays pending, so the clock cannot move and
 	// the test goroutine may block on plain channels.
 	entered, release := make(chan struct{}), make(chan struct{})

@@ -24,8 +24,8 @@ import (
 // goroutine is counted from newEnv on; any other goroutine that
 // blocks in the stack starts through vclock.Go; an actor parks only
 // inside a socket call, vclock.Sleep (testnet.WaitClock) or a
-// testnet.Signal, each of which the clock sees; netisr workers count
-// their queued frames. Real goroutines therefore run against
+// testnet.Signal, each of which the clock sees; each stack's netisr
+// counts its queued frames. Real goroutines therefore run against
 // simulated protocol time — DAD's seconds of probing or a socket
 // timeout cost microseconds of wall clock — and replay identically.
 type env struct {

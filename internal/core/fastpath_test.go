@@ -15,31 +15,30 @@ import (
 )
 
 // fastPathWorld is a four-node world for datapath equivalence checks:
-// three senders, each a distinct flow (the flow hash covers addresses,
-// not ports), and one receiver whose netisr worker count is the
-// variable under test.
+// three senders, each a distinct flow, and one receiver whose single
+// netisr FIFO all of their frames share.
 type fastPathWorld struct {
 	senders []*core.Stack
 	rcv     *core.Stack
 }
 
-func newFastPathWorld(t *testing.T, workers int) *fastPathWorld {
+func newFastPathWorld(t *testing.T) *fastPathWorld {
 	t.Helper()
 	e := newEnv(t)
 	hub := e.hub()
 	w := &fastPathWorld{}
-	mk := func(name string, n int) *core.Stack {
-		s := core.NewStack(name, core.Options{Clock: e.clock, NetisrWorkers: n})
+	mk := func(name string) *core.Stack {
+		s := core.NewStack(name, core.Options{Clock: e.clock})
 		e.t.Cleanup(s.Close)
 		return s
 	}
 	macs := []inet.LinkAddr{testnet.MacA, testnet.MacC, testnet.MacS}
 	for i, mac := range macs {
-		s := mk(fmt.Sprintf("snd%d", i), 1)
+		s := mk(fmt.Sprintf("snd%d", i))
 		s.AttachLink(hub, mac, 1500)
 		w.senders = append(w.senders, s)
 	}
-	w.rcv = mk("rcv", workers)
+	w.rcv = mk("rcv")
 	w.rcv.AttachLink(hub, testnet.MacB, 1500)
 	e.start()
 	return w
@@ -56,12 +55,20 @@ func fastPathPayload(sender, seq, size int) []byte {
 	return b
 }
 
+// fastPathSizes is the per-sender datagram sequence. Sizes above the
+// 1500-byte MTU fragment on output and reassemble at the receiver.
+var fastPathSizes = []int{9, 700, 1400, 52, 2800, 4000}
+
+// fastPathDatagram is one delivered datagram and the sender it came
+// from.
+type fastPathDatagram struct {
+	sender int
+	data   []byte
+}
+
 // runFastPathTraffic drives the same deterministic traffic mix through
-// a world and returns the delivered payloads per sender, in arrival
-// order. Sizes above the 1500-byte MTU fragment on output and
-// reassemble at the receiver, so the mix exercises the frag path under
-// whatever netisr configuration the world was built with.
-func runFastPathTraffic(t *testing.T, w *fastPathWorld) map[int][][]byte {
+// a world and returns the delivered datagrams in arrival order.
+func runFastPathTraffic(t *testing.T, w *fastPathWorld) []fastPathDatagram {
 	t.Helper()
 	const port = 7
 	srv, err := w.rcv.NewSocket(inet.AFInet6, core.SockDgram)
@@ -99,10 +106,8 @@ func runFastPathTraffic(t *testing.T, w *fastPathWorld) map[int][][]byte {
 	}
 
 	// Interleave the sequences round-robin so frames from different
-	// flows are adjacent in the shared hub, then let the receiver's
-	// flow steering sort them back out.
-	sizes := []int{9, 700, 1400, 52, 2800, 4000}
-	for seq, size := range sizes {
+	// flows are adjacent in the shared hub.
+	for seq, size := range fastPathSizes {
 		for i, c := range clis {
 			if err := c.SendTo(fastPathPayload(i, seq, size), core.Addr6(dst, port)); err != nil {
 				t.Fatal(err)
@@ -110,8 +115,8 @@ func runFastPathTraffic(t *testing.T, w *fastPathWorld) map[int][][]byte {
 		}
 	}
 
-	got := map[int][][]byte{}
-	total := len(sizes) * len(clis)
+	total := len(fastPathSizes) * len(clis)
+	got := make([]fastPathDatagram, 0, total)
 	for n := 0; n < total; n++ {
 		data, from, err := srv.RecvFrom(65536, 2*time.Second)
 		if err != nil {
@@ -121,37 +126,34 @@ func runFastPathTraffic(t *testing.T, w *fastPathWorld) map[int][][]byte {
 		if !ok {
 			t.Fatalf("datagram from unknown source %v", from.Addr)
 		}
-		got[i] = append(got[i], data)
+		got = append(got, fastPathDatagram{i, data})
 	}
 	return got
 }
 
-// TestFastPathEquivalence checks that the pooled, flow-steered datapath
-// delivers byte-identical datagrams in per-flow order, whether the
-// receiver runs the classic single software interrupt (the seed
-// configuration) or parallel netisr workers. Mbuf poisoning is enabled
-// so a freed-buffer reuse anywhere on the path corrupts a payload and
-// fails the comparison.
+// TestFastPathEquivalence checks that the pooled datapath delivers
+// byte-identical datagrams in exactly the round-robin order the
+// senders put them on the hub: every frame shares the receiver's one
+// netisr FIFO, so arrival order holds across flows, not only within
+// each. Mbuf poisoning is enabled so a freed-buffer reuse anywhere on
+// the path corrupts a payload and fails the comparison.
 func TestFastPathEquivalence(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
 
-	sizes := []int{9, 700, 1400, 52, 2800, 4000}
-	for _, workers := range []int{1, 4} {
-		got := runFastPathTraffic(t, newFastPathWorld(t, workers))
-		for sender := 0; sender < 3; sender++ {
-			seqs := got[sender]
-			if len(seqs) != len(sizes) {
-				t.Fatalf("workers=%d sender %d: got %d datagrams, want %d",
-					workers, sender, len(seqs), len(sizes))
-			}
-			for seq, data := range seqs {
-				want := fastPathPayload(sender, seq, sizes[seq])
-				if !bytes.Equal(data, want) {
-					t.Fatalf("workers=%d sender %d datagram %d: payload mismatch (len %d vs %d)",
-						workers, sender, seq, len(data), len(want))
-				}
-			}
+	w := newFastPathWorld(t)
+	got := runFastPathTraffic(t, w)
+	n := len(w.senders)
+	for k, d := range got {
+		sender, seq := k%n, k/n
+		if d.sender != sender {
+			t.Fatalf("datagram %d: from sender %d, want sender %d seq %d",
+				k, d.sender, sender, seq)
+		}
+		want := fastPathPayload(sender, seq, fastPathSizes[seq])
+		if !bytes.Equal(d.data, want) {
+			t.Fatalf("sender %d datagram %d: payload mismatch (len %d vs %d)",
+				sender, seq, len(d.data), len(want))
 		}
 	}
 }

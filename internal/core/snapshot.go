@@ -31,10 +31,9 @@ type TraceLine struct {
 
 // NetisrSnapshot captures the input-queue state.
 type NetisrSnapshot struct {
-	Workers int    `json:"workers"`
-	Burst   int    `json:"burst"` // frames drained per worker wakeup
-	Drops   uint64 `json:"drops"`
-	Depths  []int  `json:"depths"`
+	Burst int    `json:"burst"` // frames drained per wakeup
+	Drops uint64 `json:"drops"`
+	Depth int    `json:"depth"`
 }
 
 // LimitSnapshot describes one governance ceiling: the configured
@@ -128,7 +127,6 @@ type Snapshot struct {
 // per-counter (not cross-counter) consistent — the same guarantee
 // netstat(8) ever had.
 func (s *Stack) Snapshot() Snapshot {
-	depths := s.InqDepths()
 	snap := Snapshot{
 		Name:  s.Name,
 		Time:  s.clock.Now(),
@@ -141,10 +139,9 @@ func (s *Stack) Snapshot() Snapshot {
 		IPsec: stat.SnapshotCounters(&s.Sec.Stats),
 		Key:   stat.SnapshotCounters(&s.Keys.Stats),
 		Netisr: NetisrSnapshot{
-			Workers: len(depths),
-			Burst:   s.burst,
-			Drops:   s.InqDrops.Get(),
-			Depths:  depths,
+			Burst: s.burst,
+			Drops: s.InqDrops.Get(),
+			Depth: len(s.inq),
 		},
 		Limits:  s.limitsSnapshot(),
 		Reasons: s.Drops.Reasons.Snapshot(),

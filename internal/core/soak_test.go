@@ -168,10 +168,10 @@ func TestFloodSoakBoundedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Connect returns on the SYN/ACK, while the victim's child is still
-	// embryonic until our final ACK lands. Flood SYNs processed first,
-	// on another netisr worker, would overflow the capped backlog and
-	// evict that child, resetting the connection; so the flood starts
-	// only once the victim has accepted it.
+	// embryonic until our final ACK lands. Flood SYNs processed ahead
+	// of that ACK would overflow the capped backlog and evict that
+	// child, resetting the connection; so the flood starts only once
+	// the victim has accepted it.
 	accepted.Wait()
 	if firstEcho == nil {
 		t.Fatalf("accept: %v", serve())

@@ -14,7 +14,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,26 +57,26 @@ type Stack struct {
 	// protocol module above.
 	Drops *stat.Recorder
 
-	// inqs are the netisr input queues, one per worker; a flow hash
-	// over the IP addresses steers each frame to a fixed queue so
-	// packets of one flow never reorder against each other.
-	inqs     []chan inputItem
-	InqDrops stat.Counter // frames dropped because an input queue was full
+	// inq is the netisr input queue (4.4BSD's ipintrq): one FIFO for
+	// every frame the stack receives, drained by one goroutine, so
+	// frames are processed in arrival order across all flows.
+	inq      chan inputItem
+	InqDrops stat.Counter // frames dropped because the input queue was full
 
 	// MbufDrops counts frames refused by the queued-byte ceiling
 	// (Options.MbufLimit) — the backpressure that keeps a flood from
 	// ballooning mbuf memory behind a slow netisr.
 	MbufDrops stat.Counter
-	mbufLimit int          // bytes of payload the input queues may hold
+	mbufLimit int          // bytes of payload the input queue may hold
 	inqBytes  atomic.Int64 // payload bytes currently queued
 
 	// Batched datapath state: burst is the per-wakeup dequeue cap;
-	// gros holds one receive-coalescing engine per netisr worker (nil
-	// when GRO is disabled) and groIfp the interface of each engine's
-	// pending super-segment.  Only worker w touches gros[w]/groIfp[w].
+	// gro is the receive-coalescing engine (nil when GRO is disabled)
+	// and groIfp the interface of its pending super-segment.  Only the
+	// netisr goroutine touches them.
 	burst  int
-	gros   []*tcp.GRO
-	groIfp []*netif.Interface
+	gro    *tcp.GRO
+	groIfp *netif.Interface
 
 	// secActive flips once any socket sets a security level; see the
 	// SocketOpts hook.
@@ -104,14 +103,6 @@ type inputItem struct {
 
 // Options configures stack construction.
 type Options struct {
-	// InputQueueLen sizes each netisr queue (BSD's ifqmaxlen spirit).
-	InputQueueLen int
-	// NetisrWorkers is the number of netisr goroutines draining the
-	// input queues in parallel. Frames are steered to workers by a
-	// flow hash over the IP addresses, preserving per-flow order.
-	// Default: GOMAXPROCS. Use 1 for the classic single software
-	// interrupt.
-	NetisrWorkers int
 	// NoTimers disables the periodic protocol timers; tests and
 	// benchmarks then drive Tick themselves.
 	NoTimers bool
@@ -149,11 +140,8 @@ type Options struct {
 	// tcp.DefaultTimeWaitMax); overflow evicts the record closest to
 	// expiry with tcp-time-wait-overflow.
 	TimeWaitMax int
-	// PCBShards sets the TCP/UDP demux shard count (default
-	// pcb.DefaultShards, rounded up to a power of two).
-	PCBShards int
 	// MbufLimit caps the payload bytes held in the netisr input
-	// queues (default DefaultMbufLimit); past it, input frames are
+	// queue (default DefaultMbufLimit); past it, input frames are
 	// refused with mbuf-limit and freed back to the pool instead of
 	// accumulating unboundedly behind a slow consumer.
 	MbufLimit int
@@ -163,7 +151,7 @@ type Options struct {
 	// three are wire-transparent — captures with batching on and off
 	// are byte-identical; only throughput and counters differ.
 
-	// BurstSize caps the frames a netisr worker drains per wakeup,
+	// BurstSize caps the frames the netisr drains per wakeup,
 	// dispatching them as one batch and settling the queue accounting
 	// once (default DefaultBurstSize; negative reverts to the classic
 	// one-frame-per-wakeup software interrupt).
@@ -176,13 +164,6 @@ type Options struct {
 	// to split into MSS-sized wire frames (default tcp.DefaultGSOMax;
 	// negative disables, every segment leaves at MSS size).
 	GSO int
-
-	// TunNestLimit bounds tunnel nesting — how many encapsulations
-	// (and decapsulations) one packet may traverse on this node
-	// (default tunnel.DefaultNestLimit; negative selects the hard
-	// recursion ceiling rather than "off", since unlimited nesting
-	// could recurse the output path to exhaustion).
-	TunNestLimit int
 }
 
 // Defaults for the governance ceilings whose home is the stack
@@ -192,8 +173,12 @@ const (
 	DefaultNDCacheMax = 512
 	// DefaultMbufLimit bounds netisr-queued payload bytes (4 MiB).
 	DefaultMbufLimit = 4 << 20
-	// DefaultBurstSize is the frames a netisr worker drains per wakeup.
+	// DefaultBurstSize is the frames the netisr drains per wakeup.
 	DefaultBurstSize = 32
+	// inputQueueLen is the netisr queue's slot count: past it a frame
+	// is dropped with netisr-queue-full, as BSD's IF_DROP does at
+	// ifqmaxlen, rather than the queue growing behind a slow netisr.
+	inputQueueLen = 512
 )
 
 // limitOpt resolves a governance tunable: positive is taken as-is,
@@ -211,12 +196,6 @@ func limitOpt(v, def int) int {
 
 // NewStack builds and starts a stack.
 func NewStack(name string, opts Options) *Stack {
-	if opts.InputQueueLen == 0 {
-		opts.InputQueueLen = 512
-	}
-	if opts.NetisrWorkers <= 0 {
-		opts.NetisrWorkers = runtime.GOMAXPROCS(0)
-	}
 	if opts.Clock == nil {
 		opts.Clock = vclock.Real()
 	}
@@ -225,12 +204,9 @@ func NewStack(name string, opts Options) *Stack {
 		Name:  name,
 		RT:    rt,
 		Hosts: inet.NewHostTable(),
-		inqs:  make([]chan inputItem, opts.NetisrWorkers),
+		inq:   make(chan inputItem, inputQueueLen),
 		stop:  make(chan struct{}),
 		clock: opts.Clock,
-	}
-	for i := range s.inqs {
-		s.inqs[i] = make(chan inputItem, opts.InputQueueLen)
 	}
 	rt.Now = s.clock.Now
 	s.Drops = stat.NewRecorder(traceRingSize)
@@ -255,9 +231,6 @@ func NewStack(name string, opts Options) *Stack {
 	s.Sec = ipsec.Attach(s.V6, s.Keys)
 	s.Tun = tunnel.Attach(s.V4, s.V6, s.ICMP6)
 	s.Tun.Drops = s.Drops
-	if opts.TunNestLimit != 0 {
-		s.Tun.SetNestLimit(opts.TunNestLimit)
-	}
 	s.UDP = udp.New(s.V4, s.V6)
 	s.TCP = tcp.New(s.V4, s.V6)
 	s.UDP.Drops = s.Drops
@@ -265,10 +238,6 @@ func NewStack(name string, opts Options) *Stack {
 	s.TCP.SynBacklogMax = opts.SynBacklogMax
 	s.TCP.SynCookies = opts.SynCookies
 	s.TCP.TimeWaitMax = opts.TimeWaitMax
-	if opts.PCBShards > 0 {
-		s.TCP.Table.SetShards(opts.PCBShards)
-		s.UDP.Table.SetShards(opts.PCBShards)
-	}
 
 	// Wire the cross-module relationships the paper describes.
 	s.UDP.InputPolicy = s.Sec.InputPolicy
@@ -302,11 +271,7 @@ func NewStack(name string, opts Options) *Stack {
 	}
 	s.TCP.GSOMax = limitOpt(opts.GSO, tcp.DefaultGSOMax)
 	if gmax := limitOpt(opts.GRO, tcp.DefaultGROMax); gmax > 0 {
-		s.gros = make([]*tcp.GRO, opts.NetisrWorkers)
-		s.groIfp = make([]*netif.Interface, opts.NetisrWorkers)
-		for i := range s.gros {
-			s.gros[i] = s.TCP.NewGRO(gmax, i)
-		}
+		s.gro = s.TCP.NewGRO(gmax)
 	}
 
 	// Loopback.
@@ -316,11 +281,8 @@ func NewStack(name string, opts Options) *Stack {
 	s.V4.AddInterface(s.Lo)
 	s.V6.AddInterface(s.Lo)
 
-	// netisr workers.
-	for i, q := range s.inqs {
-		s.wg.Add(1)
-		go s.netisr(i, q)
-	}
+	s.wg.Add(1)
+	go s.netisr()
 
 	if !opts.NoTimers {
 		s.startTimers()
@@ -332,12 +294,12 @@ func NewStack(name string, opts Options) *Stack {
 func (s *Stack) Clock() vclock.Clock { return s.clock }
 
 // Pending reports frames queued on (or being dispatched from) the
-// netisr input queues. The same frames are counted runnable on the
+// netisr input queue. The same frames are counted runnable on the
 // stack's clock, which is how a vclock.Driver sees them.
 func (s *Stack) Pending() int { return int(s.pending.Load()) }
 
 // Close stops the stack's goroutines.  Frames still queued for the
-// netisr workers are freed and uncounted — from Pending, the queued-byte
+// netisr are freed and uncounted — from Pending, the queued-byte
 // gauge and the clock's runnable count — so closing one stack of a
 // world that shares a virtual clock never freezes that clock.  A
 // closed stack refuses further input.
@@ -352,32 +314,31 @@ func (s *Stack) Close() {
 	s.tmu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
-	s.drainInqs()
+	s.drainInq()
 }
 
-// drainInqs frees every frame left on the input queues of a closed
+// drainInq frees every frame left on the input queue of a closed
 // stack and settles its accounting.  It may race enqueue and another
 // drain: each queued frame is received, so released, exactly once.
-func (s *Stack) drainInqs() {
-	for _, q := range s.inqs {
-		for drained := false; !drained; {
-			select {
-			case it := <-q:
-				it.fr.Payload.Free()
-				s.inqBytes.Add(-int64(it.n))
-				s.pending.Add(-1)
-				s.clock.Runnable(-1)
-			default:
-				drained = true
-			}
+func (s *Stack) drainInq() {
+	for {
+		select {
+		case it := <-s.inq:
+			it.fr.Payload.Free()
+			s.inqBytes.Add(-int64(it.n))
+			s.pending.Add(-1)
+			s.clock.Runnable(-1)
+		default:
+			return
 		}
 	}
 }
 
 // enqueue is the driver-side input hook: non-blocking, dropping on
-// overflow as BSD's IF_DROP does. The flow hash pins every frame of a
-// flow to one worker queue so per-flow ordering survives parallelism.
-// Two ceilings apply: the per-queue slot count (RInqFull) and the
+// overflow as BSD's IF_DROP does.  Every frame joins the one FIFO, so
+// the netisr sees frames in wire-arrival order across all flows, and
+// the fragments of a datagram stay in order with their flow-mates.
+// Two ceilings apply: the queue's slot count (RInqFull) and the
 // stack-wide queued-byte ceiling (RMbufLimit) that keeps a flood of
 // large frames from holding megabytes of slab memory hostage.  Either
 // way a refused frame is freed here — enqueue is its terminal
@@ -394,19 +355,15 @@ func (s *Stack) enqueue(ifp *netif.Interface, fr netif.Frame) {
 		fr.Payload.Free()
 		return
 	}
-	q := s.inqs[0]
-	if len(s.inqs) > 1 {
-		q = s.inqs[flowHash(fr)%uint32(len(s.inqs))]
-	}
 	s.pending.Add(1)
 	s.clock.Runnable(1)
 	s.inqBytes.Add(int64(n))
 	select {
-	case q <- inputItem{ifp, fr, n}:
+	case s.inq <- inputItem{ifp, fr, n}:
 		if s.closed.Load() {
 			// Close ran between the check above and the send, and
 			// its drain may have finished already.
-			s.drainInqs()
+			s.drainInq()
 		}
 	default:
 		s.pending.Add(-1)
@@ -418,79 +375,33 @@ func (s *Stack) enqueue(ifp *netif.Interface, fr netif.Frame) {
 	}
 }
 
-// flowHash is an FNV-1a hash over the fields that identify a flow.
-// Ports are deliberately excluded so every fragment of a datagram —
-// only the first carries the transport header — steers to the same
-// worker. For IPv6 the addresses alone are hashed: the first
-// next-header byte is 44 (Fragment) on fragments but the transport
-// protocol on whole datagrams of the same flow, so mixing it in would
-// reorder a fragmented datagram against its flow-mates. The IPv4
-// protocol byte is invariant across fragments, so it stays in.
-// Non-IP frames (ARP) and runts hash by source MAC: pinning them all
-// to worker 0 skewed that queue under mixed load, while the source
-// address still keeps one sender's ARP traffic ordered.
-func flowHash(fr netif.Frame) uint32 {
-	const prime = 16777619
-	h := uint32(2166136261)
-	var b []byte
-	switch fr.EtherType {
-	case netif.EtherTypeIPv6:
-		if b = fr.Payload.PullUp(40); b == nil {
-			return macHash(fr.Src)
-		}
-		b = b[8:40] // src + dst
-	case netif.EtherTypeIPv4:
-		if b = fr.Payload.PullUp(20); b == nil {
-			return macHash(fr.Src)
-		}
-		h = (h ^ uint32(b[9])) * prime
-		b = b[12:20] // src + dst
-	default:
-		return macHash(fr.Src)
-	}
-	for _, c := range b {
-		h = (h ^ uint32(c)) * prime
-	}
-	return h
-}
-
-// macHash steers frames without a usable IP tuple by source link
-// address.
-func macHash(mac inet.LinkAddr) uint32 {
-	const prime = 16777619
-	h := uint32(2166136261)
-	for _, c := range mac {
-		h = (h ^ uint32(c)) * prime
-	}
-	return h
-}
-
-// netisr drains one input queue.  Each wakeup drains up to burst
-// queued frames and dispatches them as one batch — amortizing the
-// channel receive, the queue accounting (one inqBytes/pending settle
-// per batch instead of per frame) and feeding the worker's GRO engine
-// runs of consecutive same-flow frames to coalesce.  pending (and the
-// clock's runnable count) stays raised until the whole batch is
-// dispatched, so nobody observes a half-processed burst as quiescence.
-func (s *Stack) netisr(w int, q chan inputItem) {
+// netisr drains the input queue, as 4.4BSD's software interrupt
+// drains ipintrq.  Each wakeup drains up to burst queued frames and
+// dispatches them as one batch — amortizing the channel receive, the
+// queue accounting (one inqBytes/pending settle per batch instead of
+// per frame) and feeding the GRO engine runs of consecutive same-flow
+// frames to coalesce.  pending (and the clock's runnable count) stays
+// raised until the whole batch is dispatched, so nobody observes a
+// half-processed burst as quiescence.
+func (s *Stack) netisr() {
 	defer s.wg.Done()
 	burst := make([]inputItem, 0, s.burst)
 	for {
 		select {
 		case <-s.stop:
 			return
-		case it := <-q:
+		case it := <-s.inq:
 			burst = append(burst[:0], it)
 		fill:
 			for len(burst) < s.burst {
 				select {
-				case it := <-q:
+				case it := <-s.inq:
 					burst = append(burst, it)
 				default:
 					break fill
 				}
 			}
-			s.dispatchBurst(w, burst)
+			s.dispatchBurst(burst)
 			var bytes int64
 			for i := range burst {
 				bytes += int64(burst[i].n)
@@ -502,24 +413,20 @@ func (s *Stack) netisr(w int, q chan inputItem) {
 	}
 }
 
-// dispatchBurst feeds one drained batch through the worker's GRO
-// engine (when enabled) and on to the protocol input routines.  Order
-// is preserved: a frame the engine declines first forces out whatever
-// super-segment was pending, and the batch ends with a flush, so
-// coalescing state never outlives the burst.
-func (s *Stack) dispatchBurst(w int, burst []inputItem) {
-	if s.gros == nil || len(burst) == 1 {
+// dispatchBurst feeds one drained batch through the GRO engine (when
+// enabled) and on to the protocol input routines.  Order is preserved:
+// a frame the engine declines first forces out whatever super-segment
+// was pending, and the batch ends with a flush, so coalescing state
+// never outlives the burst.
+func (s *Stack) dispatchBurst(burst []inputItem) {
+	if s.gro == nil || len(burst) == 1 {
 		for i := range burst {
-			burst[i].fr.Payload.Hdr().Worker = w
 			s.dispatch(burst[i].ifp, burst[i].fr)
 		}
 		return
 	}
-	gro := s.gros[w]
 	for i := range burst {
 		it := &burst[i]
-		pkt := it.fr.Payload
-		pkt.Hdr().Worker = w
 		var v4 bool
 		switch it.fr.EtherType {
 		case netif.EtherTypeIPv4:
@@ -527,38 +434,35 @@ func (s *Stack) dispatchBurst(w int, burst []inputItem) {
 		case netif.EtherTypeIPv6:
 		default:
 			// Non-IP (ARP): flush ahead of it to preserve order.
-			s.groFlush(w)
+			s.groFlush()
 			s.dispatch(it.ifp, it.fr)
 			continue
 		}
-		if s.groIfp[w] != nil && s.groIfp[w] != it.ifp {
+		if s.groIfp != nil && s.groIfp != it.ifp {
 			// The pending super-segment belongs to another interface;
 			// deliver it there before this frame can be considered.
-			s.groFlush(w)
+			s.groFlush()
 		}
-		flushed, pass := gro.Push(pkt, v4)
+		flushed, pass := s.gro.Push(it.fr.Payload, v4)
 		if flushed != nil {
-			s.deliverIP(s.groIfp[w], flushed)
-			s.groIfp[w] = nil
+			s.deliverIP(s.groIfp, flushed)
+			s.groIfp = nil
 		}
 		if pass != nil {
 			s.dispatch(it.ifp, it.fr)
 		} else {
-			s.groIfp[w] = it.ifp
+			s.groIfp = it.ifp
 		}
 	}
-	s.groFlush(w)
+	s.groFlush()
 }
 
-// groFlush forces out worker w's pending super-segment, if any.
-func (s *Stack) groFlush(w int) {
-	if s.gros == nil {
-		return
+// groFlush forces out the pending super-segment, if any.
+func (s *Stack) groFlush() {
+	if pkt := s.gro.Flush(); pkt != nil {
+		s.deliverIP(s.groIfp, pkt)
 	}
-	if pkt := s.gros[w].Flush(); pkt != nil {
-		s.deliverIP(s.groIfp[w], pkt)
-	}
-	s.groIfp[w] = nil
+	s.groIfp = nil
 }
 
 // deliverIP hands a (possibly coalesced) IP packet to the right IP
@@ -576,14 +480,10 @@ func (s *Stack) deliverIP(ifp *netif.Interface, pkt *mbuf.Mbuf) {
 	}
 }
 
-// InqDepths reports the instantaneous depth of each netisr worker
-// queue, for netstat.
+// InqDepths reports the instantaneous depth of the netisr queue, for
+// netstat, as a one-entry slice.
 func (s *Stack) InqDepths() []int {
-	out := make([]int, len(s.inqs))
-	for i, q := range s.inqs {
-		out[i] = len(q)
-	}
-	return out
+	return []int{len(s.inq)}
 }
 
 func (s *Stack) dispatch(ifp *netif.Interface, fr netif.Frame) {
@@ -771,9 +671,8 @@ func (s *Stack) DefaultRoute4(gw inet.IP4, ifName string) {
 
 // AddTunnel configures an encapsulation tunnel (6in4 / 4in6 / 6in6)
 // and wires its device into the stack: decapsulated packets re-enter
-// through the netisr input queues, where the flow hash steers them by
-// their *inner* tuple — decap re-steering for the per-worker GRO
-// engines.  Routes pointed at the returned tunnel's interface name
+// through the netisr input queue, so the GRO engine sees their inner
+// headers.  Routes pointed at the returned tunnel's interface name
 // send traffic through it.
 func (s *Stack) AddTunnel(cfg tunnel.Config) (*tunnel.Tunnel, error) {
 	t, err := s.Tun.Add(cfg)

@@ -421,13 +421,13 @@ func TestGSOTunnelWireEquivalence(t *testing.T) {
 
 	lockstep := netif.Faults{Latency: 2 * time.Millisecond}
 	off, _, _ := runTunnelStream(t,
-		core.Options{NetisrWorkers: 4, BurstSize: -1, GRO: -1, GSO: -1},
+		core.Options{BurstSize: -1, GRO: -1, GSO: -1},
 		lockstep, 1, 30*time.Second)
 	on, cliSnap, _ := runTunnelStream(t,
-		core.Options{NetisrWorkers: 4},
+		core.Options{},
 		lockstep, 1, 30*time.Second)
 	diffTraces(t, "tunnel path, batching off vs on", off, on)
-	again, _, _ := runTunnelStream(t, core.Options{NetisrWorkers: 4}, lockstep, 1, 30*time.Second)
+	again, _, _ := runTunnelStream(t, core.Options{}, lockstep, 1, 30*time.Second)
 	diffTraces(t, "tunnel path, batched run vs its replay", on, again)
 
 	// The equivalence must have been earned: the batched sender really

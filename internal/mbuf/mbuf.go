@@ -75,11 +75,6 @@ type PktHdr struct {
 	// tell *which* associations protected the data.
 	AuxSPI []uint32
 
-	// Worker is the netisr worker index that is carrying this packet
-	// up the stack, so hot transport counters can bump their own
-	// shard (stat.Sharded) instead of a contended global atomic.
-	Worker int
-
 	// Encap counts tunnel encapsulations this packet has traversed on
 	// this node — incremented on every tunnel encap and decap, checked
 	// against the configured nesting limit (RFC 2473 "Tunnel

@@ -184,8 +184,8 @@ type portShard struct {
 	m  map[uint16]*portEntry
 }
 
-// DefaultShards is the demux shard count when the stack does not
-// override it (Options.PCBShards).
+// DefaultShards is the demux shard count of a new Table (SetShards
+// changes it).
 const DefaultShards = 32
 
 // Table is a per-protocol PCB table (BSD's udb / tcb).

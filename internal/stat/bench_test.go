@@ -1,30 +1,15 @@
 package stat
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
-// The pair below quantifies what sharding buys: every goroutine
-// hammering one atomic word ping-pongs its cache line between cores,
-// while per-worker slots let the same load scale with core count.
-
+// BenchmarkCounterIncParallel measures the contended case: every
+// goroutine hammers one atomic word, ping-ponging its cache line
+// between cores.
 func BenchmarkCounterIncParallel(b *testing.B) {
 	var c Counter
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			c.Inc()
-		}
-	})
-}
-
-func BenchmarkShardedIncParallel(b *testing.B) {
-	var c Sharded
-	var ticket atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		w := int(ticket.Add(1))
-		for pb.Next() {
-			c.Inc(w)
 		}
 	})
 }

@@ -17,18 +17,11 @@ func SnapshotCounters(stats any) map[string]uint64 {
 		return nil
 	}
 	ctype := reflect.TypeOf(Counter{})
-	stype := reflect.TypeOf(Sharded{})
 	out := make(map[string]uint64, v.NumField())
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
-		if !f.CanAddr() {
-			continue
-		}
-		switch f.Type() {
-		case ctype:
+		if f.CanAddr() && f.Type() == ctype {
 			out[v.Type().Field(i).Name] = f.Addr().Interface().(*Counter).Get()
-		case stype:
-			out[v.Type().Field(i).Name] = f.Addr().Interface().(*Sharded).Get()
 		}
 	}
 	return out

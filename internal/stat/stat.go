@@ -37,49 +37,3 @@ type noCopy struct{}
 
 func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
-
-// NumShards is the fixed slot count of a Sharded counter.  Sixteen
-// covers any plausible NetisrWorkers without per-stack sizing, and a
-// power of two lets Inc mask instead of divide.
-const NumShards = 16
-
-// shard is one cache-line-padded slot of a Sharded counter.  The pad
-// keeps adjacent shards out of the same 64-byte line, so two workers
-// bumping neighboring slots never ping-pong a cache line — the whole
-// point of sharding.
-type shard struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// Sharded is an event counter split into per-worker slots, for
-// counters hot enough that a single atomic becomes a cross-core
-// contention point at high NetisrWorkers.  Writers bump their own
-// slot (Inc/Add take the worker index); readers fold all slots with
-// Get.  The fold reads each slot atomically, so Get is exact once
-// writers are quiescent and never loses a bump — the same per-CPU
-// counter discipline modern BSDs use for their stats.  The zero value
-// is ready to use; must not be copied after first use.
-type Sharded struct {
-	_ noCopy
-	s [NumShards]shard
-}
-
-// Inc adds one on the worker's slot.
-func (c *Sharded) Inc(w int) { c.s[w&(NumShards-1)].v.Add(1) }
-
-// Add adds n on the worker's slot.
-func (c *Sharded) Add(w int, n uint64) { c.s[w&(NumShards-1)].v.Add(n) }
-
-// Get folds every slot into the counter's total.
-func (c *Sharded) Get() uint64 {
-	var sum uint64
-	for i := range c.s {
-		sum += c.s[i].v.Load()
-	}
-	return sum
-}
-
-// String renders the folded value, so sharded counters print like
-// plain ones with %v.
-func (c *Sharded) String() string { return strconv.FormatUint(c.Get(), 10) }

@@ -184,7 +184,7 @@ func (c *Conn) cookieAccept(th *Header, data []byte, meta *proto.Meta, src, dst 
 	// The completing ACK may carry data or a FIN; run the rest of the
 	// segment through the established machinery.
 	if len(data) > 0 || th.Flags&FlagFIN != 0 {
-		child.segInput(th, data, meta, src, dst, 0)
+		child.segInput(th, data, meta, src, dst)
 	}
 	return true
 }

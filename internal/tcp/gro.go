@@ -6,9 +6,9 @@ import (
 	"bsd6/internal/proto"
 )
 
-// Receive coalescing (a GRO analog).  A netisr worker draining a
-// burst of queued frames offers each IP frame to its GRO engine
-// before IP input.  Consecutive in-order data segments of the same
+// Receive coalescing (a GRO analog).  The netisr, draining a burst
+// of queued frames, offers each IP frame to the GRO engine before IP
+// input.  Consecutive in-order data segments of the same
 // TCP 4-tuple with compatible headers are merged into one
 // super-segment, so the whole burst pays one IP input pass, one demux
 // lookup, one lock acquisition and one header-prediction evaluation
@@ -28,9 +28,9 @@ import (
 // breaks the rules first flushes the pending super-segment, then
 // passes through untouched, so global arrival order is preserved.
 //
-// One engine belongs to one netisr worker and holds at most one
-// pending super-segment; the worker flushes it before sleeping, so
-// coalescing state never outlives a burst.
+// Each stack has one engine, owned by its netisr goroutine; it holds
+// at most one pending super-segment and the netisr flushes it before
+// sleeping, so coalescing state never outlives a burst.
 
 // groSeg is one original segment's boundary inside a super-segment.
 type groSeg struct {
@@ -46,12 +46,11 @@ type groMeta struct {
 	segs []groSeg
 }
 
-// GRO is a per-netisr-worker receive-coalescing engine. Not safe for
-// concurrent use; each worker owns one.
+// GRO is a netisr's receive-coalescing engine. Not safe for
+// concurrent use; the netisr goroutine owns it.
 type GRO struct {
-	t      *TCP
-	max    int // coalesced payload ceiling
-	worker int
+	t   *TCP
+	max int // coalesced payload ceiling
 
 	// Pending super-segment, nil when none.
 	pkt     *mbuf.Mbuf
@@ -64,14 +63,13 @@ type GRO struct {
 	segs    []groSeg
 }
 
-// NewGRO creates a coalescing engine for one netisr worker.  max
-// bounds the coalesced payload bytes (0 selects DefaultGROMax);
-// worker indexes the sharded counters the engine bumps.
-func (t *TCP) NewGRO(max, worker int) *GRO {
+// NewGRO creates a coalescing engine for a stack's netisr.  max
+// bounds the coalesced payload bytes (0 selects DefaultGROMax).
+func (t *TCP) NewGRO(max int) *GRO {
 	if max <= 0 {
 		max = DefaultGROMax
 	}
-	return &GRO{t: t, max: max, worker: worker}
+	return &GRO{t: t, max: max}
 }
 
 // groCand is the shallow parse of a coalescing candidate.
@@ -107,7 +105,7 @@ func (g *GRO) Push(pkt *mbuf.Mbuf, v4 bool) (flushed, pass *mbuf.Mbuf) {
 		g.nextSeq += uint32(c.tlen)
 		g.lastAck = c.ack
 		g.dataLen += c.tlen
-		g.t.Stats.GROCoalesced.Inc(g.worker)
+		g.t.Stats.GROCoalesced.Inc()
 		return nil, nil
 	}
 	// Not mergeable into the pending train (or none pending): flush,
@@ -159,7 +157,7 @@ func (g *GRO) Flush() *mbuf.Mbuf {
 			g.hb[4], g.hb[5] = byte(plen>>8), byte(plen)
 		}
 		pkt.Hdr().GRO = &groMeta{segs: g.segs}
-		g.t.Stats.GROFlushes.Inc(g.worker)
+		g.t.Stats.GROFlushes.Inc()
 	}
 	pkt.Hdr().Flags |= mbuf.MSumOK
 	g.hb = nil

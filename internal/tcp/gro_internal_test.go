@@ -56,7 +56,7 @@ func newGROWorld(tb testing.TB, v4 bool) *groWorld {
 	// In-flight bytes so replayed programs can exercise ACK advances.
 	c.sndBuf = make([]byte, 2000)
 	c.sndNxt, c.sndMax = 7000, 7000
-	return &groWorld{t: t, c: c, g: t.NewGRO(0, 0)}
+	return &groWorld{t: t, c: c, g: t.NewGRO(0)}
 }
 
 // groSpec describes one inbound frame for the builders.
@@ -308,7 +308,7 @@ func TestGROFlushBoundaries(t *testing.T) {
 
 func TestGROCeilingFlushes(t *testing.T) {
 	w := newGROWorld(t, false)
-	w.g = w.t.NewGRO(900, 0) // two 500-byte segments exceed it
+	w.g = w.t.NewGRO(900) // two 500-byte segments exceed it
 	if fl, pass := w.g.Push(groData(1000, 500, 1).frame6(), false); fl != nil || pass != nil {
 		t.Fatal("head not held")
 	}

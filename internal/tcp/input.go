@@ -20,7 +20,6 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 	// data into rcvBuf/reassQ and respondRST builds a fresh segment, so
 	// the pooled slab goes back to its pool on return.
 	defer pkt.Free()
-	w := pkt.Hdr().Worker
 	// A multi-segment GRO train stays chained: the header lives in the
 	// first chain segment and the payloads are delivered chain-aware by
 	// segInputGRO, so a 64KB train is never linearized (an allocation,
@@ -116,12 +115,12 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 	if g != nil && len(g.segs) > 1 {
 		nsegs = len(g.segs)
 	}
-	t.Stats.RcvPack.Add(w, uint64(nsegs))
-	t.Stats.RcvByte.Add(w, uint64(tlen))
+	t.Stats.RcvPack.Add(uint64(nsegs))
+	t.Stats.RcvByte.Add(uint64(tlen))
 	if nsegs > 1 {
-		c.segInputGRO(th, pkt, g, meta, src, dst, w)
+		c.segInputGRO(th, pkt, g, meta, src, dst)
 	} else {
-		c.segInput(th, data, meta, src, dst, w)
+		c.segInput(th, data, meta, src, dst)
 	}
 	t.mu.Unlock()
 	t.flush()
@@ -136,7 +135,7 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 // byte-identical to unbatched delivery.  Anything short of that
 // reconstructs each original segment from the recorded boundaries and
 // replays it through segInput verbatim.  t.mu held.
-func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.Meta, src, dst inet.IP6, w int) {
+func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.Meta, src, dst inet.IP6) {
 	t := c.t
 	tlen := pkt.Len() - HeaderLen
 	// Strip the TCP header; each remaining chain segment is one merged
@@ -182,7 +181,7 @@ func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.M
 		}
 	}
 	if fast {
-		t.Stats.PredDat.Add(w, uint64(len(g.segs)))
+		t.Stats.PredDat.Add(uint64(len(g.segs)))
 		off := 0
 		for i, s := range g.segs {
 			c.rcvNxt += uint32(s.len)
@@ -205,7 +204,7 @@ func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.M
 		sh := *th
 		sh.Seq = seq
 		sh.Ack = s.ack
-		c.segInput(&sh, seg(i, off), meta, src, dst, w)
+		c.segInput(&sh, seg(i, off), meta, src, dst)
 		off += s.len
 		seq += uint32(s.len)
 		if c.state == StateClosed {
@@ -214,9 +213,8 @@ func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.M
 	}
 }
 
-// segInput runs the state machine for one trimmed segment. w indexes
-// the sharded fast-path counters. t.mu held.
-func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet.IP6, w int) {
+// segInput runs the state machine for one trimmed segment. t.mu held.
+func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet.IP6) {
 	t := c.t
 	switch c.state {
 	case StateClosed:
@@ -250,7 +248,7 @@ func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet
 			// give output a chance at the freed window.
 			if seqGT(th.Ack, c.sndUna) && seqLEQ(th.Ack, c.sndMax) &&
 				c.cwnd >= c.sndWnd {
-				t.Stats.PredAck.Inc(w)
+				t.Stats.PredAck.Inc()
 				if c.ackNew(th.Ack) {
 					return
 				}
@@ -265,7 +263,7 @@ func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet
 			// Pure in-order data with an empty reassembly queue:
 			// deliver directly and schedule a delayed ACK — every
 			// other full segment forces one out (RFC 1122 §4.2.3.2).
-			t.Stats.PredDat.Inc(w)
+			t.Stats.PredDat.Inc()
 			c.rcvNxt += uint32(tlen)
 			c.rcvBuf = sbappend(&c.rcvArr, c.rcvBuf, data, c.RcvBufMax)
 			if c.delack {

@@ -21,7 +21,7 @@ func benchSegInputData(b *testing.B, predict bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		th.Seq = c.rcvNxt
-		c.segInput(th, payload, predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+		c.segInput(th, payload, predMeta, c.pcb.FAddr, c.pcb.LAddr)
 		if len(c.rcvBuf) >= 16384 {
 			c.rcvBuf = c.rcvBuf[:0]
 			c.t.outbox = c.t.outbox[:0]
@@ -43,7 +43,7 @@ func benchSegInputAck(b *testing.B, predict bool) {
 		c.sndNxt = c.sndUna + uint32(len(inflight))
 		c.sndMax = c.sndNxt
 		th.Ack = c.sndMax
-		c.segInput(th, nil, predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+		c.segInput(th, nil, predMeta, c.pcb.FAddr, c.pcb.LAddr)
 		if len(c.t.outbox) > 0 {
 			c.t.outbox = c.t.outbox[:0]
 		}

@@ -42,7 +42,7 @@ func TestPredAckFastPath(t *testing.T) {
 	c := newPredConn()
 	c.loadSndBuf(100)
 	th := &Header{Flags: FlagACK, Seq: 1000, Ack: 5100, Wnd: 8192}
-	c.segInput(th, nil, predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+	c.segInput(th, nil, predMeta, c.pcb.FAddr, c.pcb.LAddr)
 	if got := c.t.Stats.PredAck.Get(); got != 1 {
 		t.Fatalf("PredAck = %d, want 1", got)
 	}
@@ -60,7 +60,7 @@ func TestPredAckBypassWindowChange(t *testing.T) {
 	// Window update rides the ACK: must take the general path, which
 	// applies both the ack and the new window.
 	th := &Header{Flags: FlagACK, Seq: 1000, Ack: 5100, Wnd: 4096}
-	c.segInput(th, nil, predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+	c.segInput(th, nil, predMeta, c.pcb.FAddr, c.pcb.LAddr)
 	if c.t.Stats.PredAck.Get() != 0 {
 		t.Fatal("fast path taken despite window change")
 	}
@@ -74,7 +74,7 @@ func TestPredAckBypassRetransmitPending(t *testing.T) {
 	c.loadSndBuf(100)
 	c.sndNxt = 5050 // retransmission rewound sndNxt below sndMax
 	th := &Header{Flags: FlagACK, Seq: 1000, Ack: 5100, Wnd: 8192}
-	c.segInput(th, nil, predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+	c.segInput(th, nil, predMeta, c.pcb.FAddr, c.pcb.LAddr)
 	if c.t.Stats.PredAck.Get() != 0 {
 		t.Fatal("fast path taken while sndNxt != sndMax")
 	}
@@ -88,7 +88,7 @@ func TestPredAckBypassCongestionLimited(t *testing.T) {
 	c.loadSndBuf(100)
 	c.cwnd = 1024 // below sndWnd: cwnd still the binding limit
 	th := &Header{Flags: FlagACK, Seq: 1000, Ack: 5100, Wnd: 8192}
-	c.segInput(th, nil, predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+	c.segInput(th, nil, predMeta, c.pcb.FAddr, c.pcb.LAddr)
 	if c.t.Stats.PredAck.Get() != 0 {
 		t.Fatal("fast path taken while congestion-limited")
 	}
@@ -100,7 +100,7 @@ func TestPredAckBypassCongestionLimited(t *testing.T) {
 func TestPredDatFastPathAndAckEveryOther(t *testing.T) {
 	c := newPredConn()
 	th := &Header{Flags: FlagACK, Seq: 1000, Ack: 5000, Wnd: 8192}
-	c.segInput(th, []byte("abc"), predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+	c.segInput(th, []byte("abc"), predMeta, c.pcb.FAddr, c.pcb.LAddr)
 	if got := c.t.Stats.PredDat.Get(); got != 1 {
 		t.Fatalf("PredDat = %d, want 1", got)
 	}
@@ -114,7 +114,7 @@ func TestPredDatFastPathAndAckEveryOther(t *testing.T) {
 	// Second in-order segment: the delayed ACK converts to an
 	// immediate one (RFC 1122 §4.2.3.2 — at least every other).
 	th2 := &Header{Flags: FlagACK, Seq: 1003, Ack: 5000, Wnd: 8192}
-	c.segInput(th2, []byte("defg"), predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+	c.segInput(th2, []byte("defg"), predMeta, c.pcb.FAddr, c.pcb.LAddr)
 	if got := c.t.Stats.PredDat.Get(); got != 2 {
 		t.Fatalf("PredDat = %d, want 2", got)
 	}
@@ -130,7 +130,7 @@ func TestPredDatFastPathAndAckEveryOther(t *testing.T) {
 func TestPredDatBypassOutOfOrder(t *testing.T) {
 	c := newPredConn()
 	th := &Header{Flags: FlagACK, Seq: 1003, Ack: 5000, Wnd: 8192}
-	c.segInput(th, []byte("def"), predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+	c.segInput(th, []byte("def"), predMeta, c.pcb.FAddr, c.pcb.LAddr)
 	if c.t.Stats.PredDat.Get() != 0 {
 		t.Fatal("fast path took an out-of-order segment")
 	}
@@ -145,7 +145,7 @@ func TestPredDatBypassReassQueue(t *testing.T) {
 	// In-order segment, but the hole it fills means the queue must
 	// drain through the general path.
 	th := &Header{Flags: FlagACK, Seq: 1000, Ack: 5000, Wnd: 8192}
-	c.segInput(th, []byte("abc"), predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+	c.segInput(th, []byte("abc"), predMeta, c.pcb.FAddr, c.pcb.LAddr)
 	if c.t.Stats.PredDat.Get() != 0 {
 		t.Fatal("fast path taken with a non-empty reassembly queue")
 	}
@@ -157,7 +157,7 @@ func TestPredDatBypassReassQueue(t *testing.T) {
 func TestPredBypassURG(t *testing.T) {
 	c := newPredConn()
 	th := &Header{Flags: FlagACK | FlagURG, Seq: 1000, Ack: 5000, Wnd: 8192, Urp: 1}
-	c.segInput(th, []byte("abc"), predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+	c.segInput(th, []byte("abc"), predMeta, c.pcb.FAddr, c.pcb.LAddr)
 	if c.t.Stats.PredDat.Get() != 0 {
 		t.Fatal("fast path took an URG segment")
 	}
@@ -184,7 +184,7 @@ func TestPredictOffSameOutcome(t *testing.T) {
 		}
 		for _, s := range segs {
 			th := *s.th
-			c.segInput(&th, []byte(s.data), predMeta, c.pcb.FAddr, c.pcb.LAddr, 0)
+			c.segInput(&th, []byte(s.data), predMeta, c.pcb.FAddr, c.pcb.LAddr)
 		}
 	}
 	on, off := newPredConn(), newPredConn()

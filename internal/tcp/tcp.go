@@ -65,11 +65,7 @@ var (
 	ErrHostDown = errors.New("tcp: no route to host")
 )
 
-// Stats counts TCP events (netstat's tcpstat).  The receive-side hot
-// counters — bumped once per segment on every netisr worker — are
-// stat.Sharded so parallel workers increment their own cache line;
-// Snapshot folds them on read.  Counters bumped from socket callers
-// or timers (no worker identity, or cold paths) stay plain Counters.
+// Stats counts TCP events (netstat's tcpstat).
 type Stats struct {
 	ConnAttempt   stat.Counter
 	ConnAccepts   stat.Counter
@@ -78,16 +74,16 @@ type Stats struct {
 	SndPack       stat.Counter
 	SndByte       stat.Counter
 	SndRexmit     stat.Counter
-	RcvPack       stat.Sharded
-	RcvByte       stat.Sharded
+	RcvPack       stat.Counter
+	RcvByte       stat.Counter
 	RcvBadSum     stat.Counter
 	RcvDupPack    stat.Counter
 	RcvOutOfOrder stat.Counter
 	RcvAfterWin   stat.Counter
 	Reass4        stat.Counter // segments through tcp_reass
 	Reass6        stat.Counter // segments through tcpv6_reass
-	PredAck       stat.Sharded // pure ACKs taken by the header-prediction fast path
-	PredDat       stat.Sharded // in-order data segments taken by the fast path
+	PredAck       stat.Counter // pure ACKs taken by the header-prediction fast path
+	PredDat       stat.Counter // in-order data segments taken by the fast path
 	DelAcks       stat.Counter
 	RstOut        stat.Counter
 	PolicyDrops   stat.Counter
@@ -101,8 +97,8 @@ type Stats struct {
 	TimeWaitRecycled    stat.Counter // 2MSL records released early by a fresh SYN or connect
 	TimeWaitOverflow    stat.Counter // 2MSL records evicted by the TimeWaitMax cap
 
-	GROCoalesced stat.Sharded // received segments absorbed into a super-segment
-	GROFlushes   stat.Sharded // coalesced super-segments handed to tcp_input
+	GROCoalesced stat.Counter // received segments absorbed into a super-segment
+	GROFlushes   stat.Counter // coalesced super-segments handed to tcp_input
 	GSOSegs      stat.Counter // super-segments built by tcp_output
 	GSOSplits    stat.Counter // wire frames those super-segments cut into
 }

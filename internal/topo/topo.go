@@ -102,9 +102,7 @@ type Spec struct {
 	// are always statically numbered and routed.
 	Autoconf bool
 	// Stack is the Options template for every node (Clock is
-	// overridden by Spec.Clock; NetisrWorkers defaults to 1 here —
-	// hundreds of stacks × GOMAXPROCS workers oversubscribes the
-	// scheduler).
+	// overridden by Spec.Clock).
 	Stack core.Options
 	// Clock, when non-nil, runs the whole network on virtual time;
 	// nil runs on the real clock (benchmarks).
@@ -197,9 +195,6 @@ func Build(spec Spec) (*Network, error) {
 	opts := spec.Stack
 	if spec.Clock != nil {
 		opts.Clock = spec.Clock
-	}
-	if opts.NetisrWorkers == 0 {
-		opts.NetisrWorkers = 1
 	}
 
 	nw := &Network{Spec: spec, Clock: spec.Clock, severed: make(map[int]bool)}

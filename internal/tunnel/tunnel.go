@@ -19,9 +19,8 @@
 // compose on the ordinary machinery.  Decapsulation validates the
 // outer endpoints against the configured tunnels, charges typed drop
 // reasons for everything it refuses, and re-enters the inner IP
-// layer's input path through the tunnel device's Deliver — which means
-// the stack's flow steering re-hashes the now-inner headers, keeping
-// per-flow worker affinity stable across decapsulation.
+// layer's input path through the tunnel device's Deliver, so the inner
+// packet joins the stack's netisr queue like any received frame.
 //
 // Both encapsulation and decapsulation count against an RFC 2473-style
 // nesting limit carried in the packet header, so a tunnel routed into
@@ -393,9 +392,8 @@ func (m *Module) decapInput(pkt *mbuf.Mbuf, meta *proto.Meta) {
 	t.mu.Unlock()
 
 	// Re-enter the stack as if the inner packet arrived on the tunnel
-	// device.  The owning stack's input function runs its flow
-	// steering over the inner headers, so GRO's per-worker engines see
-	// stable inner tuples.
+	// device.  It joins the owning stack's netisr queue, where GRO sees
+	// the inner headers.
 	t.Ifp.Deliver(netif.Frame{EtherType: ether, Payload: pkt})
 }
 
