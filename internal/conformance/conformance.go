@@ -72,11 +72,11 @@ func NewNet() *Net {
 	n.llA = n.A.LinkLocal(0)
 	n.llB = n.B.LinkLocal(0)
 
-	n.B.V6.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ *proto.Meta) {
+	n.B.V6.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ proto.Meta) {
 		n.Delivered6 = append(n.Delivered6, pkt.CopyBytes())
 		pkt.Free()
 	}, nil)
-	n.B.V4.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ *proto.Meta) {
+	n.B.V4.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ proto.Meta) {
 		n.Delivered4 = append(n.Delivered4, pkt.CopyBytes())
 		pkt.Free()
 	}, nil)

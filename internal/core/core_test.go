@@ -269,6 +269,8 @@ func TestKeyDaemonAcquireFlow(t *testing.T) {
 
 	// The daemon: answer any ACQUIRE on either stack by installing the
 	// same SA on both (a stand-in for the key exchange protocol run).
+	// The receiving end gets it first: once the sender has it, its next
+	// datagram goes out at once, and the test sends no retry.
 	for _, pairS := range [][2]*core.Stack{{a, b}, {b, a}} {
 		local, remote := pairS[0], pairS[1]
 		ks := local.PFKey()
@@ -283,9 +285,9 @@ func TestKeyDaemonAcquireFlow(t *testing.T) {
 					SPI: 0x900, Src: m.SA.Src, Dst: m.SA.Dst, Proto: m.SA.Proto,
 					AuthAlg: "keyed-md5", AuthKey: authKey,
 				}
-				local.Keys.Add(sa)
 				remote.Keys.Add(&key.SA{SPI: 0x900, Src: m.SA.Src, Dst: m.SA.Dst, Proto: m.SA.Proto,
 					AuthAlg: "keyed-md5", AuthKey: authKey})
+				local.Keys.Add(sa)
 			}
 		}()
 	}

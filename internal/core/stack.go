@@ -714,7 +714,7 @@ func (s *Stack) Ping4(dst inet.IP4, id, seq uint16, payload []byte) error {
 }
 
 // deliverDatagram is the UDP-to-socket delivery glue.
-func deliverDatagram(p *pcb.PCB, data []byte, src inet.IP6, sport uint16, meta *proto.Meta) {
+func deliverDatagram(p *pcb.PCB, data []byte, src inet.IP6, sport uint16, meta proto.Meta) {
 	sock, _ := p.Socket.(*Socket)
 	if sock == nil {
 		return

@@ -343,7 +343,7 @@ func (m *Module) errAllow() bool {
 // It is the packet's terminal consumer: every branch below that keeps
 // data (echo callbacks, ND handlers, ctl dispatch) copies what it
 // needs before returning, so the buffer goes back to the pool here.
-func (m *Module) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
+func (m *Module) input(pkt *mbuf.Mbuf, meta proto.Meta) {
 	defer pkt.Free()
 	b := pkt.Bytes()
 	if len(b) < 4 {
@@ -387,7 +387,7 @@ func (m *Module) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 		if m.OnErrorMsg != nil && len(body) > 4 {
 			m.OnErrorMsg(typ, code, meta.Src6, append([]byte(nil), body[4:]...))
 		}
-		m.ctlDispatch(typ, code, body, meta)
+		m.ctlDispatch(typ, code, body, &meta)
 	case TypeNeighborSolicit, TypeNeighborAdvert, TypeRouterSolicit, TypeRouterAdvert:
 		// Discovery messages must arrive with hop limit 255: anything
 		// lower has crossed a router, so an off-link attacker cannot
@@ -400,16 +400,16 @@ func (m *Module) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 		switch typ {
 		case TypeNeighborSolicit:
 			m.Stats.InNS.Inc()
-			m.nsInput(body, meta)
+			m.nsInput(body, &meta)
 		case TypeNeighborAdvert:
 			m.Stats.InNA.Inc()
-			m.naInput(body, meta)
+			m.naInput(body, &meta)
 		case TypeRouterSolicit:
 			m.Stats.InRS.Inc()
-			m.rsInput(body, meta)
+			m.rsInput(body, &meta)
 		case TypeRouterAdvert:
 			m.Stats.InRA.Inc()
-			m.raInput(body, meta)
+			m.raInput(body, &meta)
 		}
 	case TypeGroupQuery, TypeGroupReport, TypeGroupTerminate:
 		// Group membership traffic is link-scope (§4.1): senders use
@@ -429,10 +429,10 @@ func (m *Module) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 		}
 		if typ == TypeGroupQuery {
 			m.Stats.InQueries.Inc()
-			m.queryInput(body, meta)
+			m.queryInput(body, &meta)
 		} else {
 			m.Stats.InReports.Inc()
-			m.reportInput(typ, body, meta)
+			m.reportInput(typ, body, &meta)
 		}
 	}
 }

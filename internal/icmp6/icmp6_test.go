@@ -603,7 +603,7 @@ func TestHopLimitExceeded(t *testing.T) {
 	a, _, _ := threeNode(t, 1500)
 	var mu sync.Mutex
 	var got proto.CtlType
-	a.l.Register(proto.UDP, func(*mbuf.Mbuf, *proto.Meta) {}, func(kind proto.CtlType, meta *proto.Meta, contents []byte, mtu int) {
+	a.l.Register(proto.UDP, func(*mbuf.Mbuf, proto.Meta) {}, func(kind proto.CtlType, meta *proto.Meta, contents []byte, mtu int) {
 		mu.Lock()
 		got = kind
 		mu.Unlock()
@@ -623,7 +623,7 @@ func TestNoRouteElicitsUnreach(t *testing.T) {
 	a, _, _ := threeNode(t, 1500)
 	var mu sync.Mutex
 	var got proto.CtlType
-	a.l.Register(proto.UDP, func(*mbuf.Mbuf, *proto.Meta) {}, func(kind proto.CtlType, meta *proto.Meta, contents []byte, mtu int) {
+	a.l.Register(proto.UDP, func(*mbuf.Mbuf, proto.Meta) {}, func(kind proto.CtlType, meta *proto.Meta, contents []byte, mtu int) {
 		mu.Lock()
 		got = kind
 		mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"bsd6/internal/key"
 	"bsd6/internal/mbuf"
 	"bsd6/internal/proto"
+	"bsd6/internal/route"
 )
 
 func aeadSA(t testing.TB, alg string) *key.SA {
@@ -168,43 +169,151 @@ func chainOf(data []byte, cuts ...int) *mbuf.Mbuf {
 	return m
 }
 
+// sealShapes are the packets the seal path meets, each built fresh
+// around data: a pooled packet with room on both sides, sealed where
+// it lies, and three that are first gathered into a fresh buffer — a
+// multi-segment chain, a packet whose bytes are not from the pool, and
+// a pooled packet whose slab has no trailing space left.
+var sealShapes = []struct {
+	name    string
+	inPlace bool
+	build   func(data []byte) *mbuf.Mbuf
+}{
+	{"pooled", true, func(data []byte) *mbuf.Mbuf {
+		m := mbuf.Get(len(data))
+		copy(m.Bytes(), data)
+		return m
+	}},
+	{"chain", false, func(data []byte) *mbuf.Mbuf { return chainOf(data, 17, 100, 333) }},
+	{"new", false, func(data []byte) *mbuf.Mbuf { return mbuf.New(data) }},
+	{"full-slab", false, func(data []byte) *mbuf.Mbuf {
+		m := mbuf.Get(1792 - mbuf.Headroom) // fills its slab class
+		m.Adj(m.Len() - len(data))
+		copy(m.Bytes(), data)
+		return m
+	}},
+}
+
+// sealMatchesOracle seals a packet of the given shape under tx with
+// prefix and checks the result byte for byte against the flat oracle
+// sealing prefix||data under ref, a twin of tx.  CBC rows draw a random
+// IV, so the oracle is handed the one the sealed packet carries.
+func sealMatchesOracle(t *testing.T, alg, shape string, inPlace bool, pkt *mbuf.Mbuf, tx, ref *key.SA, prefix, data []byte, ptype uint8) {
+	t.Helper()
+	out, err := wrapESPChain(tx, prefix, pkt, ptype)
+	if err != nil {
+		t.Fatalf("%s/%s: seal: %v", alg, shape, err)
+	}
+	defer out.Free()
+	if (out == pkt) != inPlace {
+		t.Fatalf("%s/%s: sealed in place = %v, want %v", alg, shape, out == pkt, inPlace)
+	}
+	if out.Segments() != 1 {
+		t.Fatalf("%s/%s: sealed packet has %d segments", alg, shape, out.Segments())
+	}
+	got := out.Bytes()
+	var iv []byte
+	if _, ok := LookupAEAD(alg); !ok {
+		bs := espSchedule(tx).block.BlockSize()
+		iv = got[4 : 4+bs]
+	}
+	want, err := buildESPTransportIV(ref, append(append([]byte(nil), prefix...), data...), ptype, iv)
+	if err != nil {
+		t.Fatalf("%s/%s: oracle: %v", alg, shape, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s/%s: sealed %d bytes differ from the oracle's %d", alg, shape, len(got), len(want))
+	}
+}
+
 func TestWrapESPChainMatchesFlat(t *testing.T) {
-	// The chain-aware seal must produce a payload the flat opener
-	// accepts, for every AEAD and classic CBC row.
+	// Transport mode: for every AEAD and CBC row and every packet
+	// shape, in place or gathered, the seal is byte-identical to the
+	// flat oracle's.  Poison is on, so a seal that read or left
+	// anything in a freed slab would show.
+	mbuf.SetPoison(true)
+	defer mbuf.SetPoison(false)
+	src, dst := ip6(t, "2001:db8::1"), ip6(t, "2001:db8::2")
+	data := bytes.Repeat([]byte("chain-aware segment data "), 20)
 	for _, alg := range espRows {
-		sa := rowSA(t, alg, key.ProtoESPTransport, 0x3003, ip6(t, "2001:db8::1"), ip6(t, "2001:db8::2"))
-		data := bytes.Repeat([]byte("chain-aware segment data "), 20)
-		chain := chainOf(data, 17, 100, 333)
-		out, err := wrapESPChain(sa, nil, chain, proto.TCP)
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
+		for _, sh := range sealShapes {
+			tx := rowSA(t, alg, key.ProtoESPTransport, 0x3003, src, dst)
+			ref := rowSA(t, alg, key.ProtoESPTransport, 0x3003, src, dst)
+			sealMatchesOracle(t, alg, sh.name, sh.inPlace, sh.build(data), tx, ref, nil, data, proto.TCP)
 		}
-		inner, nh, err := openESP(sa, out.Bytes())
-		if err != nil || nh != proto.TCP || !bytes.Equal(inner, data) {
-			t.Fatalf("%s: chain wrap round trip failed: err=%v nh=%d", alg, err, nh)
-		}
-		out.Free()
-		chain.Free()
 	}
 }
 
 func TestWrapESPChainPrefix(t *testing.T) {
-	// Tunnel mode passes the marshaled inner header as prefix; the
-	// opener must see prefix||payload as one plaintext.
-	sa := aeadSA(t, "aes-gcm")
-	prefix := []byte("INNER-HEADER")
-	data := []byte("inner payload bytes")
-	chain := chainOf(data, 5)
-	out, err := wrapESPChain(sa, prefix, chain, proto.IPv6)
-	if err != nil {
-		t.Fatal(err)
+	// Tunnel mode passes the marshaled inner header as prefix: the
+	// seal must equal the flat tunnel oracle's, prefix||payload
+	// encrypted as one datagram, for every row and shape.
+	mbuf.SetPoison(true)
+	defer mbuf.SetPoison(false)
+	src, dst := ip6(t, "2001:db8::1"), ip6(t, "2001:db8::2")
+	inner := &ipv6.Header{HopLimit: 64, Src: src, Dst: dst}
+	data := bytes.Repeat([]byte("inner payload bytes "), 25)
+	prefix := tunnelDatagram(inner, data, proto.TCP)[:ipv6.HeaderLen]
+	for _, alg := range espRows {
+		for _, sh := range sealShapes {
+			tx := rowSA(t, alg, key.ProtoESPTunnel, 0x3004, src, dst)
+			ref := rowSA(t, alg, key.ProtoESPTunnel, 0x3004, src, dst)
+			sealMatchesOracle(t, alg, sh.name, sh.inPlace, sh.build(data), tx, ref, prefix, data, proto.IPv6)
+		}
 	}
-	inner, nh, err := openESP(sa, out.Bytes())
-	if err != nil || nh != proto.IPv6 || !bytes.Equal(inner, append(append([]byte(nil), prefix...), data...)) {
-		t.Fatalf("prefix wrap: err=%v nh=%d", err, nh)
+}
+
+// TestOutputPolicyCounters drives a fixed stream through the output
+// hook under ESP transport plus ESP tunnel and checks the service
+// counters and each association's packet and byte counts: every
+// association is charged the length of the packet it was handed,
+// before its own wrapping.
+func TestOutputPolicyCounters(t *testing.T) {
+	src, dst := ip6(t, "2001:db8::1"), ip6(t, "2001:db8::2")
+	m := Attach(ipv6.NewLayer(route.NewTable()), key.NewEngine())
+	esp := rowSA(t, "aes-gcm", key.ProtoESPTransport, 0x3101, src, dst)
+	tun := rowSA(t, "des-cbc", key.ProtoESPTunnel, 0x3102, src, dst)
+	for _, sa := range []*key.SA{esp, tun} {
+		if err := m.Key.Add(sa); err != nil {
+			t.Fatal(err)
+		}
 	}
-	out.Free()
-	chain.Free()
+	m.SetSystemPolicy(SockOpts{ESPTransport: LevelRequire, ESPTunnel: LevelRequire})
+	hdr := ipv6.Header{HopLimit: 64, Src: src, Dst: dst}
+	var espBytes, tunBytes uint64
+	for i, n := range []int{1, 20, 100, 536, 1200, 1400} {
+		pkt := mbuf.Get(n)
+		copy(pkt.Bytes(), bytes.Repeat([]byte{byte(i)}, n))
+		out, nh, odst, err := m.OutputPolicy(hdr, pkt, proto.UDP, nil, nil)
+		if err != nil || nh != proto.ESP || odst != dst {
+			t.Fatalf("%d bytes: nh=%d dst=%v err=%v", n, nh, odst, err)
+		}
+		espOut := espAEADHdr + n + 1 + 16               // aes-gcm transport framing
+		tunIn := ipv6.HeaderLen + espOut                // inner header + transport ESP
+		tunOut := 4 + 8 + tunIn + (8-(tunIn+2)%8)%8 + 2 // des-cbc framing
+		if out.Len() != tunOut {
+			t.Fatalf("%d bytes: sealed %d, want %d", n, out.Len(), tunOut)
+		}
+		out.Free()
+		espBytes += uint64(n)
+		tunBytes += uint64(espOut)
+	}
+	if got := m.Stats.OutESP.Get(); got != 6 {
+		t.Errorf("OutESP = %d, want 6", got)
+	}
+	if got := m.Stats.OutTunnel.Get(); got != 6 {
+		t.Errorf("OutTunnel = %d, want 6", got)
+	}
+	for _, c := range []struct {
+		name  string
+		sa    *key.SA
+		bytes uint64
+	}{{"transport", esp, espBytes}, {"tunnel", tun, tunBytes}} {
+		if c.sa.OutPkts != 6 || c.sa.OutBytes != c.bytes || c.sa.ByteCount != c.bytes {
+			t.Errorf("%s SA: OutPkts=%d OutBytes=%d ByteCount=%d, want 6, %d, %d",
+				c.name, c.sa.OutPkts, c.sa.OutBytes, c.sa.ByteCount, c.bytes, c.bytes)
+		}
+	}
 }
 
 func TestBuildAHChainVerifies(t *testing.T) {
@@ -229,16 +338,17 @@ func TestBuildAHChainVerifies(t *testing.T) {
 	chain.Free()
 }
 
-func BenchmarkAEADSeal(b *testing.B) {
-	sa := aeadSA(b, "aes-gcm")
+// sealBench times the seal path on a fresh pooled 1400-byte packet per
+// iteration, as output hands it one: sealing consumes its input.
+func sealBench(b *testing.B, sa *key.SA) {
 	data := bytes.Repeat([]byte("x"), 1400)
-	chain := mbuf.New(data)
-	defer chain.Free()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := wrapESPChain(sa, nil, chain, proto.TCP)
+		pkt := mbuf.Get(len(data))
+		copy(pkt.Bytes(), data)
+		out, err := wrapESPChain(sa, nil, pkt, proto.TCP)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,38 +356,26 @@ func BenchmarkAEADSeal(b *testing.B) {
 	}
 }
 
-func BenchmarkDESCBCSeal(b *testing.B) {
-	sa := espSA(b, "des-cbc")
-	data := bytes.Repeat([]byte("x"), 1400)
-	chain := mbuf.New(data)
-	defer chain.Free()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := wrapESPChain(sa, nil, chain, proto.TCP)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out.Free()
-	}
-}
+func BenchmarkAEADSeal(b *testing.B) { sealBench(b, aeadSA(b, "aes-gcm")) }
+
+func BenchmarkDESCBCSeal(b *testing.B) { sealBench(b, espSA(b, "des-cbc")) }
 
 // BenchmarkESPSealOpen is one secured packet's crypto round trip on the
-// production paths: a 1400-byte aes-gcm seal, the base header
-// prepended into the slab headroom, and the in-place open.
+// production paths: a fresh pooled 1400-byte segment sealed in place
+// under aes-gcm, the base header prepended into the slab headroom, and
+// the in-place open.
 func BenchmarkESPSealOpen(b *testing.B) {
 	sa := aeadSA(b, "aes-gcm")
 	data := bytes.Repeat([]byte("x"), 1400)
-	chain := mbuf.New(data)
-	defer chain.Free()
 	hdr := make([]byte, ipv6.HeaderLen)
 	s := espSchedule(sa)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := wrapESPChain(sa, nil, chain, proto.TCP)
+		pkt := mbuf.Get(len(data))
+		copy(pkt.Bytes(), data)
+		out, err := wrapESPChain(sa, nil, pkt, proto.TCP)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"crypto/md5"
 	"crypto/rand"
 	"crypto/sha1"
+	"crypto/subtle"
 	"fmt"
 	"hash"
 	"sort"
@@ -102,15 +103,33 @@ func (e *encAlg) NewCipher(key []byte) (cipher.Block, error) {
 // place, CBC-chained from iv — "a generic reblocking function that
 // runs a specified encryption or decryption function over the data
 // while arranging it into properly sized blocks" (§3.2). data must be
-// a whole number of blocks.
+// a whole number of blocks.  The chaining is done here, block by block
+// where the bytes lie, so a packet's cipher pass allocates nothing.
 func Reblock(blk cipher.Block, iv []byte, data []byte, encrypt bool) error {
-	if len(data)%blk.BlockSize() != 0 {
-		return fmt.Errorf("ipsec: data length %d not a multiple of block size %d", len(data), blk.BlockSize())
+	bs := blk.BlockSize()
+	if len(data)%bs != 0 {
+		return fmt.Errorf("ipsec: data length %d not a multiple of block size %d", len(data), bs)
 	}
 	if encrypt {
-		cipher.NewCBCEncrypter(blk, iv).CryptBlocks(data, data)
-	} else {
-		cipher.NewCBCDecrypter(blk, iv).CryptBlocks(data, data)
+		prev := iv
+		for off := 0; off < len(data); off += bs {
+			b := data[off : off+bs]
+			subtle.XORBytes(b, b, prev)
+			blk.Encrypt(b, b)
+			prev = b
+		}
+		return nil
+	}
+	// Decrypt from the last block back, so every block's predecessor
+	// is still ciphertext when it is needed.
+	for off := len(data) - bs; off >= 0; off -= bs {
+		b := data[off : off+bs]
+		blk.Decrypt(b, b)
+		prev := iv
+		if off > 0 {
+			prev = data[off-bs : off]
+		}
+		subtle.XORBytes(b, b, prev)
 	}
 	return nil
 }

@@ -326,7 +326,7 @@ func TestInputPolicyDropsCleartext(t *testing.T) {
 	b.sec.SetSystemPolicy(SockOpts{Auth: LevelRequire})
 	var mu sync.Mutex
 	delivered := 0
-	b.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, meta *proto.Meta) {
+	b.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, meta proto.Meta) {
 		if b.sec.InputPolicy(pkt, meta.Dst6, nil) {
 			mu.Lock()
 			delivered++

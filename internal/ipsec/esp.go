@@ -34,8 +34,9 @@ import (
 // payloadType = 41 (IPv6).
 //
 // There is one seal path (wrapESPChain) and one open path
-// (openESPInPlace, driven by Module.Input); the flat reference
-// builders they are tested against live in the package tests.
+// (openESPInPlace, driven by Module.Input), and both work in place on
+// the packet's own buffer; the flat reference builders they are
+// tested against live in the package tests.
 
 // Errors from ESP input processing.
 var (
@@ -92,57 +93,85 @@ func newESPSched(alg string, k []byte) *espSched {
 	return s
 }
 
-// wrapESPChain is the ESP seal path, for both modes: it wraps prefix
+// wrapESPChain is the ESP seal path, for both modes: it seals prefix
 // (the marshaled inner header in tunnel mode, empty in transport mode)
-// followed by payload's content into a fresh pooled ESP mbuf.  The
-// output path hands over an mbuf chain (a GSO-sized transport burst is
-// several pooled segments); it is gathered once, directly at its final
-// wire offset, and the cipher runs in place there — one copy total, and
-// the result keeps slab headroom so the IPv6 header prepend downstream
-// stays in place too.
-func wrapESPChain(sa *key.SA, prefix []byte, payload *mbuf.Mbuf, payloadType uint8) (*mbuf.Mbuf, error) {
+// followed by pkt's content, in place, and returns the sealed packet.
+// The SPI, sequence number or IV and the prefix are written into the
+// slab's leading space, the pad, next-header byte and ICV into its
+// trailing space, and the cipher runs over the bytes where they lie:
+// no copy, no allocation.  A packet without that room (several
+// segments, bytes not from the pool, or a slab too full for the
+// trailer) is first gathered into a fresh pooled buffer — one copy —
+// and sealed there by the same code.
+//
+// wrapESPChain consumes pkt: on success the sealed packet (pkt itself,
+// or the gathered buffer that replaced it) is the caller's, and on
+// error pkt has been freed.
+func wrapESPChain(sa *key.SA, prefix []byte, pkt *mbuf.Mbuf, payloadType uint8) (*mbuf.Mbuf, error) {
 	s := espSchedule(sa)
 	if s.err != nil {
+		pkt.Free()
 		return nil, s.err
 	}
-	plen := len(prefix) + payload.Len()
+	plen := len(prefix) + pkt.Len()
 	if s.aead != nil {
+		// The nonce is built in the trailing space just past the
+		// sealed end and trimmed off afterwards, so it never escapes
+		// to the heap.
+		trail := 1 + s.aead.Overhead() + aeadNonceLen
+		pkt = sealRoom(pkt, espAEADHdr+len(prefix), trail)
 		seq := sa.NextSeq()
-		total := espAEADHdr + plen + 1 + s.aead.Overhead()
-		// The nonce is built in the slab just past the sealed end and
-		// trimmed off afterwards, so it never escapes to the heap.
-		out := mbuf.Get(total + aeadNonceLen)
-		b := out.Bytes()
-		put32(b, sa.SPI)
-		put64(b[4:], seq)
-		nonce := b[total:]
+		h := pkt.PrependN(espAEADHdr + len(prefix))
+		put32(h, sa.SPI)
+		put64(h[4:], seq)
+		copy(h[espAEADHdr:], prefix)
+		t := pkt.AppendN(trail)
+		t[0] = payloadType
+		nonce := t[trail-aeadNonceLen:]
 		copy(nonce, s.salt)
 		put64(nonce[aeadSaltLen:], seq)
+		b := pkt.Bytes()
 		pt := b[espAEADHdr : espAEADHdr+plen+1]
-		payload.CopyTo(pt[copy(pt, prefix):])
-		pt[plen] = payloadType
 		s.aead.Seal(pt[:0], nonce, pt, b[:espAEADHdr])
-		out.Adj(-aeadNonceLen)
-		return out, nil
+		pkt.Adj(-aeadNonceLen)
+		return pkt, nil
 	}
 
 	bs := s.block.BlockSize()
 	pad := (bs - (plen+2)%bs) % bs
-	out := mbuf.Get(4 + bs + plen + pad + 2)
-	b := out.Bytes()
-	put32(b, sa.SPI)
-	newIV(b[4 : 4+bs])
-	body := b[4+bs:]
-	n := copy(body, prefix)
-	n += payload.CopyTo(body[n:])
-	clear(body[n : len(body)-2])
-	body[len(body)-2] = byte(pad)
-	body[len(body)-1] = payloadType
-	if err := Reblock(s.block, b[4:4+bs], body, true); err != nil {
-		out.Free()
+	pkt = sealRoom(pkt, 4+bs+len(prefix), pad+2)
+	h := pkt.PrependN(4 + bs + len(prefix))
+	put32(h, sa.SPI)
+	newIV(h[4 : 4+bs])
+	copy(h[4+bs:], prefix)
+	t := pkt.AppendN(pad + 2)
+	clear(t[:pad])
+	t[pad] = byte(pad)
+	t[pad+1] = payloadType
+	b := pkt.Bytes()
+	if err := Reblock(s.block, b[4:4+bs], b[4+bs:], true); err != nil {
+		pkt.Free()
 		return nil, err
 	}
-	return out, nil
+	return pkt, nil
+}
+
+// sealRoom returns pkt if it is one pooled segment with lead bytes of
+// leading and trail bytes of trailing slab space, so the ESP framing
+// can be written around the payload where it lies.  Otherwise it
+// gathers pkt into a fresh pooled buffer that has both, frees pkt, and
+// returns the buffer carrying pkt's socket back pointer.
+func sealRoom(pkt *mbuf.Mbuf, lead, trail int) *mbuf.Mbuf {
+	if l, t := pkt.Room(); l >= lead && t >= trail {
+		return pkt
+	}
+	n := pkt.Len()
+	out := mbuf.Get(n + trail) // Get leaves Headroom >= lead in front
+	pkt.CopyTo(out.Bytes())
+	out.Adj(-trail)
+	out.Hdr().Socket = pkt.Hdr().Socket
+	pkt.Free()
+	return out
 }
 
 // openESPInPlace is the ESP open path: it authenticates and decrypts

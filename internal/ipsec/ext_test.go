@@ -73,7 +73,7 @@ func TestTunnelToSecurityGateway(t *testing.T) {
 	var mu sync.Mutex
 	var got []byte
 	var gotSrc inet.IP6
-	srv.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, meta *proto.Meta) {
+	srv.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, meta proto.Meta) {
 		mu.Lock()
 		got = pkt.CopyBytes()
 		gotSrc = meta.Src6
@@ -117,8 +117,8 @@ func TestPortPolicyRequiresAuth(t *testing.T) {
 
 	var mu sync.Mutex
 	delivered := map[uint16]int{}
-	deliver := func(port uint16) func(pkt *mbuf.Mbuf, meta *proto.Meta) {
-		return func(pkt *mbuf.Mbuf, meta *proto.Meta) {
+	deliver := func(port uint16) func(pkt *mbuf.Mbuf, meta proto.Meta) {
+		return func(pkt *mbuf.Mbuf, meta proto.Meta) {
 			if b.sec.InputPolicyPort(pkt, meta.Dst6, nil, port) {
 				mu.Lock()
 				delivered[port]++

@@ -116,7 +116,7 @@ func TestInPlaceOpenMatchesOracle(t *testing.T) {
 			}
 
 			pkt, hdr := espPacket(src, dst, esp)
-			if act := m.Input(pkt, hdr, proto.ESP, ipv6.HeaderLen); act != ipv6.SecReinject {
+			if act := m.Input(pkt, *hdr, proto.ESP, ipv6.HeaderLen); act != ipv6.SecReinject {
 				t.Fatalf("%s: Input = %v, want SecReinject", name, act)
 			}
 			if got := pkt.Bytes(); !bytes.Equal(got, want) {
@@ -146,7 +146,7 @@ type udpSink struct {
 }
 
 func (s *udpSink) hook(n *secNode) {
-	n.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ *proto.Meta) {
+	n.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ proto.Meta) {
 		s.mu.Lock()
 		s.flags = append(s.flags, pkt.Hdr().Flags)
 		s.mu.Unlock()

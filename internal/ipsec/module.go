@@ -242,13 +242,16 @@ func (m *Module) resolveOut(hdr *ipv6.Header, socket any, eff SockOpts) (*secVer
 // Engine — through the caller's generation-validated cache when one is
 // supplied, so steady-state sends never touch the SA table — and
 // applies the needed services to the fragmentable part: ESP transport
-// innermost, then ESP tunnel, then AH outermost.  The transforms are
-// chain-aware: the payload chain is gathered at most once, directly
-// into the pooled output buffer, and AH is prepended in place.
-func (m *Module) OutputPolicy(hdr *ipv6.Header, payload *mbuf.Mbuf, nh uint8, socket any, sc *key.Cache) (*mbuf.Mbuf, uint8, error) {
+// innermost, then ESP tunnel, then AH outermost.  Every transform
+// works on the packet in place: ESP seals around the payload where it
+// lies (gathering it once first only when it has no room) and AH is
+// prepended into the leading space.  It consumes pkt on every path, as
+// ipv6.SecOutputFunc requires, and returns the destination the outer
+// header carries.
+func (m *Module) OutputPolicy(hdr ipv6.Header, pkt *mbuf.Mbuf, nh uint8, socket any, sc *key.Cache) (*mbuf.Mbuf, uint8, inet.IP6, error) {
 	eff := m.effective(socket)
 	if eff.Bypass || eff == (SockOpts{}) {
-		return payload, nh, nil
+		return pkt, nh, hdr.Dst, nil
 	}
 
 	var v *secVerdict
@@ -266,37 +269,31 @@ func (m *Module) OutputPolicy(hdr *ipv6.Header, payload *mbuf.Mbuf, nh uint8, so
 		// compare, never wrongly fresh (the route.Cache discipline).
 		gen := m.Key.Gen()
 		var err error
-		if v, err = m.resolveOut(hdr, socket, eff); err != nil {
-			return nil, 0, err
+		if v, err = m.resolveOut(&hdr, socket, eff); err != nil {
+			pkt.Free()
+			return nil, 0, hdr.Dst, err
 		}
 		if sc != nil {
 			sc.Fill(m.Key, gen, hdr.Src, hdr.Dst, v.deadline, v)
 		}
 	}
 
-	// Apply the services.  cur tracks the working packet; the caller's
-	// payload stays alive (and owned by the caller) until the whole
-	// pipeline succeeds, so an error mid-way never double-frees.
-	cur, curNH := payload, nh
-	fail := func(werr error) (*mbuf.Mbuf, uint8, error) {
-		if cur != payload {
-			cur.Free()
-		}
+	// Apply the services, each to the packet the previous one left.
+	// A failed ESP seal has freed the packet; a failed AH has not.
+	wrapFail := func(werr error) (*mbuf.Mbuf, uint8, inet.IP6, error) {
 		m.Stats.OutPolicyDrops.Inc()
-		return nil, 0, fmt.Errorf("%w: %v", EIPSEC, werr)
+		return nil, 0, hdr.Dst, fmt.Errorf("%w: %v", EIPSEC, werr)
 	}
 
 	if sa := v.esp; sa != nil {
-		out, werr := wrapESPChain(sa, nil, cur, curNH)
-		if werr != nil {
-			return fail(werr)
+		n := pkt.Len()
+		var werr error
+		if pkt, werr = wrapESPChain(sa, nil, pkt, nh); werr != nil {
+			return wrapFail(werr)
 		}
 		m.Stats.OutESP.Inc()
-		sa.CountOut(cur.Len())
-		if cur != payload {
-			cur.Free()
-		}
-		cur, curNH = out, proto.ESP
+		sa.CountOut(n)
+		nh = proto.ESP
 	}
 
 	if sa := v.tun; sa != nil {
@@ -305,41 +302,31 @@ func (m *Module) OutputPolicy(hdr *ipv6.Header, payload *mbuf.Mbuf, nh uint8, so
 		// is a security gateway ("prepending an additional cleartext
 		// IP header outside the encrypted IP datagram so that the
 		// packet can be routed", §3).
-		inner := *hdr
-		inner.NextHdr = curNH
-		inner.PayloadLen = cur.Len()
+		n := pkt.Len()
+		inner := hdr
+		inner.NextHdr = nh
+		inner.PayloadLen = n
 		var ib [ipv6.HeaderLen]byte
-		out, werr := wrapESPChain(sa, inner.Marshal(ib[:0]), cur, proto.IPv6)
-		if werr != nil {
-			return fail(werr)
+		var werr error
+		if pkt, werr = wrapESPChain(sa, inner.Marshal(ib[:0]), pkt, proto.IPv6); werr != nil {
+			return wrapFail(werr)
 		}
 		m.Stats.OutTunnel.Inc()
-		sa.CountOut(cur.Len())
-		if cur != payload {
-			cur.Free()
-		}
-		cur, curNH = out, proto.ESP
-		if sa.Dst != hdr.Dst {
-			hdr.Dst = sa.Dst // the layer re-routes toward the gateway
-		}
+		sa.CountOut(n)
+		nh = proto.ESP
+		hdr.Dst = sa.Dst // the layer re-routes toward the gateway
 	}
 
 	if sa := v.ah; sa != nil {
-		if werr := buildAHChain(sa, hdr, cur, curNH); werr != nil {
-			return fail(werr)
+		if werr := buildAHChain(sa, &hdr, pkt, nh); werr != nil {
+			pkt.Free()
+			return wrapFail(werr)
 		}
 		m.Stats.OutAH.Inc()
-		sa.CountOut(cur.Len())
-		curNH = proto.AH
+		sa.CountOut(pkt.Len())
+		nh = proto.AH
 	}
-
-	if cur != payload {
-		cur.Hdr().Socket = payload.Hdr().Socket
-		// Every wrap above gathered the bytes into a fresh pooled
-		// buffer; the original chain is dead — recycle it.
-		payload.Free()
-	}
-	return cur, curNH, nil
+	return pkt, nh, hdr.Dst, nil
 }
 
 // spiMissReason types an inbound SA lookup failure for the drop
@@ -371,7 +358,7 @@ func (m *Module) replayDrop(sa *key.SA, b []byte) {
 // committed to it only after the integrity check passes.  ESP is
 // opened in place: pkt is trimmed down to the rebuilt datagram and the
 // layer reinjects it.  Input never frees pkt.
-func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) ipv6.SecAction {
+func (m *Module) Input(pkt *mbuf.Mbuf, hdr ipv6.Header, p uint8, off int) ipv6.SecAction {
 	b := pkt.Bytes()
 	switch p {
 	case proto.AH:
@@ -402,7 +389,7 @@ func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) ipv6.
 				return ipv6.SecDrop
 			}
 		}
-		_, _, seq, ok := verifyAHSeq(sa, hdr, b, off)
+		_, _, seq, ok := verifyAHSeq(sa, &hdr, b, off)
 		if !ok {
 			m.Stats.InAuthFail.Inc()
 			m.l.Drops.DropPkt(stat.RSecAuthFail, b)
@@ -415,7 +402,7 @@ func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) ipv6.
 		m.Stats.InAuthOK.Inc()
 		sa.CountIn(len(b) - off)
 		pkt.Hdr().Flags |= mbuf.MAuthentic
-		pkt.Hdr().AuxSPI = append(pkt.Hdr().AuxSPI, spi)
+		pkt.Hdr().AddSPI(spi)
 		return ipv6.SecContinue
 
 	case proto.ESP:
@@ -474,7 +461,7 @@ func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) ipv6.
 		end := start + len(inner)
 		h := pkt.Hdr()
 		h.Flags |= mbuf.MDecrypted
-		h.AuxSPI = append(h.AuxSPI, spi)
+		h.AddSPI(spi)
 		if sa.Proto == key.ProtoESPTunnel || payloadType == proto.IPv6 {
 			// Tunnel mode: the plaintext is a complete datagram.
 			ih, perr := ipv6.Parse(inner)
@@ -495,7 +482,7 @@ func (m *Module) Input(pkt *mbuf.Mbuf, hdr *ipv6.Header, p uint8, off int) ipv6.
 			// bytes just before the plaintext, so the decrypted
 			// upper-layer content sits directly under it.
 			start -= ipv6.HeaderLen
-			nhdr := *hdr
+			nhdr := hdr
 			nhdr.NextHdr = payloadType
 			nhdr.PayloadLen = len(inner)
 			nhdr.Marshal(b[start:start:end])

@@ -12,8 +12,9 @@ import (
 // The flat ESP reference builders: one contiguous plaintext in, one
 // freshly allocated wire image out, keyed from the SA on every call.
 // They share nothing with the production paths (no schedule, no mbufs,
-// no in-place cipher), which is what makes them oracles for
-// wrapESPChain and openESPInPlace.
+// no in-place cipher: CBC runs through the standard library's mode,
+// not Reblock), which is what makes them oracles for wrapESPChain and
+// openESPInPlace.
 
 // flatCipher resolves sa's switch row afresh: exactly one of the
 // returned AEAD and block cipher is non-nil on success.
@@ -34,6 +35,14 @@ func flatCipher(sa *key.SA) (cipher.AEAD, []byte, cipher.Block, error) {
 // transport mode) under sa and returns the full ESP payload starting
 // with the SPI.
 func buildESPTransport(sa *key.SA, plaintext []byte, payloadType uint8) ([]byte, error) {
+	return buildESPTransportIV(sa, plaintext, payloadType, nil)
+}
+
+// buildESPTransportIV is buildESPTransport with the CBC rows' IV given
+// instead of drawn fresh (nil draws one), so a test can rebuild a
+// sealed packet byte for byte from the IV it carries.  AEAD rows take
+// no IV.
+func buildESPTransportIV(sa *key.SA, plaintext []byte, payloadType uint8, iv []byte) ([]byte, error) {
 	aead, salt, blk, err := flatCipher(sa)
 	if err != nil {
 		return nil, err
@@ -57,12 +66,13 @@ func buildESPTransport(sa *key.SA, plaintext []byte, payloadType uint8) ([]byte,
 	body[len(body)-1] = payloadType
 	out := make([]byte, 4+bs+len(body))
 	put32(out, sa.SPI)
-	iv := out[4 : 4+bs]
-	newIV(iv)
-	copy(out[4+bs:], body)
-	if err := Reblock(blk, iv, out[4+bs:], true); err != nil {
-		return nil, err
+	if iv == nil {
+		newIV(out[4 : 4+bs])
+	} else {
+		copy(out[4:4+bs], iv)
 	}
+	copy(out[4+bs:], body)
+	cipher.NewCBCEncrypter(blk, out[4:4+bs]).CryptBlocks(out[4+bs:], out[4+bs:])
 	return out, nil
 }
 
@@ -90,10 +100,11 @@ func openESP(sa *key.SA, b []byte) ([]byte, uint8, error) {
 	if len(b) < 4+bs+bs {
 		return nil, 0, errESPShort
 	}
-	ct := append([]byte(nil), b[4+bs:]...)
-	if err := Reblock(blk, b[4:4+bs], ct, false); err != nil {
-		return nil, 0, err
+	if (len(b)-4-bs)%bs != 0 {
+		return nil, 0, fmt.Errorf("ipsec: ciphertext not a whole number of blocks")
 	}
+	ct := append([]byte(nil), b[4+bs:]...)
+	cipher.NewCBCDecrypter(blk, b[4:4+bs]).CryptBlocks(ct, ct)
 	padLen := int(ct[len(ct)-2])
 	if padLen+2 > len(ct) {
 		return nil, 0, errESPPad
@@ -105,9 +116,14 @@ func openESP(sa *key.SA, b []byte) ([]byte, uint8, error) {
 // packet is rebuilt under hdr and encrypted whole; the caller prepends
 // the cleartext outer header.
 func buildESPTunnel(sa *key.SA, hdr *ipv6.Header, payload []byte, nh uint8) ([]byte, error) {
+	return buildESPTransport(sa, tunnelDatagram(hdr, payload, nh), proto.IPv6)
+}
+
+// tunnelDatagram is the inner datagram tunnel mode encrypts: payload
+// under a copy of hdr carrying next header nh.
+func tunnelDatagram(hdr *ipv6.Header, payload []byte, nh uint8) []byte {
 	inner := *hdr
 	inner.NextHdr = nh
 	inner.PayloadLen = len(payload)
-	datagram := append(inner.Marshal(nil), payload...)
-	return buildESPTransport(sa, datagram, proto.IPv6)
+	return append(inner.Marshal(nil), payload...)
 }

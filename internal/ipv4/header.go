@@ -82,26 +82,31 @@ func (h *Header) Marshal(dst []byte) []byte {
 
 // Parse decodes and validates an IPv4 header from b, verifying the
 // checksum. It returns the header and the header length consumed.
-func Parse(b []byte) (*Header, int, error) {
+// The header is returned by value so the input path can keep it on
+// its stack; only options, when present, are copied out of b.
+func Parse(b []byte) (Header, int, error) {
 	if len(b) < HeaderLen {
-		return nil, 0, ErrShort
+		return Header{}, 0, ErrShort
 	}
 	if b[0]>>4 != 4 {
-		return nil, 0, ErrVersion
+		return Header{}, 0, ErrVersion
 	}
 	hl := int(b[0]&0xf) * 4
 	if hl < HeaderLen || len(b) < hl {
-		return nil, 0, ErrLength
+		return Header{}, 0, ErrLength
 	}
 	if inet.Checksum(b[:hl]) != 0 {
-		return nil, 0, ErrChecksum
+		return Header{}, 0, ErrChecksum
 	}
-	h := &Header{
+	h := Header{
 		TOS:      b[1],
 		TotalLen: int(b[2])<<8 | int(b[3]),
 		ID:       uint16(b[4])<<8 | uint16(b[5]),
 		TTL:      b[8],
 		Proto:    b[9],
+	}
+	if h.TotalLen < hl {
+		return Header{}, 0, ErrLength
 	}
 	frag := uint16(b[6])<<8 | uint16(b[7])
 	h.DF = frag&flagDF != 0
@@ -111,9 +116,6 @@ func Parse(b []byte) (*Header, int, error) {
 	copy(h.Dst[:], b[16:20])
 	if hl > HeaderLen {
 		h.Options = append([]byte(nil), b[HeaderLen:hl]...)
-	}
-	if h.TotalLen < hl {
-		return nil, 0, ErrLength
 	}
 	return h, hl, nil
 }

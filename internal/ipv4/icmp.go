@@ -106,7 +106,7 @@ func (l *Layer) SendError(typ, code uint8, mtu int, origCtx []byte) {
 // input is the ICMPv4 protocol-switch entry.  It is the packet's
 // terminal consumer: replies and callbacks below copy what they keep,
 // so the buffer goes back to the pool here.
-func (ic *ICMP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
+func (ic *ICMP) input(pkt *mbuf.Mbuf, meta proto.Meta) {
 	defer pkt.Free()
 	b := pkt.Bytes()
 	if len(b) < 8 || inet.Checksum(b) != 0 {

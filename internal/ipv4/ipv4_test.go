@@ -429,7 +429,7 @@ func TestDFElicitsFragNeeded(t *testing.T) {
 	}
 	// Register a fake transport so ctlinput can be delivered.
 	var ctlMTU int
-	a.l.Register(proto.UDP, func(*mbuf.Mbuf, *proto.Meta) {}, func(kind proto.CtlType, meta *proto.Meta, contents []byte, mtu int) {
+	a.l.Register(proto.UDP, func(*mbuf.Mbuf, proto.Meta) {}, func(kind proto.CtlType, meta *proto.Meta, contents []byte, mtu int) {
 		mu.Lock()
 		ctlMTU = mtu
 		mu.Unlock()
@@ -455,7 +455,7 @@ func TestTTLExpiryElicitsTimeExceeded(t *testing.T) {
 	a, _, _ := threeNodeNet(t, 1500)
 	var got proto.CtlType
 	var mu sync.Mutex
-	a.l.Register(proto.UDP, func(*mbuf.Mbuf, *proto.Meta) {}, func(kind proto.CtlType, meta *proto.Meta, contents []byte, mtu int) {
+	a.l.Register(proto.UDP, func(*mbuf.Mbuf, proto.Meta) {}, func(kind proto.CtlType, meta *proto.Meta, contents []byte, mtu int) {
 		mu.Lock()
 		got = kind
 		mu.Unlock()

@@ -277,8 +277,8 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP4, p uint8, opts OutputOp
 		if src.IsUnspecified() {
 			src = dst
 		}
-		h := &Header{TotalLen: HeaderLen + pkt.Len(), ID: l.nextID(), TTL: ttl, TOS: opts.TOS, Proto: p, Src: src, Dst: dst}
-		pkt.Prepend(h.Marshal(nil))
+		h := Header{TotalLen: HeaderLen + pkt.Len(), ID: l.nextID(), TTL: ttl, TOS: opts.TOS, Proto: p, Src: src, Dst: dst}
+		h.Marshal(pkt.PrependN(HeaderLen)[:0])
 		return l.loop(pkt)
 	}
 
@@ -314,15 +314,15 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP4, p uint8, opts OutputOp
 		mtu = rtMTU
 	}
 
-	h := &Header{TotalLen: HeaderLen + pkt.Len(), ID: l.nextID(), TTL: ttl, TOS: opts.TOS, DF: opts.DF, Proto: p, Src: src, Dst: dst}
+	h := Header{TotalLen: HeaderLen + pkt.Len(), ID: l.nextID(), TTL: ttl, TOS: opts.TOS, DF: opts.DF, Proto: p, Src: src, Dst: dst}
 	if h.TotalLen > mtu {
 		if opts.DF {
 			pkt.Free()
 			return ErrMsgSize
 		}
-		return l.fragment(ifp, rt, h, pkt, mtu)
+		return l.fragment(ifp, rt, &h, pkt, mtu)
 	}
-	pkt.Prepend(h.Marshal(nil))
+	h.Marshal(pkt.PrependN(HeaderLen)[:0])
 	return l.transmit(ifp, rt, dst, pkt)
 }
 
@@ -420,7 +420,7 @@ func (l *Layer) fragment(ifp *netif.Interface, rt *route.Entry, h *Header, pkt *
 		fm := mbuf.Get(end - off)
 		copy(fm.Bytes(), payload[off:end])
 		fm.Hdr().Flags |= mbuf.MFrag
-		fm.Prepend(fh.Marshal(nil))
+		fh.Marshal(fm.PrependN(fh.HdrLen())[:0])
 		l.Stats.FragsCreated.Inc()
 		if err := l.transmit(ifp, rt, h.Dst, fm); err != nil {
 			pkt.Free()
@@ -442,13 +442,13 @@ func (l *Layer) Input(ifp *netif.Interface, pkt *mbuf.Mbuf) {
 		return
 	}
 	hl := int(b[0]&0xf) * 4
-	if full := pkt.PullUp(hl); full == nil {
+	if b = pkt.PullUp(hl); b == nil {
 		l.Stats.InHdrErrors.Inc()
-		l.Drops.DropPkt(stat.RV4BadHeader, b)
+		l.Drops.DropPkt(stat.RV4BadHeader, pkt.Bytes())
 		pkt.Free()
 		return
 	}
-	h, _, err := Parse(pkt.PullUp(hl))
+	h, _, err := Parse(b)
 	if err != nil {
 		l.Stats.InHdrErrors.Inc()
 		l.Drops.DropPkt(stat.RV4BadHeader, b)
@@ -467,11 +467,11 @@ func (l *Layer) Input(ifp *netif.Interface, pkt *mbuf.Mbuf) {
 	}
 
 	if l.isLocal(h.Dst) || h.Dst.IsMulticast() || h.Dst.IsBroadcast() {
-		l.deliverLocal(ifp, h, pkt)
+		l.deliverLocal(ifp, &h, pkt)
 		return
 	}
 	if l.Forwarding {
-		l.forward(h, pkt)
+		l.forward(&h, pkt)
 		return
 	}
 	l.Stats.InAddrErrors.Inc()
@@ -479,15 +479,22 @@ func (l *Layer) Input(ifp *netif.Interface, pkt *mbuf.Mbuf) {
 	pkt.Free()
 }
 
+// quote copies the leading bytes of a received packet, from its IP
+// header on, that an ICMP error about it carries (and the flight
+// recorder keeps).  Only error paths call it: a delivered or forwarded
+// packet copies nothing.
+func quote(h *Header, pkt *mbuf.Mbuf) []byte {
+	return pkt.CopyRange(0, min(pkt.Len(), h.HdrLen()+icmpQuote))
+}
+
 // deliverLocal strips the IP header, reassembles fragments, and runs
 // the protocol switch.
 func (l *Layer) deliverLocal(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
-	// Keep the leading bytes for ICMP errors before consuming.
-	errCtx := pkt.CopyRange(0, min(pkt.Len(), h.HdrLen()+icmpQuote))
-	pkt.Adj(h.HdrLen())
-
 	if h.MF || h.FragOff != 0 {
 		l.Stats.FragsReceived.Inc()
+		// Keep the leading bytes for ICMP errors before consuming.
+		errCtx := quote(h, pkt)
+		pkt.Adj(h.HdrLen())
 		key := fragKey{h.Src, h.Dst, h.ID, h.Proto}
 		l.mu.Lock()
 		data, done, err := l.frags.Add(key, l.routes.Now(), h.FragOff, h.MF, pkt.CopyBytes())
@@ -518,17 +525,26 @@ func (l *Layer) deliverLocal(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 		pkt = mbuf.NewNoCopy(data)
 		pkt.Hdr().Flags = flags &^ mbuf.MFrag
 		pkt.Hdr().RcvIf = ifp.Name
+		// The protocol switch below sees the datagram from its
+		// transport header on; a failure there quotes the first
+		// fragment's header, as the reassembled header is gone.
+		l.dispatch(ifp, h, pkt, errCtx)
+		return
 	}
+	l.dispatch(ifp, h, pkt, nil)
+}
 
-	meta := &proto.Meta{
-		Family: inet.AFInet,
-		Src4:   h.Src, Dst4: h.Dst,
-		Proto: h.Proto, Hops: h.TTL, RcvIf: ifp.Name,
-	}
+// dispatch runs the protocol switch.  errCtx is the quote an ICMP
+// error about the packet carries, or nil when pkt still begins with
+// its IP header, which is then stripped here.
+func (l *Layer) dispatch(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, errCtx []byte) {
 	l.mu.RLock()
 	in := l.protos[h.Proto]
 	l.mu.RUnlock()
 	if in == nil {
+		if errCtx == nil {
+			errCtx = quote(h, pkt)
+		}
 		l.Stats.InUnknownProt.Inc()
 		l.Drops.DropPkt(stat.RV4UnknownProt, errCtx)
 		if !h.Dst.IsMulticast() && !h.Dst.IsBroadcast() {
@@ -537,16 +553,23 @@ func (l *Layer) deliverLocal(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 		pkt.Free()
 		return
 	}
+	if errCtx == nil {
+		pkt.Adj(h.HdrLen())
+	}
 	l.Stats.InDelivers.Inc()
-	in(pkt, meta)
+	in(pkt, proto.Meta{
+		Family: inet.AFInet,
+		Src4:   h.Src, Dst4: h.Dst,
+		Proto: h.Proto, Hops: h.TTL, RcvIf: ifp.Name,
+	})
 }
 
 // forward implements the router path: TTL decrement, re-checksum,
 // fragmentation if needed (IPv4 routers fragment; §2.1 counts this
 // among the work IPv6 routers shed).
 func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
-	errCtx := pkt.CopyRange(0, min(pkt.Len(), h.HdrLen()+icmpQuote))
 	if h.TTL <= 1 {
+		errCtx := quote(h, pkt)
 		l.Drops.DropPkt(stat.RV4TTLExceeded, errCtx)
 		l.SendError(IcmpTimeExceeded, 0, 0, errCtx)
 		pkt.Free()
@@ -563,6 +586,7 @@ func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
 		l.routes.CacheFill(rc, inet.AFInet, h.Dst[:], rt)
 	}
 	if !ok || l.entryFlags(rt)&route.FlagReject != 0 {
+		errCtx := quote(h, pkt)
 		l.Stats.OutNoRoute.Inc()
 		l.Drops.DropPkt(stat.RV4NoRoute, errCtx)
 		l.SendError(IcmpUnreach, CodeHostUnreach, 0, errCtx)
@@ -574,7 +598,7 @@ func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
 	l.mu.Unlock()
 	if ifp == nil {
 		l.Stats.OutNoRoute.Inc()
-		l.Drops.DropPkt(stat.RV4NoRoute, errCtx)
+		l.Drops.DropPkt(stat.RV4NoRoute, quote(h, pkt))
 		pkt.Free()
 		return
 	}
@@ -586,12 +610,12 @@ func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
 		mtu = rtMTU
 	}
 	if pkt.Len() > mtu { // pkt still carries the IP header here
-		pkt.Adj(h.HdrLen())
 		if h.DF {
-			l.SendError(IcmpUnreach, CodeFragNeeded, mtu, errCtx)
+			l.SendError(IcmpUnreach, CodeFragNeeded, mtu, quote(h, pkt))
 			pkt.Free()
 			return
 		}
+		pkt.Adj(h.HdrLen())
 		if err := l.fragment(ifp, rt, h, pkt, mtu); err != nil {
 			l.Stats.OutDrops.Inc()
 		}

@@ -85,23 +85,31 @@ const (
 	SecReinject                  // packet rewritten (ESP): reprocess it
 )
 
-// SecInputFunc processes an AH or ESP header found at off.  It never
-// frees pkt.  For SecReinject it has rewritten pkt in place into the
-// datagram to reprocess: the decrypted transport content under a
-// rebuilt base header, or the tunneled inner datagram.
-type SecInputFunc func(pkt *mbuf.Mbuf, hdr *Header, p uint8, off int) SecAction
+// SecInputFunc processes an AH or ESP header found at off.  hdr is the
+// packet's base header, passed by value so the call allocates nothing.
+// It never frees pkt.  For SecReinject it has rewritten pkt in place
+// into the datagram to reprocess: the decrypted transport content
+// under a rebuilt base header, or the tunneled inner datagram.
+type SecInputFunc func(pkt *mbuf.Mbuf, hdr Header, p uint8, off int) SecAction
 
 // SecOutputFunc is the ipsec_output_policy() call (§3.3), invoked by
 // Output "immediately before IP fragmentation is performed". hdr has
 // final source and destination; payload is the fragmentable part
-// beginning with first-next-header nh. It returns the (possibly
-// wrapped) payload and its first next-header, or an error (EIPSEC).
-// The hook may rewrite hdr.Dst (tunnel mode to a security gateway);
-// the layer then re-routes toward the new destination.  sc, when
-// non-nil, is the caller's held security verdict (a PCB's key.Cache):
-// the hook validates it with one generation compare and refills it
-// after a full resolution, so steady-state sends skip the SA table.
-type SecOutputFunc func(hdr *Header, payload *mbuf.Mbuf, nh uint8, socket any, sc *key.Cache) (*mbuf.Mbuf, uint8, error)
+// beginning with first-next-header nh.  hdr is passed by value: the
+// hook gets its own copy and nothing it does to that copy reaches the
+// layer, so the header stays on the caller's stack.
+//
+// The hook consumes payload on every path, as Output consumes its
+// packet.  On success it returns the packet to send in its place,
+// which is payload itself when a transform wrapped it in place, its
+// first next-header, and the destination the outer header must carry:
+// hdr.Dst, or a security gateway in tunnel mode, in which case the
+// layer re-routes toward it.  On error (EIPSEC) it has freed payload.
+// sc, when non-nil, is the caller's held security verdict (a PCB's
+// key.Cache): the hook validates it with one generation compare and
+// refills it after a full resolution, so steady-state sends skip the
+// SA table.
+type SecOutputFunc func(hdr Header, payload *mbuf.Mbuf, nh uint8, socket any, sc *key.Cache) (*mbuf.Mbuf, uint8, inet.IP6, error)
 
 type fragKey struct {
 	src, dst inet.IP6
@@ -699,18 +707,17 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 		pkt.Prepend(fragPart)
 	}
 
-	hdr := &Header{FlowInfo: opts.FlowInfo, NextHdr: chain.firstNH, HopLimit: hops, Src: src, Dst: dst}
+	hdr := Header{FlowInfo: opts.FlowInfo, NextHdr: chain.firstNH, HopLimit: hops, Src: src, Dst: dst}
 
 	// Security output processing, "immediately before IP fragmentation
 	// is performed" (§3.3). The hook wraps the fragmentable part.
 	effFragNH := fragNH
 	secWrapped := false
 	if l.SecOut != nil && !opts.NoSecurity {
-		wrapped, newNH, err := l.SecOut(hdr, pkt, fragNH, opts.Socket, opts.SecCache)
+		wrapped, newNH, secDst, err := l.SecOut(hdr, pkt, fragNH, opts.Socket, opts.SecCache)
 		if err != nil {
 			l.Stats.OutDrops.Inc()
-			pkt.Free()
-			return err
+			return err // the hook freed the packet
 		}
 		secWrapped = newNH != fragNH
 		pkt = wrapped
@@ -721,10 +728,11 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 			chain.unfrag[chain.unfragPatch] = newNH
 			chain.unfragNH = newNH
 		}
-		if hdr.Dst != dst {
+		if secDst != dst {
 			// Tunnel mode readdressed the outer header to a security
 			// gateway: route toward it instead.
-			dst = hdr.Dst
+			hdr.Dst = secDst
+			dst = secDst
 			loopLocal = l.isLocal(dst)
 			if !loopLocal && !dst.IsMulticast() {
 				var ok bool
@@ -789,7 +797,7 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 		if len(chain.unfrag) > 0 {
 			pkt.Prepend(chain.unfrag)
 		}
-		pkt.Prepend(hdr.Marshal(nil))
+		hdr.Marshal(pkt.PrependN(HeaderLen)[:0])
 		if loopLocal {
 			return l.loop(pkt)
 		}
@@ -808,7 +816,7 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 	return l.fragmentOut(ifp, rt, hdr, chain, effFragNH, pkt, mtu, loopLocal)
 }
 
-func (l *Layer) fragmentOut(ifp *netif.Interface, rt *route.Entry, hdr *Header, chain extChain, fragNH uint8, pkt *mbuf.Mbuf, mtu int, loopLocal bool) error {
+func (l *Layer) fragmentOut(ifp *netif.Interface, rt *route.Entry, hdr Header, chain extChain, fragNH uint8, pkt *mbuf.Mbuf, mtu int, loopLocal bool) error {
 	id := l.nextFragID()
 	// Point the chain at the fragment header.
 	if len(chain.unfrag) > 0 {
@@ -834,13 +842,12 @@ func (l *Layer) fragmentOut(ifp *netif.Interface, rt *route.Entry, hdr *Header, 
 		fm := mbuf.Get(end - off)
 		copy(fm.Bytes(), payload[off:end])
 		fm.Hdr().Flags |= mbuf.MFrag
-		fm.Prepend(fh.Marshal(nil))
+		fh.Marshal(fm.PrependN(FragHeaderLen)[:0])
 		if len(chain.unfrag) > 0 {
 			fm.Prepend(chain.unfrag)
 		}
-		fhdr := *hdr
-		fhdr.PayloadLen = fm.Len()
-		fm.Prepend(fhdr.Marshal(nil))
+		hdr.PayloadLen = fm.Len()
+		hdr.Marshal(fm.PrependN(HeaderLen)[:0])
 		l.Stats.OutFrags.Inc()
 		var err error
 		if loopLocal {
@@ -1062,10 +1069,7 @@ func (l *Layer) process(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, depth i
 				pkt.Free()
 				return
 			}
-			// The hook gets its own copy of the header, so only a
-			// secured packet moves one to the heap.
-			hc := *h
-			if l.SecIn(pkt, &hc, proto.AH, rec.Offset) == SecDrop {
+			if l.SecIn(pkt, *h, proto.AH, rec.Offset) == SecDrop {
 				pkt.Free() // ipsec recorded the drop; the packet ends here
 				return
 			}
@@ -1089,8 +1093,7 @@ func (l *Layer) dispatch(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, final 
 			pkt.Free()
 			return
 		}
-		hc := *h // as for AH: the hook's copy, not the caller's header
-		if l.SecIn(pkt, &hc, proto.ESP, off) != SecReinject {
+		if l.SecIn(pkt, *h, proto.ESP, off) != SecReinject {
 			pkt.Free()
 			return
 		}
@@ -1101,7 +1104,7 @@ func (l *Layer) dispatch(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, final 
 		l.input(ifp, pkt, depth+1)
 		return
 	}
-	meta := &proto.Meta{
+	meta := proto.Meta{
 		Family: inet.AFInet6,
 		Src6:   h.Src, Dst6: h.Dst,
 		Proto: final, Hops: h.HopLimit, FlowInfo: h.FlowInfo, RcvIf: ifp.Name,

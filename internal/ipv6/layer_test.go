@@ -249,7 +249,7 @@ func TestForwardProcessesHopByHop(t *testing.T) {
 func TestInputTrimsLinkPadding(t *testing.T) {
 	l, ifp := bareLayer(t, netif.Addr6{Addr: inet.LinkLocal([8]byte{1}), Plen: 64})
 	var got int
-	l.Register(proto.UDP, func(pkt *mbuf.Mbuf, meta *proto.Meta) { got = pkt.Len() }, nil)
+	l.Register(proto.UDP, func(pkt *mbuf.Mbuf, meta proto.Meta) { got = pkt.Len() }, nil)
 	ll := inet.LinkLocal([8]byte{1})
 	h := &Header{NextHdr: proto.UDP, HopLimit: 4, PayloadLen: 10, Src: ip6(t, "fe80::2"), Dst: ll}
 	pkt := mbuf.New(h.Marshal(nil))

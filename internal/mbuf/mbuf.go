@@ -16,8 +16,9 @@
 //
 // A Mbuf here is a chain of segments rather than 128-byte clusters; what
 // matters for the reproduction is the chain structure (headers are
-// prepended as separate segments, PullUp linearizes on demand) and the
-// packet-header metadata, not the allocator geometry.
+// written into a pooled segment's leading space, or prepended as
+// separate segments when it has none; PullUp linearizes on demand) and
+// the packet-header metadata, not the allocator geometry.
 package mbuf
 
 import (
@@ -72,8 +73,10 @@ type PktHdr struct {
 
 	// AuxSPI records the SPIs of security associations already applied
 	// to this packet on input, so the transport-layer policy check can
-	// tell *which* associations protected the data.
+	// tell *which* associations protected the data.  Add entries with
+	// AddSPI: the first two live in auxSPI, inline in the header.
 	AuxSPI []uint32
+	auxSPI [2]uint32
 
 	// Encap counts tunnel encapsulations this packet has traversed on
 	// this node — incremented on every tunnel encap and decap, checked
@@ -91,6 +94,28 @@ type PktHdr struct {
 	// merged into this super-segment, so transport input can replay
 	// per-segment effects (ACK cadence, window history) exactly.
 	GRO any
+}
+
+// AddSPI records spi in AuxSPI.  A packet rarely carries more than an
+// AH and an ESP association, so the first two SPIs go into storage
+// inline in the packet header and recording them allocates nothing.
+func (h *PktHdr) AddSPI(spi uint32) {
+	if h.AuxSPI == nil {
+		h.AuxSPI = h.auxSPI[:0]
+	}
+	h.AuxSPI = append(h.AuxSPI, spi)
+}
+
+// cloneHdr returns a copy of h for a new packet: AuxSPI is copied
+// into the copy's own storage, never shared, and Len starts at 0.
+func cloneHdr(h *PktHdr) PktHdr {
+	c := *h
+	c.Len = 0
+	c.AuxSPI = nil
+	for _, spi := range h.AuxSPI {
+		c.AddSPI(spi)
+	}
+	return c
 }
 
 // segment is one buffer in the chain (an mbuf without a packet header).
@@ -126,6 +151,26 @@ func (m *Mbuf) firstSeg() *segment {
 		return &m.seg0
 	}
 	return &segment{}
+}
+
+// release drops the segment's bytes, returning a pooled slab to its
+// pool.  Every path that unlinks a segment from a chain (Free, Adj,
+// PullUp, Split) goes through it, so none can leak a slab.
+func (s *segment) release() {
+	if s.slab != nil {
+		putSlab(s.slab)
+		s.slab = nil
+	}
+	s.data, s.next = nil, nil
+}
+
+// releaseFrom releases s and every segment after it.
+func releaseFrom(s *segment) {
+	for s != nil {
+		next := s.next
+		s.release()
+		s = next
+	}
 }
 
 // New builds a packet holding a copy of data.
@@ -181,22 +226,28 @@ func (m *Mbuf) Append(data []byte) {
 	m.hdr.Len += len(data)
 }
 
-// Prepend adds a copy of data at the head of the chain.  This is how
-// each protocol layer contributes its header on the output path
-// (BSD's M_PREPEND).  When the first segment is a pooled slab with
-// enough spare front capacity (leading space, as M_LEADINGSPACE), the
-// header is written into it in place — no new segment, no allocation.
+// Prepend adds a copy of data at the head of the chain (BSD's
+// M_PREPEND followed by a copy); see PrependN.
 func (m *Mbuf) Prepend(data []byte) {
-	if len(data) == 0 {
-		return
+	copy(m.PrependN(len(data)), data)
+}
+
+// PrependN reserves n bytes at the head of the chain and returns them
+// for the caller to fill: BSD's M_PREPEND followed by mtod.  This is
+// how each protocol layer writes its header on the output path.  When
+// the first segment is a pooled slab with at least n bytes of leading
+// space (M_LEADINGSPACE), the bytes are claimed in place: no new
+// segment, no allocation.  Otherwise they go into a new segment.  The
+// returned bytes are not zeroed when claimed in place.
+func (m *Mbuf) PrependN(n int) []byte {
+	if n <= 0 {
+		return nil
 	}
-	if h := m.head; h != nil && h.slab != nil && h.off >= len(data) {
-		h.off -= len(data)
-		slab := *h.slab
-		copy(slab[h.off:], data)
-		h.data = slab[h.off : h.off+len(data)+len(h.data)]
-		m.hdr.Len += len(data)
-		return
+	m.hdr.Len += n
+	if h := m.head; h != nil && h.slab != nil && h.off >= n {
+		h.off -= n
+		h.data = (*h.slab)[h.off : h.off+n+len(h.data)]
+		return h.data[:n]
 	}
 	if m.head != nil && m.head.slab != nil {
 		// A pooled packet ran out of leading space: the header goes
@@ -205,12 +256,45 @@ func (m *Mbuf) Prepend(data []byte) {
 		// happens on the supported paths.
 		prependSpills.Add(1)
 	}
-	seg := &segment{data: append([]byte(nil), data...), next: m.head}
+	seg := &segment{data: make([]byte, n), next: m.head}
 	m.head = seg
 	if m.tail == nil {
 		m.tail = seg
 	}
-	m.hdr.Len += len(data)
+	return seg.data
+}
+
+// AppendN reserves n bytes at the tail of the chain and returns them
+// for the caller to fill (BSD's M_TRAILINGSPACE, then a write past
+// the end).  When the last segment is a pooled slab with at least n
+// bytes of trailing space, the bytes are claimed in place; otherwise
+// they go into a new segment.  The returned bytes are not zeroed when
+// claimed in place.
+func (m *Mbuf) AppendN(n int) []byte {
+	if n <= 0 {
+		return nil
+	}
+	if t := m.tail; t != nil && t.slab != nil && len(*t.slab)-t.off-len(t.data) >= n {
+		old := len(t.data)
+		t.data = (*t.slab)[t.off : t.off+old+n]
+		m.hdr.Len += n
+		return t.data[old:]
+	}
+	b := make([]byte, n)
+	m.AppendNoCopy(b)
+	return b
+}
+
+// Room reports the leading and trailing slab space of a packet held in
+// a single pooled segment: how many bytes PrependN and AppendN can
+// claim without leaving that segment.  Any other packet (several
+// segments, or bytes not from the pool) reports no room.
+func (m *Mbuf) Room() (lead, trail int) {
+	h := m.head
+	if h == nil || h.next != nil || h.slab == nil {
+		return 0, 0
+	}
+	return h.off, len(*h.slab) - h.off - len(h.data)
 }
 
 // AppendNoCopy adds data at the tail of the chain without copying,
@@ -274,7 +358,9 @@ func (m *Mbuf) PullUp(n int) []byte {
 		need := n - len(buf)
 		if len(s.data) <= need {
 			buf = append(buf, s.data...)
-			s = s.next
+			next := s.next
+			s.release()
+			s = next
 		} else {
 			buf = append(buf, s.data[:need]...)
 			s.data = s.data[need:]
@@ -371,9 +457,7 @@ func (m *Mbuf) CopyBytes() []byte {
 // The copy is flattened into a single segment: one allocation however
 // many segments the original has.
 func (m *Mbuf) Copy() *Mbuf {
-	n := &Mbuf{hdr: m.hdr}
-	n.hdr.AuxSPI = append([]uint32(nil), m.hdr.AuxSPI...)
-	n.hdr.Len = 0
+	n := &Mbuf{hdr: cloneHdr(&m.hdr)}
 	if m.hdr.Len > 0 {
 		buf := make([]byte, 0, m.hdr.Len)
 		for s := m.head; s != nil; s = s.next {
@@ -386,10 +470,12 @@ func (m *Mbuf) Copy() *Mbuf {
 
 // Adj trims bytes from the packet, as BSD's m_adj: positive n trims from
 // the front, negative n trims -n bytes from the back. Trimming more than
-// the packet holds empties it.
+// the packet holds empties it.  Segments trimmed away entirely are
+// released.
 func (m *Mbuf) Adj(n int) {
 	if n >= 0 {
 		if n >= m.hdr.Len {
+			releaseFrom(m.head)
 			m.head, m.tail, m.hdr.Len = nil, nil, 0
 			return
 		}
@@ -401,15 +487,15 @@ func (m *Mbuf) Adj(n int) {
 				return
 			}
 			n -= len(m.head.data)
-			m.head = m.head.next
-		}
-		if m.head == nil {
-			m.tail = nil
+			next := m.head.next
+			m.head.release()
+			m.head = next
 		}
 		return
 	}
 	drop := -n
 	if drop >= m.hdr.Len {
+		releaseFrom(m.head)
 		m.head, m.tail, m.hdr.Len = nil, nil, 0
 		return
 	}
@@ -421,6 +507,7 @@ func (m *Mbuf) Adj(n int) {
 		s = s.next
 	}
 	s.data = s.data[:keep]
+	releaseFrom(s.next)
 	s.next = nil
 	m.tail = s
 }
@@ -429,46 +516,38 @@ func (m *Mbuf) Adj(n int) {
 // everything from off onward. The receiver keeps the first off bytes and
 // the packet header; the tail packet gets a copy of the header with its
 // length fixed up (BSD's m_split). Returns nil if off is out of range.
+// The tail's bytes are copied, and the receiver's segments past off
+// are released.
 func (m *Mbuf) Split(off int) *Mbuf {
 	if off < 0 || off > m.hdr.Len {
 		return nil
 	}
-	tailLen := m.hdr.Len - off
-	t := &Mbuf{hdr: m.hdr}
-	t.hdr.AuxSPI = append([]uint32(nil), m.hdr.AuxSPI...)
-	t.hdr.Len = 0
-	if tailLen == 0 {
+	t := &Mbuf{hdr: cloneHdr(&m.hdr)}
+	if off == m.hdr.Len {
 		return t
 	}
 	// Walk to the split point.
+	var prev *segment
 	s := m.head
 	rem := off
 	for s != nil && rem >= len(s.data) {
 		rem -= len(s.data)
-		s = s.next
+		prev, s = s, s.next
 	}
 	if rem > 0 { // split lands inside segment s
 		t.Append(s.data[rem:])
 		s.data = s.data[:rem]
-		for n := s.next; n != nil; n = n.next {
-			t.Append(n.data)
-		}
-		s.next = nil
-		m.tail = s
-	} else { // split lands exactly on a segment boundary before s
-		for n := s; n != nil; n = n.next {
-			t.Append(n.data)
-		}
-		if off == 0 {
-			m.head, m.tail = nil, nil
-		} else {
-			p := m.head
-			for p.next != s {
-				p = p.next
-			}
-			p.next = nil
-			m.tail = p
-		}
+		prev, s = s, s.next
+	}
+	for n := s; n != nil; n = n.next {
+		t.Append(n.data)
+	}
+	releaseFrom(s)
+	if prev == nil {
+		m.head, m.tail = nil, nil
+	} else {
+		prev.next = nil
+		m.tail = prev
 	}
 	m.hdr.Len = off
 	return t

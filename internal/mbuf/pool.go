@@ -35,6 +35,13 @@ import (
 //	tunnel outer #2 (v6)             40
 //	                                ---
 //	                                206  → rounded up to 256
+//
+// The ESP trailer (pad, pad length, next header and ICV: at most 29
+// bytes, counting the 12 the AEAD seal borrows for its nonce) goes into
+// the slab's trailing space instead, which Get leaves as whatever the
+// size class has beyond Headroom+n.  ESP output seals in place when
+// that suffices and gathers the packet into a fresh slab when it does
+// not.
 const Headroom = 256
 
 // slabClasses are the pooled slab sizes. 512 covers bare ACKs and
@@ -131,15 +138,7 @@ func (m *Mbuf) Free() {
 	if m == nil {
 		return
 	}
-	for s := m.head; s != nil; {
-		next := s.next
-		if s.slab != nil {
-			putSlab(s.slab)
-			s.slab = nil
-		}
-		s.data, s.next = nil, nil
-		s = next
-	}
+	releaseFrom(m.head)
 	m.head, m.tail = nil, nil
 	m.hdr.Len = 0
 }

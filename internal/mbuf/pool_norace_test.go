@@ -14,3 +14,23 @@ func TestGetFreeAllocatesOnlyTheMbuf(t *testing.T) {
 		t.Fatalf("Get(1400).Free() allocates %v times, want 1", n)
 	}
 }
+
+// TestInPlaceClaimsAllocateNothing pins PrependN, AppendN and the
+// first two AddSPI calls on a pooled packet at zero allocations: the
+// bytes come from the slab and the SPIs from the header's inline
+// storage.
+func TestInPlaceClaimsAllocateNothing(t *testing.T) {
+	m := Get(100)
+	defer m.Free()
+	if n := testing.AllocsPerRun(100, func() {
+		m.PrependN(40)
+		m.AppendN(29)
+		m.Hdr().AddSPI(1)
+		m.Hdr().AddSPI(2)
+		m.Adj(40)
+		m.Adj(-29)
+		m.Hdr().AuxSPI = nil
+	}); n != 0 {
+		t.Fatalf("in-place claims allocate %v times, want 0", n)
+	}
+}

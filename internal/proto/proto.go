@@ -100,8 +100,9 @@ func (m *Meta) DstIs6() inet.IP6 {
 }
 
 // TransportInput is the protocol-switch input entry: the IP layers call
-// it with the packet positioned at the transport header.
-type TransportInput func(pkt *mbuf.Mbuf, meta *Meta)
+// it with the packet positioned at the transport header.  meta is
+// passed by value, so delivering a packet allocates no record for it.
+type TransportInput func(pkt *mbuf.Mbuf, meta Meta)
 
 // CtlType classifies control (error) notifications delivered upward by
 // the ctlinput path: ICMP errors that must reach the owning PCB.

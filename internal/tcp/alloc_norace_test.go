@@ -1,0 +1,109 @@
+//go:build !race
+
+package tcp_test
+
+import (
+	"testing"
+
+	"bsd6/internal/inet"
+	"bsd6/internal/ipsec"
+	"bsd6/internal/key"
+	"bsd6/internal/tcp"
+)
+
+// The per-packet allocation budget of the TCP datapath is one: the
+// packet's Mbuf.  Headers are written into the pooled slab's headroom
+// on output and parsed by value on input, and ESP seals and opens in
+// place, so nothing else reaches the heap between one stack's
+// ip6_output/ip_output and the other's tcp_input.  These tests pin
+// that on a warm connection over a perfect, synchronous hub, with the
+// IPv6 fast path on as the production stack runs it.  They are built
+// without the race detector, whose instrumentation allocates.
+
+// allocPair returns an established connection between two fresh nodes,
+// over IPv4 when v4 is set, with both sides' traffic sealed by AES-GCM
+// ESP in transport mode when esp is set.
+func allocPair(t *testing.T, v4, esp bool) (s *tsim, a, b *tnode, cli, srv *tcp.Conn) {
+	s, a, b = tcpPair(t)
+	a.V6.FastPath, b.V6.FastPath = true, true
+	fam, dst := inet.AFInet6, b.LinkLocal(0)
+	if v4 {
+		fam, dst = inet.AFInet, inet.V4Mapped(inet.IP4{10, 0, 0, 2})
+	}
+	if esp {
+		aLL, bLL := a.LinkLocal(0), b.LinkLocal(0)
+		k := make([]byte, 20) // AES-128 key + 4-byte salt
+		for i := range k {
+			k[i] = byte(i*13 + 1)
+		}
+		for _, n := range []*tnode{a, b} {
+			for _, sa := range []*key.SA{
+				{SPI: 0x500, Src: aLL, Dst: bLL, Proto: key.ProtoESPTransport, EncAlg: "aes-gcm", EncKey: k},
+				{SPI: 0x501, Src: bLL, Dst: aLL, Proto: key.ProtoESPTransport, EncAlg: "aes-gcm", EncKey: k},
+			} {
+				if err := n.Keys.Add(sa); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n.Sec.SetSystemPolicy(ipsec.SockOpts{ESPTransport: ipsec.LevelRequire})
+		}
+	}
+	l := b.tcp.Attach(fam, nil)
+	if err := l.Bind(inet.IP6{}, 8300); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Listen(1); err != nil {
+		t.Fatal(err)
+	}
+	cli = a.tcp.Attach(fam, nil)
+	if err := cli.Connect(dst, 8300); err != nil {
+		t.Fatal(err)
+	}
+	s.waitState(cli, tcp.StateEstablished)
+	srv = s.acceptOne(l)
+	return s, a, b, cli, srv
+}
+
+// dataAndAck sends one small data segment from cli to srv, drains it,
+// and flushes srv's delayed ACK: exactly two packets, one each way.
+func dataAndAck(t *testing.T, b *tnode, cli, srv *tcp.Conn, msg, buf []byte) {
+	if n, err := cli.Send(msg); err != nil || n != len(msg) {
+		t.Fatalf("send: %d, %v", n, err)
+	}
+	if n, err := srv.ReadInto(buf); err != nil || n != len(msg) {
+		t.Fatalf("read: %d, %v", n, err)
+	}
+	b.tcp.FastTimo()
+}
+
+func TestSegmentAllocatesOnlyItsMbuf(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		v4, esp bool
+	}{
+		{"ipv6", false, false},
+		{"ipv4", true, false},
+		{"ipv6-esp-aes-gcm", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, a, b, cli, srv := allocPair(t, tc.v4, tc.esp)
+			msg, buf := pattern(64), make([]byte, 256)
+			for i := 0; i < 4; i++ { // warm: ND, routes, SA schedules, ACK template
+				dataAndAck(t, b, cli, srv, msg, buf)
+			}
+			sent := a.tcp.Stats.SndPack.Get() + b.tcp.Stats.SndPack.Get()
+			const runs = 50
+			allocs := testing.AllocsPerRun(runs, func() { dataAndAck(t, b, cli, srv, msg, buf) })
+			pkts := a.tcp.Stats.SndPack.Get() + b.tcp.Stats.SndPack.Get() - sent
+			if pkts != 2*(runs+1) {
+				t.Fatalf("%d segments over %d runs, want a data segment and an ACK per run", pkts, runs+1)
+			}
+			if tc.esp && b.Sec.Stats.InDecryptOK.Get() == 0 {
+				t.Fatal("no segment was opened by ESP")
+			}
+			if allocs != 2 {
+				t.Fatalf("%v allocations per data segment + ACK, want 2 (one Mbuf each)", allocs)
+			}
+		})
+	}
+}

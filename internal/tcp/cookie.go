@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"bsd6/internal/inet"
-	"bsd6/internal/mbuf"
 	"bsd6/internal/pcb"
 	"bsd6/internal/proto"
 )
@@ -116,18 +115,8 @@ func (c *Conn) sendSynCookie(th *Header, meta *proto.Meta, src, dst inet.IP6) {
 		Seq: t.cookieISN(k, th.Seq, idx), Ack: th.Seq + 1,
 		Flags: FlagSYN | FlagACK, Wnd: uint16(c.rcvSpace()), MSS: cookieMSS[idx],
 	}
-	wire := hdr.Marshal()
 	v6 := meta.Family == inet.AFInet6
-	var sum uint32
-	if v6 {
-		sum = inet.PseudoHeader6(dst, src, uint32(len(wire)), proto.TCP)
-	} else {
-		sum = inet.PseudoHeader4(meta.Dst4, meta.Src4, uint16(len(wire)), proto.TCP)
-	}
-	sum = inet.Sum(sum, wire)
-	ck := inet.Fold(sum)
-	wire[16], wire[17] = byte(ck>>8), byte(ck)
-	t.outbox = append(t.outbox, outSeg{v6: v6, src: dst, dst: src, pkt: mbuf.New(wire), flow: c.pcb.FlowInfo, sock: c.pcb.Socket})
+	t.outbox = append(t.outbox, outSeg{v6: v6, src: dst, dst: src, pkt: ctlSegment(hdr, dst, src, v6), flow: c.pcb.FlowInfo, sock: c.pcb.Socket})
 }
 
 // cookieAccept tries to complete a stateless handshake from an ACK at

@@ -346,7 +346,7 @@ func (w *groWorld) dispatch(pkt *mbuf.Mbuf) {
 		copy(meta.Dst6[:], b[24:40])
 		pkt.Adj(40)
 	}
-	w.t.input(pkt, &meta)
+	w.t.input(pkt, meta)
 }
 
 // groProgram decodes fuzz bytes into a deterministic segment list: a

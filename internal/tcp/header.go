@@ -60,14 +60,21 @@ type Header struct {
 	MSS          int // MSS option value; 0 if absent
 }
 
-// Marshal builds the wire header (without checksum; the caller sums
-// over the pseudo-header and fills bytes 16..17).
-func (h *Header) Marshal() []byte {
-	optLen := 0
+// Len returns the header's wire length: the fixed header plus the MSS
+// option when one is set.
+func (h *Header) Len() int {
 	if h.MSS > 0 {
-		optLen = 4
+		return HeaderLen + 4
 	}
-	b := make([]byte, HeaderLen+optLen)
+	return HeaderLen
+}
+
+// Put writes the wire header into b[:h.Len()] with a zero checksum; the
+// caller sums over the pseudo-header and fills bytes 16..17.  Output
+// writes it straight into the segment's pooled buffer, so building a
+// segment allocates nothing beyond the packet.
+func (h *Header) Put(b []byte) {
+	b = b[:h.Len()]
 	b[0], b[1] = byte(h.SPort>>8), byte(h.SPort)
 	b[2], b[3] = byte(h.DPort>>8), byte(h.DPort)
 	b[4], b[5], b[6], b[7] = byte(h.Seq>>24), byte(h.Seq>>16), byte(h.Seq>>8), byte(h.Seq)
@@ -94,25 +101,33 @@ func (h *Header) Marshal() []byte {
 	}
 	b[13] = fl
 	b[14], b[15] = byte(h.Wnd>>8), byte(h.Wnd)
+	b[16], b[17] = 0, 0
 	b[18], b[19] = byte(h.Urp>>8), byte(h.Urp)
 	if h.MSS > 0 {
 		b[20], b[21] = 2, 4
 		b[22], b[23] = byte(h.MSS>>8), byte(h.MSS)
 	}
+}
+
+// Marshal returns the wire header in a new slice (see Put).
+func (h *Header) Marshal() []byte {
+	b := make([]byte, h.Len())
+	h.Put(b)
 	return b
 }
 
 // parse decodes a TCP header from b, returning the header and its
-// length (data offset).
-func parse(b []byte) (*Header, int, error) {
+// length (data offset).  The header is returned by value so input
+// keeps it on its stack.
+func parse(b []byte) (Header, int, error) {
 	if len(b) < HeaderLen {
-		return nil, 0, fmt.Errorf("tcp: segment too short (%d)", len(b))
+		return Header{}, 0, fmt.Errorf("tcp: segment too short (%d)", len(b))
 	}
 	off := int(b[12]>>4) * 4
 	if off < HeaderLen || off > len(b) {
-		return nil, 0, fmt.Errorf("tcp: bad data offset %d", off)
+		return Header{}, 0, fmt.Errorf("tcp: bad data offset %d", off)
 	}
-	h := &Header{
+	h := Header{
 		SPort: uint16(b[0])<<8 | uint16(b[1]),
 		DPort: uint16(b[2])<<8 | uint16(b[3]),
 		Seq:   uint32(b[4])<<24 | uint32(b[5])<<16 | uint32(b[6])<<8 | uint32(b[7]),

@@ -15,7 +15,7 @@ import (
 // paths, one for IPv4 and one for IPv6 at the cost of an if check"
 // (§5.3) — the checksum verification below is that split, building the
 // appropriate overlay (Figures 5/6) for the pseudo-header sum.
-func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
+func (t *TCP) input(pkt *mbuf.Mbuf, meta proto.Meta) {
 	// input is the packet's terminal consumer: segInput copies retained
 	// data into rcvBuf/reassQ and respondRST builds a fresh segment, so
 	// the pooled slab goes back to its pool on return.
@@ -58,12 +58,13 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 	}
 	// th points at the TCP header regardless of which IP carried it —
 	// the pointer that replaced struct tcpiphdr *ti (§5.3).
-	th, thlen, err := parse(b)
+	hv, thlen, err := parse(b)
 	if err != nil {
 		t.Stats.RcvBadSum.Inc()
 		t.Drops.DropPkt(stat.RTCPBadHeader, b)
 		return
 	}
+	th := &hv
 	// tlen: the local variable that replaced ti->ti_len (§5.3).
 	tlen := pkt.Len() - thlen
 	data := b[thlen:]
@@ -88,7 +89,7 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 	if p == nil || p.Owner == nil {
 		t.Drops.DropPkt(stat.RTCPNoPCB, b)
 		if th.Flags&FlagRST == 0 {
-			t.respondRST(meta, th, tlen)
+			t.respondRST(&meta, th, tlen)
 		}
 		t.mu.Unlock()
 		t.flush()
@@ -118,9 +119,9 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 	t.Stats.RcvPack.Add(uint64(nsegs))
 	t.Stats.RcvByte.Add(uint64(tlen))
 	if nsegs > 1 {
-		c.segInputGRO(th, pkt, g, meta, src, dst)
+		c.segInputGRO(th, pkt, g, &meta, src, dst)
 	} else {
-		c.segInput(th, data, meta, src, dst)
+		c.segInput(th, data, &meta, src, dst)
 	}
 	t.mu.Unlock()
 	t.flush()

@@ -200,23 +200,16 @@ func (c *Conn) queueSegment(hdr *Header, payload []byte) {
 		seg[16], seg[17] = byte(ck>>8), byte(ck)
 		copy(c.ackTmpl[:], seg)
 	} else {
-		wire := hdr.Marshal()
-		var sum uint32
-		tlen := len(wire) + len(payload)
+		hlen := hdr.Len()
+		tlen := hlen + len(payload)
 		// One pooled buffer carries header and payload contiguously:
-		// the checksum runs in a single pass and the IP header lands
-		// in the slab's headroom on output.
+		// the header is written in place, the checksum runs in a
+		// single pass and the IP header lands in the slab's headroom
+		// on output.
 		pkt = mbuf.Get(tlen)
 		seg := pkt.Bytes()
-		copy(seg, wire)
-		if v6 {
-			sum = inet.PseudoHeader6(src, dst, uint32(tlen), proto.TCP)
-		} else {
-			s4, _ := src.MappedV4()
-			d4, _ := dst.MappedV4()
-			sum = inet.PseudoHeader4(s4, d4, uint16(tlen), proto.TCP)
-		}
-		sum = inet.Sum(sum, seg[:len(wire)])
+		hdr.Put(seg)
+		sum := inet.Sum(pseudoSum(src, dst, tlen, v6), seg[:hlen])
 		if len(payload) > c.mss {
 			// GSO super-segment: copy+checksum per MSS-sized chunk,
 			// keeping each chunk's folded sum so the splitter can
@@ -232,15 +225,15 @@ func (c *Conn) queueSegment(hdr *Header, payload []byte) {
 				if end > len(payload) {
 					end = len(payload)
 				}
-				cs := uint32(inet.FoldRaw(inet.SumCopy(0, seg[len(wire)+o:], payload[o:end])))
+				cs := uint32(inet.FoldRaw(inet.SumCopy(0, seg[hlen+o:], payload[o:end])))
 				sums = append(sums, cs)
 				acc += cs
 			}
 			ck := inet.Fold(acc)
 			seg[16], seg[17] = byte(ck>>8), byte(ck)
-			pkt.Hdr().GSO = &mbuf.GSO{SegSize: c.mss, HdrLen: len(wire), Sums: sums}
+			pkt.Hdr().GSO = &mbuf.GSO{SegSize: c.mss, HdrLen: hlen, Sums: sums}
 		} else {
-			sum = inet.SumCopy(sum, seg[len(wire):], payload)
+			sum = inet.SumCopy(sum, seg[hlen:], payload)
 			ck := inet.Fold(sum)
 			seg[16], seg[17] = byte(ck>>8), byte(ck)
 		}
@@ -286,20 +279,35 @@ func (t *TCP) respondRST(meta *proto.Meta, th *Header, tlen int) {
 		hdr.Flags = FlagRST | FlagACK
 		hdr.Ack = ack
 	}
-	wire := hdr.Marshal()
 	src := meta.DstIs6() // swap: we answer from the packet's destination
 	dst := meta.SrcIs6()
-	var sum uint32
 	v6 := meta.Family == inet.AFInet6
+	t.outbox = append(t.outbox, outSeg{v6: v6, src: src, dst: dst, pkt: ctlSegment(hdr, src, dst, v6)})
+}
+
+// ctlSegment builds a segment that is its header alone (a RST, a
+// TIME_WAIT ACK, a SYN-ACK cookie) in a pooled buffer, checksummed for
+// the given endpoints (v4-mapped unless v6).
+func ctlSegment(hdr *Header, src, dst inet.IP6, v6 bool) *mbuf.Mbuf {
+	pkt := mbuf.Get(hdr.Len())
+	seg := pkt.Bytes()
+	hdr.Put(seg)
+	ck := inet.Fold(inet.Sum(pseudoSum(src, dst, len(seg), v6), seg))
+	seg[16], seg[17] = byte(ck>>8), byte(ck)
+	return pkt
+}
+
+// pseudoSum returns the unfolded pseudo-header sum of a TCP segment of
+// tlen bytes between src and dst, over IPv6 or (for v4-mapped
+// endpoints) IPv4: the §5.3 split between struct ipv6ovly and struct
+// ipovly.
+func pseudoSum(src, dst inet.IP6, tlen int, v6 bool) uint32 {
 	if v6 {
-		sum = inet.PseudoHeader6(src, dst, uint32(len(wire)), proto.TCP)
-	} else {
-		sum = inet.PseudoHeader4(meta.Dst4, meta.Src4, uint16(len(wire)), proto.TCP)
+		return inet.PseudoHeader6(src, dst, uint32(tlen), proto.TCP)
 	}
-	sum = inet.Sum(sum, wire)
-	ck := inet.Fold(sum)
-	wire[16], wire[17] = byte(ck>>8), byte(ck)
-	t.outbox = append(t.outbox, outSeg{v6: v6, src: src, dst: dst, pkt: mbuf.New(wire)})
+	s4, _ := src.MappedV4()
+	d4, _ := dst.MappedV4()
+	return inet.PseudoHeader4(s4, d4, uint16(tlen), proto.TCP)
 }
 
 //

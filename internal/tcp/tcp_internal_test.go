@@ -21,7 +21,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if err != nil || off != 24 {
 		t.Fatal(err)
 	}
-	if *got != *h {
+	if got != *h {
 		t.Fatalf("round trip %+v != %+v", got, h)
 	}
 }
@@ -29,7 +29,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 func TestHeaderNoOptions(t *testing.T) {
 	h := &Header{SPort: 1, DPort: 2, Seq: 3, Ack: 4, Flags: FlagACK | FlagPSH | FlagFIN, Wnd: 9}
 	got, off, err := parse(h.Marshal())
-	if err != nil || off != HeaderLen || *got != *h {
+	if err != nil || off != HeaderLen || got != *h {
 		t.Fatalf("%+v %d %v", got, off, err)
 	}
 }
@@ -60,7 +60,7 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 		if h.MSS == 0 {
 			return got.MSS == 0 && got.Seq == h.Seq && got.Flags == h.Flags
 		}
-		return *got == *h
+		return got == *h
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

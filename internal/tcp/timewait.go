@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"bsd6/internal/inet"
-	"bsd6/internal/mbuf"
-	"bsd6/internal/proto"
 	"bsd6/internal/stat"
 )
 
@@ -203,19 +201,7 @@ func (t *TCP) twAck(e *twEntry) {
 		SPort: e.key.lport, DPort: e.key.fport,
 		Seq: e.sndNxt, Ack: e.rcvNxt, Flags: FlagACK,
 	}
-	wire := hdr.Marshal()
-	var sum uint32
-	if e.v6 {
-		sum = inet.PseudoHeader6(e.key.laddr, e.key.faddr, uint32(len(wire)), proto.TCP)
-	} else {
-		s4, _ := e.key.laddr.MappedV4()
-		d4, _ := e.key.faddr.MappedV4()
-		sum = inet.PseudoHeader4(s4, d4, uint16(len(wire)), proto.TCP)
-	}
-	sum = inet.Sum(sum, wire)
-	ck := inet.Fold(sum)
-	wire[16], wire[17] = byte(ck>>8), byte(ck)
-	t.outbox = append(t.outbox, outSeg{v6: e.v6, src: e.key.laddr, dst: e.key.faddr, pkt: mbuf.New(wire), flow: e.flow})
+	t.outbox = append(t.outbox, outSeg{v6: e.v6, src: e.key.laddr, dst: e.key.faddr, pkt: ctlSegment(hdr, e.key.laddr, e.key.faddr, e.v6), flow: e.flow})
 }
 
 // enterTimeWait compresses the connection into a 2MSL record: the full

@@ -349,8 +349,8 @@ func (m *Module) lookup(meta *proto.Meta) (*Tunnel, bool) {
 // positioned the packet at the inner header; meta carries the outer
 // addresses.  It is a terminal consumer: every refusal frees the
 // packet after charging a typed drop reason.
-func (m *Module) decapInput(pkt *mbuf.Mbuf, meta *proto.Meta) {
-	t, endpointHit := m.lookup(meta)
+func (m *Module) decapInput(pkt *mbuf.Mbuf, meta proto.Meta) {
+	t, endpointHit := m.lookup(&meta)
 	if t == nil {
 		// Encapsulated traffic from an address we have no tunnel to:
 		// RFC 4213's decapsulation check. A known endpoint sending the

@@ -226,7 +226,7 @@ func TestDecapValidation(t *testing.T) {
 	// 5. The same gauntlet admits a well-formed packet: inner UDP lands
 	// in the protocol switch with the tunnel device as receive context.
 	var delivered [][]byte
-	b.V6.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ *proto.Meta) {
+	b.V6.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ proto.Meta) {
 		delivered = append(delivered, pkt.CopyBytes())
 	}, nil)
 	b.V4.Input(eth, outer4(v4Peer, v4Local, proto.IPv6,

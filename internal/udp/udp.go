@@ -48,8 +48,10 @@ var (
 	ErrMsgTooBig    = errors.New("udp: datagram exceeds 64KB")
 )
 
-// DeliverFunc hands a received datagram to the owning socket.
-type DeliverFunc func(p *pcb.PCB, data []byte, src inet.IP6, sport uint16, meta *proto.Meta)
+// DeliverFunc hands a received datagram to the owning socket.  data
+// aliases the received packet, which is freed when it returns, so the
+// socket copies what it keeps.  meta is passed by value.
+type DeliverFunc func(p *pcb.PCB, data []byte, src inet.IP6, sport uint16, meta proto.Meta)
 
 // NotifyFunc delivers an ICMP-derived error to a socket.
 type NotifyFunc func(p *pcb.PCB, kind proto.CtlType, mtu int)
@@ -216,7 +218,7 @@ func (u *UDP) Output(p *pcb.PCB, data []byte, faddr inet.IP6, fport uint16) erro
 // they are transported over IPv4 or IPv6, are processed by
 // udp_input()", with a local discriminator selecting version-specific
 // code paths.
-func (u *UDP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
+func (u *UDP) input(pkt *mbuf.Mbuf, meta proto.Meta) {
 	// input is the packet's terminal consumer: every path below either
 	// drops it or copies its bytes onward (Deliver copies into the
 	// socket buffer, portUnreach builds a fresh packet), so the pooled
@@ -267,7 +269,7 @@ func (u *UDP) input(pkt *mbuf.Mbuf, meta *proto.Meta) {
 	if p == nil {
 		u.Stats.InNoPorts.Inc()
 		u.Drops.DropPkt(stat.RUDPNoPort, b)
-		u.portUnreach(pkt, meta, b)
+		u.portUnreach(pkt, &meta, b)
 		return
 	}
 	// The input security policy check (§5.2): "If an incoming packet

@@ -39,9 +39,9 @@ func newUNode(name string) *unode {
 	n.u = udp.New(n.V4, n.V6)
 	n.u.InputPolicy = n.Sec.InputPolicy
 	n.u.AllowError = n.Sec.AllowError
-	n.u.Deliver = func(p *pcb.PCB, data []byte, src inet.IP6, sport uint16, meta *proto.Meta) {
+	n.u.Deliver = func(p *pcb.PCB, data []byte, src inet.IP6, sport uint16, meta proto.Meta) {
 		n.mu.Lock()
-		n.rcvd = append(n.rcvd, dgram{p, append([]byte(nil), data...), src, sport, *meta})
+		n.rcvd = append(n.rcvd, dgram{p, append([]byte(nil), data...), src, sport, meta})
 		n.mu.Unlock()
 	}
 	n.u.Notify = func(p *pcb.PCB, kind proto.CtlType, mtu int) {
