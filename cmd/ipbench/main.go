@@ -230,7 +230,7 @@ func (tb *testbed) setSAs(ahAlg string, ahKey []byte, espAlg string, espKey []by
 }
 
 // addDecoySAs grows both association tables to n entries with
-// associations for unrelated destinations: they load the SPI shards
+// associations for unrelated destinations: they load the inbound SPI index
 // and the outbound destination index without ever matching the
 // measured stream, which is exactly what a busy security gateway's
 // table looks like.
@@ -424,7 +424,7 @@ func table5() {
 
 	// SA-population scaling: the same AES-GCM ESP stream measured
 	// against association tables of 1k and 100k entries.  With the
-	// sharded SPI index and the PCB verdict cache these rows should
+	// hashed SPI index and the PCB verdict cache these rows should
 	// sit on top of the 4-entry row.
 	for _, pop := range []int{1_000, 100_000} {
 		fam := families[1]
@@ -548,12 +548,12 @@ func micro() {
 // lookupSink keeps the demux loop observable.
 var lookupSink *pcb.PCB
 
-// conns regenerates the connection-scaling table: the sharded demux's
+// conns regenerates the connection-scaling table: the hash demux's
 // established-connection lookup and per-connection churn cost must stay
 // flat as the PCB table grows from 10k to a million entries — the row
 // pattern a linear-scan table turns into milliseconds.
 func conns() {
-	fmt.Println("\nConns: demux scaling (sharded PCB hash)")
+	fmt.Println("\nConns: demux scaling (PCB hash)")
 	fmt.Printf("%10s %14s %14s\n", "conns", "lookup ns/op", "churn ns/op")
 	local, err := inet.ParseIP6("2001:db8::1")
 	if err != nil {

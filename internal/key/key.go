@@ -12,14 +12,14 @@
 // security implementation" and can be replaced by installing a new
 // daemon, with no kernel rebuild.
 //
-// Per-packet resolution is lock-light: the inbound SPI lookup reads a
-// sharded index under a per-shard read lock (no global lock, no
-// allocation), and the outbound resolution is memoized in a PCB-held
-// Cache validated by one atomic generation compare — the route.Cache
-// discipline applied to the SA table.  Every structural table change
-// (add, update, delete, flush, hard expiry) bumps the generation, so a
-// PF_KEY storm racing the datapath can only make caches stale, never
-// wrongly fresh.
+// Like NRL's table under splnet, the engine keeps every table under
+// one lock.  The inbound SPI lookup is one map probe under its read
+// lock, with no allocation, and the outbound resolution is memoized in
+// a PCB-held Cache validated by one atomic generation compare — the
+// route.Cache discipline applied to the SA table.  Every structural
+// table change (add, update, delete, flush, hard expiry) bumps the
+// generation, so a PF_KEY storm racing the datapath can only make
+// caches stale, never wrongly fresh.
 package key
 
 import (
@@ -190,41 +190,28 @@ var (
 	ErrExists = errors.New("key: association already exists")
 )
 
-// spiShardCount is the size of the sharded inbound SPI index.  64
-// shards (indexed by the SPI's low bits) keep concurrent inbound flows
-// off each other's locks without measurable memory cost.
-const spiShardCount = 64
-
-// spiShard is one slot of the inbound index: a per-shard map guarded
-// by a per-shard RWMutex, so GetBySPI never touches the engine lock.
-type spiShard struct {
-	mu sync.RWMutex
-	m  map[saKey]*SA
-}
-
 // staleRingSize bounds the recently-deleted ring used to classify
 // inbound SPI misses as stale (a just-removed association) versus
 // never-known — the SYN-cookie-style "we used to know you" signal.
 const staleRingSize = 512
 
 // Engine is the in-kernel Security Association table plus the PF_KEY
-// plumbing.  The flat table and its scan live under e.mu; the
-// per-packet paths avoid it entirely (sharded SPI index inbound, the
-// generation-validated Cache outbound).
+// plumbing.  Every table below lives under e.mu: the per-packet
+// inbound lookup takes its read lock, and the outbound path skips it
+// while its generation-validated Cache stays fresh.
 type Engine struct {
 	mu    sync.RWMutex
 	sas   map[saKey]*SA
+	spi   map[saKey]*SA    // inbound index read by LookupSPI
 	byDst map[dstKey][]*SA // exact-destination outbound index
 	sel   []*SA            // tunnel SAs with a destination selector
 	socks []*Socket
 	acq   map[acqKey]time.Time // outstanding acquires, rate-limited
 	seq   uint32
 
-	gen    atomic.Uint64 // bumped on every structural table change
-	shards [spiShardCount]spiShard
+	gen atomic.Uint64 // bumped on every structural table change
 
 	// Recently-deleted associations, for stale-SPI classification.
-	delMu   sync.Mutex
 	delSet  map[saKey]struct{}
 	delRing [staleRingSize]saKey
 	delLen  int
@@ -272,14 +259,12 @@ type acqKey struct {
 func NewEngine() *Engine {
 	e := &Engine{
 		sas:           make(map[saKey]*SA),
+		spi:           make(map[saKey]*SA),
 		byDst:         make(map[dstKey][]*SA),
 		acq:           make(map[acqKey]time.Time),
 		delSet:        make(map[saKey]struct{}),
 		Now:           time.Now,
 		AcquireWindow: 10 * time.Second,
-	}
-	for i := range e.shards {
-		e.shards[i].m = make(map[saKey]*SA)
 	}
 	return e
 }
@@ -289,18 +274,10 @@ func NewEngine() *Engine {
 // every Cache in the stack on its next validity compare.
 func (e *Engine) Gen() uint64 { return e.gen.Load() }
 
-// shardFor returns the inbound index shard holding spi.
-func (e *Engine) shardFor(spi uint32) *spiShard {
-	return &e.shards[spi%spiShardCount]
-}
-
 // indexAddLocked inserts sa into the inbound and outbound indexes.
 // Caller holds e.mu exclusive.
 func (e *Engine) indexAddLocked(k saKey, sa *SA) {
-	sh := e.shardFor(k.spi)
-	sh.mu.Lock()
-	sh.m[k] = sa
-	sh.mu.Unlock()
+	e.spi[k] = sa
 	dk := dstKey{k.dst, k.proto}
 	e.byDst[dk] = append(e.byDst[dk], sa)
 	if sa.Proto == ProtoESPTunnel && sa.SelPlen > 0 {
@@ -312,12 +289,9 @@ func (e *Engine) indexAddLocked(k saKey, sa *SA) {
 // inbound and outbound indexes; an inbound entry already replaced by
 // a successor stays.  Caller holds e.mu exclusive.
 func (e *Engine) indexDelLocked(k saKey, sa *SA) {
-	sh := e.shardFor(k.spi)
-	sh.mu.Lock()
-	if sh.m[k] == sa {
-		delete(sh.m, k)
+	if e.spi[k] == sa {
+		delete(e.spi, k)
 	}
-	sh.mu.Unlock()
 	dk := dstKey{k.dst, k.proto}
 	l := e.byDst[dk]
 	for i, x := range l {
@@ -339,9 +313,9 @@ func (e *Engine) indexDelLocked(k saKey, sa *SA) {
 	}
 }
 
-// recordDeleted remembers k in the bounded recently-deleted ring.
-func (e *Engine) recordDeleted(k saKey) {
-	e.delMu.Lock()
+// recordDeletedLocked remembers k in the bounded recently-deleted
+// ring.  Caller holds e.mu exclusive.
+func (e *Engine) recordDeletedLocked(k saKey) {
 	if e.delLen == staleRingSize {
 		delete(e.delSet, e.delRing[e.delPos])
 	} else {
@@ -350,16 +324,6 @@ func (e *Engine) recordDeleted(k saKey) {
 	e.delRing[e.delPos] = k
 	e.delPos = (e.delPos + 1) % staleRingSize
 	e.delSet[k] = struct{}{}
-	e.delMu.Unlock()
-}
-
-// recentlyDeleted reports whether k was removed within the ring's
-// memory — the inbound path's stale-versus-unknown discriminator.
-func (e *Engine) recentlyDeleted(k saKey) bool {
-	e.delMu.Lock()
-	_, ok := e.delSet[k]
-	e.delMu.Unlock()
-	return ok
 }
 
 // Add installs an association. An existing (SPI, dst, proto) entry is
@@ -426,8 +390,6 @@ func (e *Engine) Update(sa *SA) error {
 	} {
 		atomic.AddUint64(c[0], atomic.LoadUint64(c[1]))
 	}
-	// Index the successor before unindexing old: inbound lookups take
-	// only the shard lock, and must never see the SPI missing mid-swap.
 	e.sas[k] = sa
 	e.indexAddLocked(k, sa)
 	e.indexDelLocked(k, old)
@@ -447,7 +409,7 @@ func (e *Engine) Delete(spi uint32, dst inet.IP6, proto SecProto) error {
 	}
 	delete(e.sas, k)
 	e.indexDelLocked(k, sa)
-	e.recordDeleted(k)
+	e.recordDeletedLocked(k)
 	e.gen.Add(1)
 	e.Stats.Deletes.Inc()
 	e.notifyLocked(Message{Type: MsgDelete, SA: sa})
@@ -459,17 +421,12 @@ func (e *Engine) Flush() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for k := range e.sas {
-		e.recordDeleted(k)
+		e.recordDeletedLocked(k)
 	}
 	e.sas = make(map[saKey]*SA)
 	e.byDst = make(map[dstKey][]*SA)
+	e.spi = make(map[saKey]*SA)
 	e.sel = nil
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[saKey]*SA)
-		sh.mu.Unlock()
-	}
 	e.gen.Add(1)
 	e.notifyLocked(Message{Type: MsgFlush})
 }
@@ -520,19 +477,23 @@ func (r SPIResult) String() string {
 }
 
 // LookupSPI is the datapath form of getassocbyspi (§3.4): it resolves
-// an inbound packet's cleartext SPI against the sharded index — one
-// per-shard read lock, no global lock, no allocation — and classifies
-// misses so the caller can charge a typed drop reason.
+// an inbound packet's cleartext SPI against the inbound index — one
+// read lock, no allocation — and classifies misses against the
+// recently-deleted ring under the same lock, so the caller can charge
+// a typed drop reason.
 func (e *Engine) LookupSPI(spi uint32, dst inet.IP6, proto SecProto) (*SA, SPIResult) {
 	e.Stats.Lookups.Inc()
 	k := saKey{spi, dst, proto}
-	sh := e.shardFor(spi)
-	sh.mu.RLock()
-	sa := sh.m[k]
-	sh.mu.RUnlock()
+	e.mu.RLock()
+	sa := e.spi[k]
+	stale := false
+	if sa == nil {
+		_, stale = e.delSet[k]
+	}
+	e.mu.RUnlock()
 	if sa == nil {
 		e.Stats.Misses.Inc()
-		if e.recentlyDeleted(k) {
+		if stale {
 			return nil, SPIStale
 		}
 		return nil, SPIMiss
@@ -661,7 +622,7 @@ func (e *Engine) SlowTimo() {
 		if sa.HardLife != 0 && now.After(sa.AddedAt.Add(sa.HardLife)) {
 			delete(e.sas, k)
 			e.indexDelLocked(k, sa)
-			e.recordDeleted(k)
+			e.recordDeletedLocked(k)
 			e.gen.Add(1)
 			e.Stats.HardExpires.Inc()
 			e.notifyRegisteredLocked(Message{Type: MsgExpire, SA: sa, Hard: true})

@@ -152,8 +152,9 @@ func TestLookupSPIClassification(t *testing.T) {
 
 // TestUpdateNeverHidesSPI: an in-place rekey (SADB_UPDATE) swaps the
 // association object under a live SPI, and an inbound lookup racing
-// the swap — it takes only the shard lock — must find the old object
-// or the new one, never neither.
+// the swap — it reads the index under the engine's read lock while
+// Update holds the write lock — must find the old object or the new
+// one, never neither.
 func TestUpdateNeverHidesSPI(t *testing.T) {
 	e := churnEngine()
 	dst := ip6(t, "2001:db8::2")
@@ -257,8 +258,7 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 }
 
 // TestLookupSPIZeroAlloc pins the inbound demux promise: resolving an
-// SPI against a 100k-association table allocates nothing and takes no
-// global lock.
+// SPI against a 100k-association table allocates nothing.
 func TestLookupSPIZeroAlloc(t *testing.T) {
 	e := churnEngine()
 	dst := ip6(t, "2001:db8::2")

@@ -1,6 +1,6 @@
 package pcb
 
-// Differential test for the sharded demux: the original linear-scan
+// Differential test for the hash demux: the original linear-scan
 // in_pcblookup (lookupRef) is the oracle, and the production Lookup is
 // correct iff its winner belongs to the oracle's maximum-score set.
 // The old code picked an arbitrary member of that set (Go map
@@ -8,7 +8,7 @@ package pcb
 // equivalence the refactor must preserve.
 //
 // A byte-coded interpreter drives both paths through randomized
-// attach/bind/connect/disconnect/detach/retuple/reshard sequences over
+// attach/bind/connect/disconnect/detach/retuple sequences over
 // a small address/port universe (native v6, v4-mapped, wildcard,
 // V6Only sockets) chosen to force collisions; FuzzPCBOps feeds the
 // same interpreter from the fuzzer.
@@ -129,9 +129,7 @@ func runPCBOps(t *testing.T, data []byte) {
 			if p := pick(next()); p != nil {
 				tb.SetTuple(p, addr(next()), port(next()), addr(next()), port(next()))
 			}
-		case 6: // reshard: every PCB is refiled under the new geometry
-			tb.SetShards(1 << (next() % 6))
-		case 7: // explicit query
+		case 6, 7: // explicit query
 			checkLookup(t, tb, addr(next()), port(next()), addr(next()), port(next()), next()&1 != 0)
 		}
 		// One derived probe after every op keeps mutations honest even
@@ -160,7 +158,7 @@ func runPCBOps(t *testing.T, data []byte) {
 }
 
 // TestDemuxDifferential replays seeded random op sequences through the
-// sharded demux and the linear-scan oracle.
+// hash demux and the linear-scan oracle.
 func TestDemuxDifferential(t *testing.T) {
 	for seed := int64(0); seed < 32; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -171,7 +169,8 @@ func TestDemuxDifferential(t *testing.T) {
 }
 
 // TestDemuxDifferentialLong runs fewer, deeper sequences so churn
-// (bind→connect→detach over the same ports) crosses shard rebuilds.
+// (bind→connect→detach over the same ports) empties and refills the
+// same port entries and tuple chains many times over.
 func TestDemuxDifferentialLong(t *testing.T) {
 	for seed := int64(100); seed < 104; seed++ {
 		rng := rand.New(rand.NewSource(seed))

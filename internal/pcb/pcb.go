@@ -12,21 +12,23 @@
 // whether the session is sending IPv6 datagrams; if it is not set,
 // IPv4 is in use.
 //
-// Demultiplexing no longer walks BSD's linear tcb/udb list.  The table
-// keeps three structures, all consistent under the table mutex:
+// Demultiplexing no longer walks BSD's linear tcb/udb list.  Like
+// BSD's per-protocol list under splnet, the table keeps everything
+// under one lock; it is the hashes, not any partitioning, that make
+// the demux O(1):
 //
-//   - a sharded exact-match hash (FNV-1a over the 4-tuple into
-//     power-of-two shards, per-shard RWMutex) holding every PCB with a
+//   - an exact-match map over the 4-tuple holding every PCB with a
 //     fixed foreign endpoint, so the established-connection lookup that
-//     runs once per received segment is a single bucket probe;
-//   - a sharded port index whose per-port entry carries the wildcard
-//     (listener) chain plus local-address occupancy counts, making the
-//     Bind conflict scan and the ephemeral-port allocator O(1) per
+//     runs once per received segment is a single map probe;
+//   - a port map whose per-port entry carries the wildcard (listener)
+//     chain plus local-address occupancy counts, making the Bind
+//     conflict scan and the ephemeral-port allocator O(1) per
 //     candidate instead of O(pcbs);
-//   - the flat registry of all PCBs, retained for Notify/All and as the
-//     substrate of lookupRef, the original linear-scan in_pcblookup
-//     kept as the oracle the differential and fuzz tests replay
-//     against.
+//   - the flat registry of all PCBs, for Notify, All and Len.
+//
+// Lookup takes the read lock, so UDP input and GRO may demux from the
+// netisr while the owning protocol attaches and binds; every mutation
+// takes the write lock.
 package pcb
 
 import (
@@ -126,44 +128,6 @@ type tuple struct {
 // instead.
 func (k tuple) connected() bool { return !k.faddr.IsUnspecified() || k.fport != 0 }
 
-// FNV-1a, the tuple hash of the shard selector.
-const (
-	fnvOffset32 = 2166136261
-	fnvPrime32  = 16777619
-)
-
-func fnvBytes(h uint32, b []byte) uint32 {
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= fnvPrime32
-	}
-	return h
-}
-
-func (k tuple) hash() uint32 {
-	h := fnvBytes(uint32(fnvOffset32), k.laddr[:])
-	h = fnvBytes(h, k.faddr[:])
-	var pb [4]byte
-	pb[0], pb[1] = byte(k.lport>>8), byte(k.lport)
-	pb[2], pb[3] = byte(k.fport>>8), byte(k.fport)
-	return fnvBytes(h, pb[:])
-}
-
-func portHash(lport uint16) uint32 {
-	var pb [2]byte
-	pb[0], pb[1] = byte(lport>>8), byte(lport)
-	return fnvBytes(uint32(fnvOffset32), pb[:])
-}
-
-// connShard is one exact-match shard: full tuple → chain.  A chain
-// holds more than one PCB only when distinct sockets share an entire
-// 4-tuple across address families (legal: Bind lets connected sockets
-// share a local port).
-type connShard struct {
-	mu sync.RWMutex
-	m  map[tuple][]*PCB
-}
-
 // portEntry is the per-local-port demux record.
 type portEntry struct {
 	// wild chains the listeners: PCBs with both foreign fields
@@ -179,24 +143,16 @@ type portEntry struct {
 	total   int
 }
 
-type portShard struct {
-	mu sync.RWMutex
-	m  map[uint16]*portEntry
-}
-
-// DefaultShards is the demux shard count of a new Table (SetShards
-// changes it).
-const DefaultShards = 32
-
-// Table is a per-protocol PCB table (BSD's udb / tcb).
+// Table is a per-protocol PCB table (BSD's udb / tcb).  A chain in
+// conns holds more than one PCB only when distinct sockets share an
+// entire 4-tuple across address families (legal: Bind lets connected
+// sockets share a local port).
 type Table struct {
-	mu        sync.Mutex
+	mu        sync.RWMutex
 	pcbs      map[*PCB]struct{}
+	conns     map[tuple][]*PCB
+	ports     map[uint16]*portEntry
 	nextEphem uint16
-
-	mask  uint32
-	conns []connShard
-	ports []portShard
 }
 
 // Ephemeral port range (BSD's traditional 1024..5000).
@@ -207,46 +163,11 @@ const (
 
 // NewTable creates an empty PCB table.
 func NewTable() *Table {
-	t := &Table{pcbs: make(map[*PCB]struct{}), nextEphem: ephemFirst}
-	t.setShardsLocked(DefaultShards)
-	return t
-}
-
-// SetShards resizes the demux to n shards (rounded up to a power of
-// two) and refiles every PCB.
-func (t *Table) SetShards(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.setShardsLocked(n)
-}
-
-// Shards reports the current shard count.
-func (t *Table) Shards() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int(t.mask) + 1
-}
-
-func (t *Table) setShardsLocked(n int) {
-	if n < 1 {
-		n = 1
-	}
-	sz := 1
-	for sz < n && sz < 1<<16 {
-		sz <<= 1
-	}
-	t.mask = uint32(sz - 1)
-	t.conns = make([]connShard, sz)
-	t.ports = make([]portShard, sz)
-	for i := range t.conns {
-		t.conns[i].m = make(map[tuple][]*PCB)
-	}
-	for i := range t.ports {
-		t.ports[i].m = make(map[uint16]*portEntry)
-	}
-	for p := range t.pcbs {
-		p.indexed = false
-		t.indexLocked(p)
+	return &Table{
+		pcbs:      make(map[*PCB]struct{}),
+		conns:     make(map[tuple][]*PCB),
+		ports:     make(map[uint16]*portEntry),
+		nextEphem: ephemFirst,
 	}
 }
 
@@ -268,17 +189,12 @@ func (t *Table) indexLocked(p *PCB) {
 	k := tuple{laddr: p.LAddr, faddr: p.FAddr, lport: p.LPort, fport: p.FPort}
 	p.idx, p.indexed = k, true
 	if k.connected() {
-		cs := &t.conns[k.hash()&t.mask]
-		cs.mu.Lock()
-		cs.m[k] = append(cs.m[k], p)
-		cs.mu.Unlock()
+		t.conns[k] = append(t.conns[k], p)
 	}
-	ps := &t.ports[portHash(k.lport)&t.mask]
-	ps.mu.Lock()
-	e := ps.m[k.lport]
+	e := t.ports[k.lport]
 	if e == nil {
 		e = &portEntry{byLAddr: make(map[inet.IP6]int)}
-		ps.m[k.lport] = e
+		t.ports[k.lport] = e
 	}
 	if !k.connected() {
 		e.wild = append(e.wild, p)
@@ -287,7 +203,6 @@ func (t *Table) indexLocked(p *PCB) {
 	}
 	e.byLAddr[k.laddr]++
 	e.total++
-	ps.mu.Unlock()
 }
 
 // unindexLocked unhooks the PCB from the chains its idx snapshot names.
@@ -299,18 +214,13 @@ func (t *Table) unindexLocked(p *PCB) {
 	k := p.idx
 	p.indexed = false
 	if k.connected() {
-		cs := &t.conns[k.hash()&t.mask]
-		cs.mu.Lock()
-		if rest := removePCB(cs.m[k], p); len(rest) == 0 {
-			delete(cs.m, k)
+		if rest := removePCB(t.conns[k], p); len(rest) == 0 {
+			delete(t.conns, k)
 		} else {
-			cs.m[k] = rest
+			t.conns[k] = rest
 		}
-		cs.mu.Unlock()
 	}
-	ps := &t.ports[portHash(k.lport)&t.mask]
-	ps.mu.Lock()
-	if e := ps.m[k.lport]; e != nil {
+	if e := t.ports[k.lport]; e != nil {
 		if !k.connected() {
 			e.wild = removePCB(e.wild, p)
 		} else if k.faddr.IsUnspecified() {
@@ -320,10 +230,9 @@ func (t *Table) unindexLocked(p *PCB) {
 			delete(e.byLAddr, k.laddr)
 		}
 		if e.total--; e.total == 0 {
-			delete(ps.m, k.lport)
+			delete(t.ports, k.lport)
 		}
 	}
-	ps.mu.Unlock()
 }
 
 // Attach allocates a PCB in the table (in_pcballoc).
@@ -346,8 +255,8 @@ func (t *Table) Detach(p *PCB) {
 
 // Len returns the number of PCBs.
 func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return len(t.pcbs)
 }
 
@@ -390,10 +299,7 @@ func (t *Table) Bind(p *PCB, laddr inet.IP6, lport uint16) error {
 // could see the same traffic (address overlap) and has no fixed peer —
 // distinct connected sockets may share a local port.
 func (t *Table) bindConflictLocked(p *PCB, laddr inet.IP6, lport uint16) bool {
-	ps := &t.ports[portHash(lport)&t.mask]
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	e := ps.m[lport]
+	e := t.ports[lport]
 	if e == nil {
 		return false
 	}
@@ -420,21 +326,19 @@ func (t *Table) ephemeralLocked(laddr inet.IP6) (uint16, error) {
 		if t.nextEphem > ephemLast {
 			t.nextEphem = ephemFirst
 		}
-		if t.portFree(port, laddr) {
+		if t.portFreeLocked(port, laddr) {
 			return port, nil
 		}
 	}
 	return 0, ErrNoPorts
 }
 
-// portFree reports whether (laddr, port) collides with no existing
-// binding: any occupant blocks a wildcard request, and a specific
-// request is blocked by wildcard-bound or same-address occupants.
-func (t *Table) portFree(port uint16, laddr inet.IP6) bool {
-	ps := &t.ports[portHash(port)&t.mask]
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	e := ps.m[port]
+// portFreeLocked reports whether (laddr, port) collides with no
+// existing binding: any occupant blocks a wildcard request, and a
+// specific request is blocked by wildcard-bound or same-address
+// occupants.
+func (t *Table) portFreeLocked(port uint16, laddr inet.IP6) bool {
+	e := t.ports[port]
 	if e == nil {
 		return true
 	}
@@ -537,13 +441,10 @@ func compatible(p *PCB, v4 bool) bool {
 	return p.Family != inet.AFInet
 }
 
-// probeConnected is the exact-match bucket probe: one shard, one map
-// access, a chain that is almost always a single PCB.
-func (t *Table) probeConnected(k tuple, v4 bool) *PCB {
-	cs := &t.conns[k.hash()&t.mask]
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	for _, p := range cs.m[k] {
+// probeConnectedLocked is the exact-match probe: one map access, a
+// chain that is almost always a single PCB.
+func (t *Table) probeConnectedLocked(k tuple, v4 bool) *PCB {
+	for _, p := range t.conns[k] {
 		if compatible(p, v4) {
 			return p
 		}
@@ -565,18 +466,17 @@ func (t *Table) probeConnected(k tuple, v4 bool) *PCB {
 // (score ≤ 1), so an established connection never pays for the
 // listeners sharing its port.
 func (t *Table) Lookup(laddr inet.IP6, lport uint16, faddr inet.IP6, fport uint16, v4 bool) *PCB {
-	if p := t.probeConnected(tuple{laddr: laddr, faddr: faddr, lport: lport, fport: fport}, v4); p != nil {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if p := t.probeConnectedLocked(tuple{laddr: laddr, faddr: faddr, lport: lport, fport: fport}, v4); p != nil {
 		return p
 	}
 	if !laddr.IsUnspecified() {
-		if p := t.probeConnected(tuple{faddr: faddr, lport: lport, fport: fport}, v4); p != nil {
+		if p := t.probeConnectedLocked(tuple{faddr: faddr, lport: lport, fport: fport}, v4); p != nil {
 			return p
 		}
 	}
-	ps := &t.ports[portHash(lport)&t.mask]
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	e := ps.m[lport]
+	e := t.ports[lport]
 	if e == nil {
 		return nil
 	}
@@ -600,68 +500,20 @@ func (t *Table) Lookup(laddr inet.IP6, lport uint16, faddr inet.IP6, fport uint1
 	return best
 }
 
-// lookupRef is the original linear-scan in_pcblookup, retained verbatim
-// as the reference model for the hash demux. It returns every
-// maximum-score candidate: the old map-iteration code picked an
-// arbitrary one, so the production Lookup is correct iff its winner is
-// a member of this set (nil result ↔ empty set). The differential and
-// fuzz tests replay random operation sequences through both paths.
-func (t *Table) lookupRef(laddr inet.IP6, lport uint16, faddr inet.IP6, fport uint16, v4 bool) []*PCB {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var best []*PCB
-	bestScore := -1
-	for p := range t.pcbs {
-		if p.LPort != lport {
-			continue
-		}
-		// Family/traffic compatibility.
-		if v4 {
-			if p.Family == inet.AFInet6 && p.Flags&FlagV6Only != 0 {
-				continue
-			}
-		} else {
-			if p.Family == inet.AFInet {
-				continue
-			}
-		}
-		score := 0
-		if !p.FAddr.IsUnspecified() || p.FPort != 0 {
-			if p.FAddr != faddr || p.FPort != fport {
-				continue
-			}
-			score += 2
-		}
-		if !p.LAddr.IsUnspecified() {
-			if p.LAddr != laddr {
-				continue
-			}
-			score++
-		}
-		switch {
-		case score > bestScore:
-			best, bestScore = append(best[:0], p), score
-		case score == bestScore:
-			best = append(best, p)
-		}
-	}
-	return best
-}
-
 // Notify is in6_pcbnotify: apply fn to every PCB connected to faddr
 // (or bound toward it), delivering ICMP-derived errors upward.  The
 // caller performs the §5.1 security policy check before invoking this
 // ("to determine whether a particular error can be passed upwards to
 // the application or whether that would cause a security violation").
 func (t *Table) Notify(faddr inet.IP6, fport uint16, fn func(*PCB)) {
-	t.mu.Lock()
+	t.mu.RLock()
 	var hit []*PCB
 	for p := range t.pcbs {
 		if p.FAddr == faddr && (fport == 0 || p.FPort == fport) {
 			hit = append(hit, p)
 		}
 	}
-	t.mu.Unlock()
+	t.mu.RUnlock()
 	for _, p := range hit {
 		fn(p)
 	}
@@ -669,8 +521,8 @@ func (t *Table) Notify(faddr inet.IP6, fport uint16, fn func(*PCB)) {
 
 // All returns a snapshot of the table, for netstat.
 func (t *Table) All() []*PCB {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	out := make([]*PCB, 0, len(t.pcbs))
 	for p := range t.pcbs {
 		out = append(out, p)

@@ -111,22 +111,23 @@ func (t *Table) CacheFill(c *Cache, f inet.Family, dst []byte, e *Entry) {
 // Invalidate empties the cache (socket disconnect, family change).
 func (c *Cache) Invalidate() { c.p.Store(nil) }
 
-// ShardedSize is the number of Caches in a ShardedCache.  64 shards
+// ShardedSize is the number of Caches in a ShardedCache.  64 slots
 // keep a router's working set of next hops resident while bounding the
-// memory to one pointer per shard.
+// memory to one pointer per slot.
 const ShardedSize = 64
 
 // ShardedCache is a fixed array of Caches indexed by destination hash
 // — the forwarding path's held route.  A transit router sees many
 // destinations rather than one PCB's single peer, so a lone Cache
 // would thrash; hashing the destination across a small array gives
-// each active next-hop flow its own slot.  Validation is unchanged
-// (one generation compare per shard), so a route delete anywhere still
-// drops every shard on the next compare.  The zero value is ready to
-// use and safe for concurrent forwarding workers.
+// each active next-hop flow its own slot.  The slots add capacity, not
+// concurrency: a router forwards from its one netisr.  Validation is
+// unchanged (one generation compare per slot), so a route delete
+// anywhere still drops every slot on the next compare.  The zero value
+// is ready to use.
 type ShardedCache [ShardedSize]Cache
 
-// For returns the shard holding dst's cached route (FNV-1a over the
+// For returns the slot holding dst's cached route (FNV-1a over the
 // address bytes).
 func (s *ShardedCache) For(dst []byte) *Cache {
 	h := uint32(2166136261)
