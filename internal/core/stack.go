@@ -417,7 +417,9 @@ func (s *Stack) netisr() {
 // enabled) and on to the protocol input routines.  Order is preserved:
 // a frame the engine declines first forces out whatever super-segment
 // was pending, and the batch ends with a flush, so coalescing state
-// never outlives the burst.
+// never outlives the burst.  Every flushed super-segment goes through
+// IP and TCP input here, synchronously, before the engine sees the
+// next frame: the engine reuses its boundary record on that guarantee.
 func (s *Stack) dispatchBurst(burst []inputItem) {
 	if s.gro == nil || len(burst) == 1 {
 		for i := range burst {
@@ -741,5 +743,3 @@ func ctlError(kind proto.CtlType) error {
 		return ErrHostUnreach
 	}
 }
-
-var _ = mbuf.Mbuf{} // keep the import set stable for future use

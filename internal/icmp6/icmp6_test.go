@@ -277,6 +277,56 @@ func TestNDStaleThenProbeConfirm(t *testing.T) {
 	_ = rt
 }
 
+// TestNDReachableAgesOnTimerTick pins the BSD timer semantics on a
+// virtual clock: a REACHABLE entry past ndReachable is still used, with
+// no solicit, until the timer tick ages it to STALE; the first packet
+// after the tick sends exactly one unicast NS, whose answer makes the
+// entry REACHABLE again.
+func TestNDReachableAgesOnTimerTick(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(1_000_000, 0))
+	hub := netif.NewHub()
+	a, b := newNode("a"), newNode("b")
+	virtualize(clk, a, b)
+	a.join(hub, macA, 1500)
+	b.join(hub, macB, 1500)
+	p := &pinger{}
+	p.hook(a.m)
+	bll := b.linkLocal(0)
+	a.m.SendEcho(bll, 1, 1, nil)
+	waitFor(t, "reply", func() bool { return p.count() == 1 })
+	if st, _ := a.m.NeighborState(bll); st != NDReachable {
+		t.Fatalf("state = %v after resolution, want reachable", st)
+	}
+
+	clk.Advance(ndReachable + 5*time.Second)
+	ns := a.m.Stats.OutNS.Get()
+	for seq := uint16(2); seq <= 3; seq++ {
+		a.m.SendEcho(bll, 1, seq, nil)
+	}
+	waitFor(t, "replies past ndReachable", func() bool { return p.count() == 3 })
+	if got := a.m.Stats.OutNS.Get() - ns; got != 0 {
+		t.Fatalf("%d solicits before the timer tick, want 0", got)
+	}
+	if st, _ := a.m.NeighborState(bll); st != NDReachable {
+		t.Fatalf("state = %v before the timer tick, want reachable", st)
+	}
+
+	a.m.FastTimo(clk.Now())
+	if st, _ := a.m.NeighborState(bll); st != NDStale {
+		t.Fatalf("state = %v after the timer tick, want stale", st)
+	}
+	for seq := uint16(4); seq <= 5; seq++ {
+		a.m.SendEcho(bll, 1, seq, nil)
+	}
+	waitFor(t, "replies via the stale entry", func() bool { return p.count() == 5 })
+	if got := a.m.Stats.OutNS.Get() - ns; got != 1 {
+		t.Fatalf("%d solicits after the timer tick, want 1 unicast probe", got)
+	}
+	if st, _ := a.m.NeighborState(bll); st != NDReachable {
+		t.Fatalf("state = %v after the probe's answer, want reachable", st)
+	}
+}
+
 func TestUpperLayerConfirm(t *testing.T) {
 	hub := netif.NewHub()
 	a, b := newNode("a"), newNode("b")

@@ -99,33 +99,32 @@ func (m *Module) Resolve(ifp *netif.Interface, rt *route.Entry, nextHop inet.IP6
 	if rt == nil {
 		return inet.LinkAddr{}, false
 	}
-	now := m.l.Routes().Now()
 	var mac inet.LinkAddr
-	// Fast path: a reachable, unexpired neighbor needs no state
-	// transition, so the per-packet cost is one read lock.  Every
+	// Fast path: a reachable neighbor needs no state transition, so
+	// the per-packet cost is one read lock and no clock read.  As in
+	// BSD, REACHABLE ages to STALE on ndTimer's one-second tick, not
+	// per packet: past ndReachable the entry is used until the tick,
+	// and the first packet after it starts the unicast probe.  Every
 	// other case falls through to the write path below.
 	fresh := false
 	m.l.Routes().View(func() {
 		e, _ := rt.LLInfo.(*ndEntry)
 		if mv, ok := rt.Gateway.(inet.LinkAddr); ok && e != nil &&
-			rt.Flags&route.FlagReject == 0 &&
-			e.state == NDReachable && now.Sub(e.confirmed) <= ndReachable {
+			rt.Flags&route.FlagReject == 0 && e.state == NDReachable {
 			mac, fresh = mv, true
 		}
 	})
 	if fresh {
 		return mac, true
 	}
+	now := m.l.Routes().Now()
 	result := 0 // 0: unresolved, 1: resolved, 2: resolved + probe
 	needSend := false
 	m.l.Routes().Mutate(func() {
 		e, _ := rt.LLInfo.(*ndEntry)
 		if mv, ok := rt.Gateway.(inet.LinkAddr); ok && e != nil && rt.Flags&route.FlagReject == 0 {
 			switch e.state {
-			case NDReachable:
-				if now.Sub(e.confirmed) > ndReachable {
-					e.state = NDStale
-				}
+			case NDReachable, NDProbe:
 				mac, result = mv, 1
 				return
 			case NDStale:
@@ -136,9 +135,6 @@ func (m *Module) Resolve(ifp *netif.Interface, rt *route.Entry, nextHop inet.IP6
 				e.tries = 0
 				e.lastSent = now
 				mac, result = mv, 2
-				return
-			case NDProbe:
-				mac, result = mv, 1
 				return
 			}
 		}

@@ -102,7 +102,8 @@ func buildAHChain(sa *key.SA, hdr *ipv6.Header, payload *mbuf.Mbuf, nh uint8) er
 	h := alg.New(sa.AuthKey)
 	h.Write(pseudo.Marshal(nil))
 	h.Write(ah)
-	for _, seg := range payload.SegmentViews() {
+	cur := payload.Cursor()
+	for seg := cur.Next(); seg != nil; seg = cur.Next() {
 		h.Write(seg)
 	}
 	copy(ah[hl:], h.Sum(nil))

@@ -49,7 +49,8 @@ const (
 // for free while the transport built the packet, so the splitter
 // folds pseudo-header + header + chunk without re-reading the
 // payload.  The 16-bit partials add into a 32-bit accumulator without
-// overflow however many chunks a frame combines.
+// overflow however many chunks a frame combines.  Take descriptors
+// from NewGSO: the packet's Free recycles them.
 type GSO struct {
 	SegSize int      // payload bytes per wire frame (the connection MSS)
 	HdrLen  int      // leading bytes replicated onto every frame
@@ -61,6 +62,8 @@ type GSO struct {
 	// through its PMTU-derived MSS.  0 means not resolved (the link
 	// boundary falls back to the interface MTU).
 	PathMTU int
+
+	pooled bool // from NewGSO: Free returns it to the free list
 }
 
 // PktHdr is the per-packet header present on the first mbuf of a chain
@@ -108,9 +111,12 @@ func (h *PktHdr) AddSPI(spi uint32) {
 
 // cloneHdr returns a copy of h for a new packet: AuxSPI is copied
 // into the copy's own storage, never shared, and Len starts at 0.
+// The GSO descriptor is not carried: it belongs to exactly one packet,
+// whose Free recycles it.
 func cloneHdr(h *PktHdr) PktHdr {
 	c := *h
 	c.Len = 0
+	c.GSO = nil
 	c.AuxSPI = nil
 	for _, spi := range h.AuxSPI {
 		c.AddSPI(spi)
@@ -388,19 +394,29 @@ func (m *Mbuf) Bytes() []byte {
 	return m.PullUp(m.hdr.Len)
 }
 
-// SegmentViews returns a view of each non-empty chain segment's bytes,
-// in stream order, without copying or restructuring the chain.  The
-// views alias the packet and die with it.  Chain-aware consumers (the
-// GRO delivery path) use this to walk a coalesced train segment by
-// segment instead of linearizing it.
-func (m *Mbuf) SegmentViews() [][]byte {
-	var out [][]byte
-	for s := m.head; s != nil; s = s.next {
-		if len(s.data) > 0 {
-			out = append(out, s.data)
+// Cursor walks a packet's chain segment by segment without copying,
+// restructuring or allocating: BSD's loop over m_next, for callers
+// outside the package.  The zero value is an exhausted cursor.
+type Cursor struct {
+	s *segment
+}
+
+// Cursor returns a cursor positioned before the packet's first
+// segment.  The packet must not be modified while the cursor is used.
+func (m *Mbuf) Cursor() Cursor { return Cursor{s: m.head} }
+
+// Next returns the bytes of the next non-empty segment, in stream
+// order, or nil when the chain is exhausted.  The bytes alias the
+// packet and die with it.
+func (c *Cursor) Next() []byte {
+	for c.s != nil {
+		b := c.s.data
+		c.s = c.s.next
+		if len(b) > 0 {
+			return b
 		}
 	}
-	return out
+	return nil
 }
 
 // CopySum copies the whole chain into dst while accumulating the

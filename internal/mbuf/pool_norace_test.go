@@ -34,3 +34,30 @@ func TestInPlaceClaimsAllocateNothing(t *testing.T) {
 		t.Fatalf("in-place claims allocate %v times, want 0", n)
 	}
 }
+
+// TestGSOAndCursorAllocateNothing pins the stream path's bookkeeping
+// at zero allocations with a warm free list: a GSO descriptor taken
+// with NewGSO and returned by its packet's Free, and a Cursor walk
+// over a chain.
+func TestGSOAndCursorAllocateNothing(t *testing.T) {
+	m := Get(100)
+	defer m.Free()
+	if n := testing.AllocsPerRun(100, func() {
+		g := NewGSO(1440, 20, 45)
+		g.Sums = append(g.Sums, 1)
+		m.Hdr().GSO = g
+		m.Free()
+	}); n != 0 {
+		t.Fatalf("NewGSO + Free allocates %v times, want 0", n)
+	}
+	c := chainOf([]byte("ab"), []byte("cd"), []byte("ef"))
+	total := 0
+	if n := testing.AllocsPerRun(100, func() {
+		cur := c.Cursor()
+		for b := cur.Next(); b != nil; b = cur.Next() {
+			total += len(b)
+		}
+	}); n != 0 {
+		t.Fatalf("a Cursor walk allocates %v times, want 0", n)
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"bsd6/internal/inet"
 	"bsd6/internal/ipsec"
 	"bsd6/internal/key"
+	"bsd6/internal/mbuf"
+	"bsd6/internal/netif"
 	"bsd6/internal/tcp"
 )
 
@@ -105,5 +107,104 @@ func TestSegmentAllocatesOnlyItsMbuf(t *testing.T) {
 				t.Fatalf("%v allocations per data segment + ACK, want 2 (one Mbuf each)", allocs)
 			}
 		})
+	}
+}
+
+// bulkRun sends four full-sized segments' worth of data from cli to
+// srv, hands the frames srv's link queued to deliver (nil when the
+// link delivers them itself), drains the data and flushes srv's
+// delayed ACK.  With the congestion window open, tcp_output builds the
+// four segments as one GSO super-segment, which the link splits into
+// four frames.
+func bulkRun(t *testing.T, b *tnode, cli, srv *tcp.Conn, msg, buf []byte, deliver func()) {
+	if n, err := cli.Send(msg); err != nil || n != len(msg) {
+		t.Fatalf("send: %d, %v", n, err)
+	}
+	if deliver != nil {
+		deliver()
+	}
+	for got := 0; got < len(msg); {
+		n, err := srv.ReadInto(buf)
+		if err != nil || n == 0 {
+			t.Fatalf("read after %d/%d bytes: %d, %v", got, len(msg), n, err)
+		}
+		got += n
+	}
+	b.tcp.FastTimo()
+}
+
+// checkStreamAllocs runs bulkRun on a warm connection and pins its
+// allocations at one Mbuf per wire frame (data and ACKs, both ways)
+// plus one per super-segment, with at least one super-segment a run.
+func checkStreamAllocs(t *testing.T, a, b *tnode, run func()) {
+	t.Helper()
+	for i := 0; i < 8; i++ { // warm: cwnd, arenas, free lists
+		run()
+	}
+	frames0 := a.tcp.Stats.SndPack.Get() + b.tcp.Stats.SndPack.Get()
+	supers0 := a.tcp.Stats.GSOSegs.Get()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, run)
+	frames := a.tcp.Stats.SndPack.Get() + b.tcp.Stats.SndPack.Get() - frames0
+	supers := a.tcp.Stats.GSOSegs.Get() - supers0
+	if frames%(runs+1) != 0 || supers%(runs+1) != 0 {
+		t.Fatalf("%d frames and %d super-segments over %d runs: runs differ", frames, supers, runs+1)
+	}
+	perRun := float64((frames + supers) / (runs + 1))
+	if supers/(runs+1) == 0 {
+		t.Fatal("no GSO super-segment was built")
+	}
+	if allocs != perRun {
+		t.Fatalf("%v allocations per run, want %v: one Mbuf per frame (%d) and per super-segment (%d)",
+			allocs, perRun, frames/(runs+1), supers/(runs+1))
+	}
+}
+
+// TestGSOSuperSegmentAllocatesOnlyMbufs pins the transmit batch: a
+// super-segment built by tcp_output and split at the link costs its
+// own Mbuf and one per frame.  Its descriptor and chunk sums come from
+// a free list and go back with the super-segment's Free.
+func TestGSOSuperSegmentAllocatesOnlyMbufs(t *testing.T) {
+	_, a, b, cli, srv := allocPair(t, false, false)
+	msg, buf := pattern(4*1440), make([]byte, 8192)
+	checkStreamAllocs(t, a, b, func() { bulkRun(t, b, cli, srv, msg, buf, nil) })
+}
+
+// TestGROTrainAllocatesOnlyItsFrames pins the receive batch: the
+// receiver queues its frames as a netisr would, and a GRO engine
+// pushes, flushes and hands the train to IP and TCP input.  The
+// engine's boundary record, the chain walk in tcp_input and the
+// replayed ACKs add nothing to the frames' own Mbufs.
+func TestGROTrainAllocatesOnlyItsFrames(t *testing.T) {
+	_, a, b, cli, srv := allocPair(t, false, false)
+	ifp := b.Ifps[0]
+	queue := make([]*mbuf.Mbuf, 0, 16)
+	ifp.SetInput(func(_ *netif.Interface, fr netif.Frame) {
+		queue = append(queue, fr.Payload)
+	})
+	g := b.tcp.NewGRO(0)
+	input := func(pkt *mbuf.Mbuf) {
+		if pkt != nil {
+			b.V6.Input(ifp, pkt)
+		}
+	}
+	// drain runs bursts until the queue stays empty: input can make
+	// the peer send more (an ACK opening its window), which queues.
+	drain := func() {
+		for i := 0; i < len(queue); i++ {
+			flushed, pass := g.Push(queue[i], false)
+			input(flushed)
+			input(pass)
+			if i == len(queue)-1 {
+				input(g.Flush())
+			}
+		}
+		queue = queue[:0]
+	}
+	msg, buf := pattern(4*1440), make([]byte, 8192)
+	flushes0 := b.tcp.Stats.GROFlushes.Get()
+	checkStreamAllocs(t, a, b, func() { bulkRun(t, b, cli, srv, msg, buf, drain) })
+	if b.tcp.Stats.GROFlushes.Get() == flushes0 {
+		t.Fatal("no multi-segment train reached tcp_input")
 	}
 }

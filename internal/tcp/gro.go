@@ -31,6 +31,15 @@ import (
 // Each stack has one engine, owned by its netisr goroutine; it holds
 // at most one pending super-segment and the netisr flushes it before
 // sleeping, so coalescing state never outlives a burst.
+//
+// The boundary record is the engine's own, not a per-flush
+// allocation: a multi-segment flush hands out &g.rec, and the next
+// one rewrites it.  That is safe because the netisr delivers every
+// flushed super-segment synchronously through IP and TCP input, which
+// read the record, before it offers the engine another frame: a
+// record is always consumed before the engine's next multi-segment
+// flush reuses it.  A caller that holds a flushed super-segment across
+// a later Push or Flush must not read its record.
 
 // groSeg is one original segment's boundary inside a super-segment.
 type groSeg struct {
@@ -60,7 +69,12 @@ type GRO struct {
 	nextSeq uint32
 	lastAck uint32
 	dataLen int
-	segs    []groSeg
+	segs    []groSeg // the pending train's boundaries
+
+	// rec is the record the last multi-segment flush handed out.
+	// Flush swaps buffers with segs, so the next train never appends
+	// into the array a just-flushed record reads.
+	rec groMeta
 }
 
 // NewGRO creates a coalescing engine for a stack's netisr.  max
@@ -128,7 +142,7 @@ func (g *GRO) Push(pkt *mbuf.Mbuf, v4 bool) (flushed, pass *mbuf.Mbuf) {
 	g.nextSeq = c.seq + uint32(c.tlen)
 	g.lastAck = c.ack
 	g.dataLen = c.tlen
-	g.segs = append(make([]groSeg, 0, 8), groSeg{len: c.tlen, ack: c.ack})
+	g.segs = append(g.segs[:0], groSeg{len: c.tlen, ack: c.ack})
 	return flushed, nil
 }
 
@@ -156,12 +170,13 @@ func (g *GRO) Flush() *mbuf.Mbuf {
 			plen := HeaderLen + g.dataLen
 			g.hb[4], g.hb[5] = byte(plen>>8), byte(plen)
 		}
-		pkt.Hdr().GRO = &groMeta{segs: g.segs}
+		g.rec.segs, g.segs = g.segs, g.rec.segs
+		pkt.Hdr().GRO = &g.rec
 		g.t.Stats.GROFlushes.Inc()
 	}
 	pkt.Hdr().Flags |= mbuf.MSumOK
 	g.hb = nil
-	g.segs = nil
+	g.segs = g.segs[:0]
 	g.dataLen = 0
 	return pkt
 }

@@ -349,6 +349,48 @@ func (w *groWorld) dispatch(pkt *mbuf.Mbuf) {
 	w.t.input(pkt, meta)
 }
 
+// TestGROFlushByNewTrainDeliversExactBytes runs back-to-back trains
+// whose heads each break the previous train (a window change), so
+// every multi-segment flush comes out of the Push that starts the next
+// train.  The flushed record must survive that Push: with poison on
+// and pooled frames, the delivered stream is exactly the bytes sent.
+func TestGROFlushByNewTrainDeliversExactBytes(t *testing.T) {
+	mbuf.SetPoison(true)
+	defer mbuf.SetPoison(false)
+	w := newGROWorld(t, false)
+	w.t.flushing = true // park ACKs in the outbox
+	var want []byte
+	seq, wnd := uint32(1000), uint16(8192)
+	for ti, sizes := range [][]int{{300, 300, 300}, {100, 200}, {50, 60, 70, 80}, {400, 10}} {
+		for i, n := range sizes {
+			sp := groData(seq, n, byte(ti*64+i*16))
+			sp.wnd = wnd
+			f := sp.frame6()
+			pkt := mbuf.Get(f.Len())
+			copy(pkt.Bytes(), f.Bytes())
+			flushed, pass := w.g.Push(pkt, false)
+			if pass != nil {
+				t.Fatalf("train %d segment %d passed through", ti, i)
+			}
+			if (flushed != nil) != (i == 0 && ti > 0) {
+				t.Fatalf("train %d segment %d: flushed %v", ti, i, flushed)
+			}
+			w.dispatch(flushed)
+			want = append(want, sp.payload...)
+			seq += uint32(n)
+		}
+		wnd -= 512
+	}
+	w.dispatch(w.g.Flush())
+	if got := w.t.Stats.GROFlushes.Get(); got != 4 {
+		t.Fatalf("GROFlushes = %d, want 4 multi-segment trains", got)
+	}
+	if w.c.rcvNxt != seq || !bytes.Equal(w.c.rcvBuf, want) {
+		t.Fatalf("delivered %d bytes up to %d, want %d up to %d, or the bytes differ",
+			len(w.c.rcvBuf), w.c.rcvNxt, len(want), seq)
+	}
+}
+
 // groProgram decodes fuzz bytes into a deterministic segment list: a
 // stream of (op, arg) pairs perturbing sequence, flags, window, ACK
 // and checksums around an in-order baseline.

@@ -145,25 +145,31 @@ func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.M
 	// was flattened on its way here (tests feed some) falls back to one
 	// contiguous view.
 	pkt.Adj(HeaderLen)
-	segs := pkt.SegmentViews()
-	aligned := len(segs) == len(g.segs)
-	if aligned {
-		for i, s := range g.segs {
-			if len(segs[i]) != s.len {
-				aligned = false
-				break
-			}
+	cur := pkt.Cursor()
+	aligned := true
+	for _, s := range g.segs {
+		if len(cur.Next()) != s.len {
+			aligned = false
+			break
 		}
+	}
+	if aligned && cur.Next() != nil {
+		aligned = false
 	}
 	var flat []byte
-	if !aligned {
+	if aligned {
+		cur = pkt.Cursor()
+	} else {
 		flat = pkt.Bytes()
 	}
-	seg := func(i, off int) []byte {
+	// next returns the payload of the next merged segment, n bytes.
+	next := func(n int) []byte {
 		if aligned {
-			return segs[i]
+			return cur.Next()
 		}
-		return flat[off : off+g.segs[i].len]
+		b := flat[:n]
+		flat = flat[n:]
+		return b
 	}
 
 	fast := t.Predict && c.state == StateEstablished &&
@@ -183,11 +189,9 @@ func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.M
 	}
 	if fast {
 		t.Stats.PredDat.Add(uint64(len(g.segs)))
-		off := 0
-		for i, s := range g.segs {
+		for _, s := range g.segs {
 			c.rcvNxt += uint32(s.len)
-			c.rcvBuf = sbappend(&c.rcvArr, c.rcvBuf, seg(i, off), c.RcvBufMax)
-			off += s.len
+			c.rcvBuf = sbappend(&c.rcvArr, c.rcvBuf, next(s.len), c.RcvBufMax)
 			if c.delack {
 				c.needAck = true
 			} else {
@@ -200,13 +204,12 @@ func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.M
 	}
 	// Slow path: replay the original segments one by one.  Each gets a
 	// private header copy — segInput mutates Seq/Flags while trimming.
-	off, seq := 0, th.Seq
-	for i, s := range g.segs {
+	seq := th.Seq
+	for _, s := range g.segs {
 		sh := *th
 		sh.Seq = seq
 		sh.Ack = s.ack
-		c.segInput(&sh, seg(i, off), meta, src, dst)
-		off += s.len
+		c.segInput(&sh, next(s.len), meta, src, dst)
 		seq += uint32(s.len)
 		if c.state == StateClosed {
 			return

@@ -219,19 +219,19 @@ func (c *Conn) queueSegment(hdr *Header, payload []byte) {
 			// byte-swaps, and the folded 16-bit values add without
 			// overflowing the 32-bit accumulator.
 			acc := uint32(inet.FoldRaw(sum))
-			sums := make([]uint32, 0, (len(payload)+c.mss-1)/c.mss)
+			gso := mbuf.NewGSO(c.mss, hlen, (len(payload)+c.mss-1)/c.mss)
 			for o := 0; o < len(payload); o += c.mss {
 				end := o + c.mss
 				if end > len(payload) {
 					end = len(payload)
 				}
 				cs := uint32(inet.FoldRaw(inet.SumCopy(0, seg[hlen+o:], payload[o:end])))
-				sums = append(sums, cs)
+				gso.Sums = append(gso.Sums, cs)
 				acc += cs
 			}
 			ck := inet.Fold(acc)
 			seg[16], seg[17] = byte(ck>>8), byte(ck)
-			pkt.Hdr().GSO = &mbuf.GSO{SegSize: c.mss, HdrLen: hlen, Sums: sums}
+			pkt.Hdr().GSO = gso
 		} else {
 			sum = inet.SumCopy(sum, seg[hlen:], payload)
 			ck := inet.Fold(sum)

@@ -480,17 +480,27 @@ func (c *Conn) Connect(faddr inet.IP6, fport uint16) error {
 	return nil
 }
 
-// Send appends data to the send buffer, returning how many bytes were
-// accepted (0 when the buffer is full; wait for Wakeup).
+// sbMinArena is the smallest socket-buffer array sbappend allocates:
+// room for a request or a reply of a few hundred bytes.
+const sbMinArena = 2048
+
 // sbappend appends to a socket-buffer slice whose front the consumer
 // trims by reslicing (sndBuf on ACK, rcvBuf on Recv).  A plain append
 // would reallocate on every refill — the trim discards front capacity,
 // so a buffer held near its cap copies its whole backlog each time and
 // the dead arrays feed the collector.  Instead the live bytes are
-// compacted back to the head of a long-lived backing array, sized to
-// twice the buffer cap so at least max bytes flow between compactions:
-// steady-state streaming costs O(1) copies per byte and no allocation.
-// buf need not alias *arr (handoff from a bare slice is a copy in).
+// compacted back to the head of a long-lived backing array.
+//
+// The array grows with the backlog it has to hold: from sbMinArena it
+// doubles whenever the live bytes after an append would fill more than
+// half of it, up to twice the buffer cap (never below what the append
+// needs).  A compaction without growth therefore leaves at least half
+// the array free, so at least as many bytes flow in before the next
+// one as it copied: streaming costs O(1) copies per byte, and once the
+// array reaches twice the cap, no allocation.  A short request/response
+// connection pays a floor-sized array per buffer, not one of twice the
+// cap.  buf need not alias *arr (handoff from a bare slice is a copy
+// in).
 //
 // Callers must not retain aliases into buf across calls — compaction
 // reuses the trimmed region.  Recv copies out for exactly this reason.
@@ -500,9 +510,14 @@ func sbappend(arr *[]byte, buf, data []byte, max int) []byte {
 	}
 	want := len(buf) + len(data)
 	a := *arr
-	if cap(a) < want {
-		// First use, or the app raised the buffer cap mid-stream.
-		size := 2 * max
+	if cap(a) < want || cap(a) < 2*want && cap(a) < 2*max {
+		size := 2 * cap(a)
+		if size < sbMinArena {
+			size = sbMinArena
+		}
+		if size > 2*max {
+			size = 2 * max
+		}
 		if size < want {
 			size = want
 		}
@@ -514,6 +529,8 @@ func sbappend(arr *[]byte, buf, data []byte, max int) []byte {
 	return append(a[:n], data...)
 }
 
+// Send appends data to the send buffer, returning how many bytes were
+// accepted (0 when the buffer is full; wait for Wakeup).
 func (c *Conn) Send(data []byte) (int, error) {
 	t := c.t
 	t.mu.Lock()

@@ -266,6 +266,48 @@ func TestBulkTransfer(t *testing.T) {
 	}
 }
 
+// TestSocketBufferArenasFollowBacklog pins how the socket buffers'
+// backing arrays are sized: a 64-byte request and reply leave every
+// array at the floor, and a bulk stream that backs the buffers up
+// still grows them to twice the buffer cap.
+func TestSocketBufferArenasFollowBacklog(t *testing.T) {
+	s, a, b := tcpPair(t)
+	l := b.tcp.Attach(inet.AFInet6, nil)
+	l.Bind(inet.IP6{}, 9010)
+	l.Listen(1)
+	c := a.tcp.Attach(inet.AFInet6, nil)
+	c.Connect(b.LinkLocal(0), 9010)
+	s.waitState(c, tcp.StateEstablished)
+	srv := s.acceptOne(l)
+
+	msg := pattern(64)
+	s.sendAll(c, msg)
+	if !bytes.Equal(s.recvN(srv, len(msg)), msg) {
+		t.Fatal("request corrupted")
+	}
+	s.sendAll(srv, msg)
+	if !bytes.Equal(s.recvN(c, len(msg)), msg) {
+		t.Fatal("reply corrupted")
+	}
+	const floor = tcp.SBMinArena
+	for _, conn := range []*tcp.Conn{c, srv} {
+		if snd, rcv := tcp.ArenaCaps(conn); snd > floor || rcv > floor {
+			t.Fatalf("64-byte exchange left arrays of %d (send) and %d (receive) bytes, want at most %d", snd, rcv, floor)
+		}
+	}
+
+	data := pattern(300_000)
+	if got := s.transfer(c, srv, data, len(data), 8192); !bytes.Equal(got, data) {
+		t.Fatal("bulk data corrupted")
+	}
+	if snd, _ := tcp.ArenaCaps(c); snd != 2*c.SndBufMax {
+		t.Fatalf("sender's array is %d bytes after a bulk stream, want %d", snd, 2*c.SndBufMax)
+	}
+	if _, rcv := tcp.ArenaCaps(srv); rcv != 2*srv.RcvBufMax {
+		t.Fatalf("receiver's array is %d bytes after a bulk stream, want %d", rcv, 2*srv.RcvBufMax)
+	}
+}
+
 func TestCloseSequence(t *testing.T) {
 	s, a, b := tcpPair(t)
 	l := b.tcp.Attach(inet.AFInet6, nil)
