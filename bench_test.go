@@ -226,36 +226,6 @@ func BenchmarkTable5_SecurityThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Preparse measures §2.2's design choice: input
-// pre-parsing of the header chain versus the planned fast-path bypass
-// for packets with no optional headers.
-func BenchmarkAblation_Preparse(b *testing.B) {
-	for _, fp := range []struct {
-		name string
-		on   bool
-	}{{"preparse", false}, {"fastpath", true}} {
-		b.Run(fp.name, func(b *testing.B) {
-			n := newBenchNet(b)
-			n.cli.V6.FastPath = fp.on
-			n.srv.V6.FastPath = fp.on
-			sv, err := netperf.NewEchoServer(n.srv, false, benchRRPort, 0, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sv.Close()
-			if _, err := netperf.RunRR(n.cli, n.addr(true, benchRRPort), false, 64, 2, 0, nil); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			res, err := netperf.RunRR(n.cli, n.addr(true, benchRRPort), false, 64, b.N, 0, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.MeanRTT.Nanoseconds())/1e3, "µs/rtt")
-		})
-	}
-}
-
 // BenchmarkAblation_AlgorithmSwitch checks §3.6's claim: "Supporting
 // multiple algorithms in the kernel does not exact a significant
 // performance penalty."  Authenticated RR latency is measured with the

@@ -2,7 +2,10 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -233,4 +236,38 @@ func TestBatchingWireEquivalenceHostileLink(t *testing.T) {
 	if cliSnap.TCP["SndRexmit"] == 0 {
 		t.Error("hostile link induced no retransmissions; loss model inert")
 	}
+}
+
+// The golden traces pin the default configuration's wire image for
+// runBatchStream byte for byte: frame count and the SHA-256 of the
+// frames joined with newlines. They were recorded while TCP input still
+// carried Van Jacobson header prediction and output still built pure
+// ACKs from a patched template; the one segment path must reproduce
+// them exactly.
+func checkGoldenTrace(t *testing.T, trace []string, frames int, sum string) {
+	t.Helper()
+	h := sha256.Sum256([]byte(strings.Join(trace, "\n")))
+	if len(trace) != frames || hex.EncodeToString(h[:]) != sum {
+		t.Fatalf("trace: %d frames, sha256 %x; want %d frames, %s", len(trace), h, frames, sum)
+	}
+}
+
+// TestGoldenTraceBatchStream pins the clean-link batched stream.
+func TestGoldenTraceBatchStream(t *testing.T) {
+	mbuf.SetPoison(true)
+	defer mbuf.SetPoison(false)
+	trace, _, _ := runBatchStream(t, core.Options{},
+		netif.Faults{Latency: 2 * time.Millisecond}, 1, 30*time.Second)
+	checkGoldenTrace(t, trace, 294, "50afd611cf3bf4cf998cc8cdbe40a1ad0bd1c9a7ee5439063a39cd874fa497a9")
+}
+
+// TestGoldenTraceBatchStreamHostileLink pins the batched stream over a
+// link losing one frame in fifty: retransmissions, duplicate ACKs and
+// reassembly all appear in the trace.
+func TestGoldenTraceBatchStreamHostileLink(t *testing.T) {
+	mbuf.SetPoison(true)
+	defer mbuf.SetPoison(false)
+	trace, _, _ := runBatchStream(t, core.Options{},
+		netif.Faults{Latency: 2 * time.Millisecond, Loss: 0.02}, 42, 2*time.Minute)
+	checkGoldenTrace(t, trace, 313, "cef40b9817b198136477668deb485fd9388cb23e3f379ea4ec8590969462841f")
 }

@@ -137,9 +137,9 @@ func (s *Stack) ProtoStats() string {
 		i6["InMsgs"], i6["OutMsgs"], i6["InEchos"], i6["InEchoReps"], i6["InNS"], i6["InNA"],
 		i6["InRS"], i6["InRA"], i6["InReports"], i6["DadDuplicate"], i6["PmtuUpdates"], i6["RateLimited"])
 	ts := snap.TCP
-	fmt.Fprintf(&b, "tcp: %d/%d pkts out/in, %d rexmit, %d est, %d accepts, reass v4/v6 %d/%d, policy drops %d, predack %d, preddat %d, delacks %d\n",
+	fmt.Fprintf(&b, "tcp: %d/%d pkts out/in, %d rexmit, %d est, %d accepts, reass v4/v6 %d/%d, policy drops %d, delacks %d\n",
 		ts["SndPack"], ts["RcvPack"], ts["SndRexmit"], ts["ConnEstab"], ts["ConnAccepts"],
-		ts["Reass4"], ts["Reass6"], ts["PolicyDrops"], ts["PredAck"], ts["PredDat"], ts["DelAcks"])
+		ts["Reass4"], ts["Reass6"], ts["PolicyDrops"], ts["DelAcks"])
 	fmt.Fprintf(&b, "tcp-batch: gro %d coalesced into %d flushes, gso %d supers split to %d frames\n",
 		ts["GROCoalesced"], ts["GROFlushes"], ts["GSOSegs"], ts["GSOSplits"])
 	us := snap.UDP

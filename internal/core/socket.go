@@ -316,15 +316,16 @@ func (sock *Socket) Connect(sa Sockaddr6, timeout time.Duration) error {
 		if timeout == 0 {
 			timeout = 30 * time.Second
 		}
+		// Done once the handshake has completed, whatever the state
+		// has become since: the peer may already have closed.
 		return sock.waitFor(timeout, func() error {
-			st := sock.conn.State()
-			if st == tcp.StateEstablished {
+			if sock.conn.Synchronized() {
 				return nil
 			}
 			if err := sock.conn.Err(); err != nil {
 				return err
 			}
-			if st == tcp.StateClosed {
+			if sock.conn.State() == tcp.StateClosed {
 				return ErrClosedSock
 			}
 			return errWouldBlock

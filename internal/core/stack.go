@@ -218,10 +218,6 @@ func NewStack(name string, opts Options) *Stack {
 	s.V6 = ipv6.NewLayer(rt)
 	s.V4.Drops = s.Drops
 	s.V6.Drops = s.Drops
-	// Extension-header-free packets (the common case) skip the
-	// pre-parse walk; TestFastPathEquivalence pins the bypass to the
-	// slow path byte-for-byte.
-	s.V6.FastPath = true
 	s.V4.SetReasmLimits(opts.ReasmMaxDatagrams, opts.ReasmMaxPerSource)
 	s.V6.SetReasmLimits(opts.ReasmMaxDatagrams, opts.ReasmMaxPerSource)
 	s.ICMP4 = ipv4.AttachICMP(s.V4)

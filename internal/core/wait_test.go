@@ -9,7 +9,11 @@ import (
 
 	"bsd6/internal/core"
 	"bsd6/internal/inet"
+	"bsd6/internal/ipv6"
+	"bsd6/internal/mbuf"
 	"bsd6/internal/netif"
+	"bsd6/internal/proto"
+	"bsd6/internal/tcp"
 	"bsd6/internal/testnet"
 )
 
@@ -126,5 +130,71 @@ func TestDeadlineWaitAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { tc.wait() }); allocs != 0 {
 			t.Errorf("%s: a parked deadline wait allocates %.1f objects, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestConnectAfterPeerAlreadyClosed is the set-up stall: the peer
+// accepts and closes at once, and the SYN-ACK and its FIN are both
+// processed before the connector first looks, which then finds the
+// connection in CLOSE_WAIT rather than ESTABLISHED. Connect must still
+// report the completed handshake — BSD's connect(2) returns once
+// soisconnected() has run, whatever happened next — not sleep to its
+// deadline. The server is swapped for a tap that answers the SYN from
+// inside the connector's own transmit, feeding both segments straight
+// into the client's IPv6 input, so the order is fixed, not raced.
+func TestConnectAfterPeerAlreadyClosed(t *testing.T) {
+	e := newEnv(t)
+	hub := e.hub()
+	cli, srv := e.stack("cli"), e.stack("srv")
+	cifp := cli.AttachLink(hub, testnet.MacA, 1500)
+	sifp := srv.AttachLink(hub, testnet.MacB, 1500)
+	e.start()
+
+	// Resolve the server's link address so the SYN leaves at once.
+	src, dst := linkLocal(cli), linkLocal(srv)
+	u, _ := cli.NewSocket(inet.AFInet6, core.SockDgram)
+	if err := u.SendTo([]byte("nd"), core.Addr6(dst, 9)); err != nil {
+		t.Fatal(err)
+	}
+	testnet.WaitClock(t, e.clock, "neighbor resolved", func() bool {
+		return srv.Snapshot().UDP["InNoPorts"] > 0
+	})
+	hub.Detach(sifp)
+
+	const iss = 7000
+	segment := func(h *tcp.Header) *mbuf.Mbuf {
+		seg := make([]byte, h.Len())
+		h.Put(seg)
+		ck := inet.TransportChecksum6(dst, src, proto.TCP, seg)
+		seg[16], seg[17] = byte(ck>>8), byte(ck)
+		ip := ipv6.Header{NextHdr: proto.TCP, HopLimit: 64, PayloadLen: len(seg), Src: dst, Dst: src}
+		return mbuf.New(append(ip.Marshal(nil), seg...))
+	}
+	tap := netif.New("tap0", testnet.MacB, 1500)
+	tap.SetFlags(netif.FlagUp, true)
+	tap.SetInput(func(_ *netif.Interface, fr netif.Frame) {
+		b := fr.Payload.Bytes()
+		if len(b) < ipv6.HeaderLen+tcp.HeaderLen || b[6] != proto.TCP || b[ipv6.HeaderLen+13] != tcp.FlagSYN {
+			return // the client's ACKs
+		}
+		th := b[ipv6.HeaderLen:]
+		sport, dport := uint16(th[0])<<8|uint16(th[1]), uint16(th[2])<<8|uint16(th[3])
+		ack := (uint32(th[4])<<24 | uint32(th[5])<<16 | uint32(th[6])<<8 | uint32(th[7])) + 1
+		cli.V6.Input(cifp, segment(&tcp.Header{SPort: dport, DPort: sport, Seq: iss, Ack: ack,
+			Flags: tcp.FlagSYN | tcp.FlagACK, Wnd: 65535, MSS: 1440}))
+		cli.V6.Input(cifp, segment(&tcp.Header{SPort: dport, DPort: sport, Seq: iss + 1, Ack: ack,
+			Flags: tcp.FlagFIN | tcp.FlagACK, Wnd: 65535}))
+	})
+	hub.Attach(tap)
+
+	c, _ := cli.NewSocket(inet.AFInet6, core.SockStream)
+	if err := c.Connect(core.Addr6(dst, 80), 10*time.Second); err != nil {
+		t.Fatalf("connect: %v (state %v)", err, c.Conn().State())
+	}
+	if st := c.Conn().State(); st != tcp.StateCloseWait {
+		t.Fatalf("state %v, want CLOSE_WAIT: the FIN was not processed before the connector looked", st)
+	}
+	if _, err := c.Recv(64, time.Second); !errors.Is(err, core.ErrClosedSock) {
+		t.Fatalf("recv after the peer's FIN: %v, want end of stream", err)
 	}
 }

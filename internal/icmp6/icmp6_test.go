@@ -754,6 +754,7 @@ func TestEchoWithHopByHopOptions(t *testing.T) {
 	dst := b.linkLocal(0)
 	body := []byte{0, 9, 0, 1, 'h', 'i'}
 	msg := marshal(TypeEchoRequest, 0, body, src, dst)
+	runs := b.l.Stats.PreparseRuns.Get()
 	err := a.l.Output(mbuf.New(msg), src, dst, proto.ICMPv6, ipv6.OutputOpts{
 		HopOpts: []ipv6.Option{{Type: 0x05, Data: []byte{1, 2, 3}}},
 	})
@@ -761,8 +762,8 @@ func TestEchoWithHopByHopOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "optioned echo reply", func() bool { return p.count() >= 1 })
-	if b.l.Stats.FastPathHits.Get() != 0 {
-		t.Fatal("optioned packet took the fast path")
+	if b.l.Stats.PreparseRuns.Get() == runs {
+		t.Fatal("optioned packet bypassed the pre-parse")
 	}
 }
 
@@ -850,6 +851,8 @@ func TestReassemblyTimeoutWithoutFirstFragmentSilent(t *testing.T) {
 	}
 }
 
+// TestFastPathAblation: an optionless packet bypasses the pre-parse
+// (§2.2's planned fast path) and still reaches its protocol.
 func TestFastPathAblation(t *testing.T) {
 	hub := netif.NewHub()
 	a, b := newNode("a"), newNode("b")
@@ -857,11 +860,14 @@ func TestFastPathAblation(t *testing.T) {
 	b.join(hub, macB, 1500)
 	p := &pinger{}
 	p.hook(a.m)
-	b.l.FastPath = true
+	runs := b.l.Stats.PreparseRuns.Get()
 	a.m.SendEcho(b.linkLocal(0), 1, 1, []byte("fast"))
 	waitFor(t, "fast-path reply", func() bool { return p.count() >= 1 })
 	if b.l.Stats.FastPathHits.Get() == 0 {
 		t.Fatal("fast path not taken for optionless packet")
+	}
+	if b.l.Stats.PreparseRuns.Get() != runs {
+		t.Fatal("optionless packet was pre-parsed")
 	}
 }
 

@@ -71,21 +71,6 @@ func Sum(initial uint32, b []byte) uint32 {
 	return fold64(sum)
 }
 
-// sumSlow is the original byte-pair reference implementation, kept as
-// the oracle for the differential tests and fuzzer: any divergence
-// between Sum and sumSlow is a bug in the wide-word engine.
-func sumSlow(initial uint32, b []byte) uint32 {
-	sum := initial
-	n := len(b) &^ 1
-	for i := 0; i < n; i += 2 {
-		sum += uint32(b[i])<<8 | uint32(b[i+1])
-	}
-	if len(b)&1 != 0 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	return sum
-}
-
 // SumCopy copies src into dst while accumulating the ones-complement
 // sum of the copied bytes — the BSD in_cksum-with-copy fusion, so an
 // output path that must both move a payload into the wire buffer and
@@ -174,8 +159,8 @@ func Checksum(b []byte) uint16 { return Fold(Sum(0, b)) }
 // UpdateChecksum16 incrementally updates a checksum after a single
 // 16-bit field changed from `from` to `to` (RFC 1624 equation 3:
 // HC' = ~(~HC + ~m + m')), so a one-field header rewrite — an IPv4
-// forwarder's TTL decrement, a retransmitted TCP header's sequence
-// bump — does not recompute the sum of the untouched bytes.  old is
+// forwarder's TTL decrement, a GRO super-segment's length — does not
+// recompute the sum of the untouched bytes.  old is
 // the checksum as it appears in the header (already complemented).
 func UpdateChecksum16(old, from, to uint16) uint16 {
 	sum := uint32(^old) + uint32(^from) + uint32(to)
@@ -183,13 +168,6 @@ func UpdateChecksum16(old, from, to uint16) uint16 {
 		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
-}
-
-// UpdateChecksum32 is UpdateChecksum16 for an aligned 32-bit field
-// (e.g. a sequence number), applied as its two 16-bit columns.
-func UpdateChecksum32(old uint16, from, to uint32) uint16 {
-	old = UpdateChecksum16(old, uint16(from>>16), uint16(to>>16))
-	return UpdateChecksum16(old, uint16(from), uint16(to))
 }
 
 // PseudoHeader6 computes the unfolded sum of the IPv6 pseudo-header:

@@ -147,13 +147,3 @@ func BenchmarkSumCopy1500(b *testing.B) {
 		SumCopy(0, dst, buf)
 	}
 }
-
-func BenchmarkUpdateChecksum32(b *testing.B) {
-	ck := uint16(0x1234)
-	for i := 0; i < b.N; i++ {
-		ck = UpdateChecksum32(ck, uint32(i), uint32(i)+1461)
-	}
-	sinkCk = ck
-}
-
-var sinkCk uint16

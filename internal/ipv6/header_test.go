@@ -315,3 +315,23 @@ func TestQuickOptionsPadding(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkPreparse is §2.2's ablation: input pre-parsing of the
+// header chain against the fast-path bypass, on the packet the bypass
+// exists for — a TCP segment with no extension header.
+func BenchmarkPreparse(b *testing.B) {
+	h := &Header{NextHdr: proto.TCP, HopLimit: 64, PayloadLen: 20}
+	pkt := append(h.Marshal(nil), make([]byte, 20)...)
+	for _, bc := range []struct {
+		name     string
+		fastPath bool
+	}{{"preparse", false}, {"fastpath", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Preparse(pkt, bc.fastPath); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

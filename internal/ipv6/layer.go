@@ -168,10 +168,6 @@ type Layer struct {
 	local  atomic.Pointer[localSet]    // cached unicast-destination set
 	fwd    route.ShardedCache          // forwarding fast path's held routes
 
-	// FastPath enables the bypass around pre-parsing for packets with
-	// no optional headers — the optimization §2.2 and §7 say is
-	// planned.  Off by default, as in the paper's alpha.
-	FastPath bool
 	// Forwarding enables router behavior.
 	Forwarding bool
 	// DefaultHopLimit is used when OutputOpts.HopLimit is 0.
@@ -1014,9 +1010,11 @@ func (l *Layer) input(ifp *netif.Interface, pkt *mbuf.Mbuf, depth int) {
 }
 
 // process runs the pre-parse and the header walk for a locally
-// destined packet.
+// destined packet.  A packet with no extension header bypasses the
+// pre-parse — the optimization §2.2 and §7 say is planned — and goes
+// straight to its upper-layer protocol.
 func (l *Layer) process(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, depth int) {
-	if l.FastPath && !IsExt(h.NextHdr) {
+	if !IsExt(h.NextHdr) {
 		l.Stats.FastPathHits.Inc()
 		l.dispatch(ifp, h, pkt, h.NextHdr, HeaderLen, depth)
 		return

@@ -87,9 +87,8 @@ func TestEveryReasonHasADropSite(t *testing.T) {
 // TestEveryTCPCounterHasASource applies the same audit to the TCP
 // Stats block: every stat.Counter field declared there must be bumped
 // by at least one non-test call site in the tcp package.  This is the
-// guard that keeps fast-path refactors honest — the header-prediction
-// shortcut in particular must keep PredAck/PredDat/DelAcks wired, or
-// netstat silently reports a dead fast path as "never taken".
+// guard that keeps datapath refactors honest: a counter left declared
+// but unwired makes netstat report a live mechanism as "never taken".
 func TestEveryTCPCounterHasASource(t *testing.T) {
 	src, err := os.ReadFile("../tcp/tcp.go")
 	if err != nil {
@@ -108,12 +107,12 @@ func TestEveryTCPCounterHasASource(t *testing.T) {
 		t.Fatalf("parsed only %d counter fields; struct regex out of date", len(fields))
 	}
 	// The must-list pins the counters whose loss a refactor would most
-	// plausibly hide: the header-prediction shortcut, the stateless
+	// plausibly hide: the delayed-ACK timer, the stateless
 	// connection-demux machinery (SYN cookies, compressed TIME_WAIT)
 	// and the batched-datapath engines (GRO/GSO), whose silent death
 	// would read as "batching never engaged".
 	for _, must := range []string{
-		"PredAck", "PredDat", "DelAcks",
+		"DelAcks",
 		"SynCookiesSent", "SynCookiesValidated", "SynCookiesFailed",
 		"TimeWaitRecycled", "TimeWaitOverflow",
 		"GROCoalesced", "GROFlushes", "GSOSegs", "GSOSplits",

@@ -18,16 +18,14 @@ import (
 // on output and parsed by value on input, and ESP seals and opens in
 // place, so nothing else reaches the heap between one stack's
 // ip6_output/ip_output and the other's tcp_input.  These tests pin
-// that on a warm connection over a perfect, synchronous hub, with the
-// IPv6 fast path on as the production stack runs it.  They are built
-// without the race detector, whose instrumentation allocates.
+// that on a warm connection over a perfect, synchronous hub.  They are
+// built without the race detector, whose instrumentation allocates.
 
 // allocPair returns an established connection between two fresh nodes,
 // over IPv4 when v4 is set, with both sides' traffic sealed by AES-GCM
 // ESP in transport mode when esp is set.
 func allocPair(t *testing.T, v4, esp bool) (s *tsim, a, b *tnode, cli, srv *tcp.Conn) {
 	s, a, b = tcpPair(t)
-	a.V6.FastPath, b.V6.FastPath = true, true
 	fam, dst := inet.AFInet6, b.LinkLocal(0)
 	if v4 {
 		fam, dst = inet.AFInet, inet.V4Mapped(inet.IP4{10, 0, 0, 2})

@@ -132,7 +132,7 @@ func (c *Conn) cookieAccept(th *Header, data []byte, meta *proto.Meta, src, dst 
 		return false
 	}
 	child := &Conn{
-		t: t, pf: meta.Family, state: StateEstablished,
+		t: t, pf: meta.Family, state: StateEstablished, synced: true,
 		SndBufMax: c.SndBufMax, RcvBufMax: c.RcvBufMax,
 		rttTicks: -1, rto: rtoMin, mss: defaultMSS,
 		parent: c, Wakeup: c.Wakeup,

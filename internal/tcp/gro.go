@@ -11,14 +11,13 @@ import (
 // input.  Consecutive in-order data segments of the same
 // TCP 4-tuple with compatible headers are merged into one
 // super-segment, so the whole burst pays one IP input pass, one demux
-// lookup, one lock acquisition and one header-prediction evaluation
-// instead of one per wire frame.  The engine verifies each absorbed
-// segment's transport checksum as it merges (marking the result
-// MSumOK so tcp_input does not re-verify), and records the original
-// segment boundaries in the packet header so input replays
-// per-segment effects — the delayed-ACK cadence, window history —
-// exactly; the wire out the other side is byte-identical to the
-// unbatched path's.
+// lookup, one policy check and one lock acquisition instead of one per
+// wire frame.  The engine verifies each absorbed segment's transport
+// checksum as it merges (marking the result MSumOK so tcp_input does
+// not re-verify), and records the original segment boundaries in the
+// packet header so input applies per-segment effects — the delayed-ACK
+// cadence, window history — exactly; the wire out the other side is
+// byte-identical to the unbatched path's.
 //
 // Flush rules (what breaks coalescing): any flag beyond ACK
 // (SYN/FIN/RST/URG/PSH), TCP options, a sequence gap, a window

@@ -39,7 +39,7 @@ func newGROWorld(tb testing.TB, v4 bool) *groWorld {
 		fam = inet.AFInet
 		local, remote = inet.V4Mapped(groLoc4), inet.V4Mapped(groRem4)
 	}
-	t := &TCP{Table: pcb.NewTable(), conns: make(map[*Conn]struct{}), Predict: true}
+	t := &TCP{Table: pcb.NewTable(), conns: make(map[*Conn]struct{})}
 	c := t.Attach(fam, nil)
 	if err := t.Table.Bind(c.pcb, local, 80); err != nil {
 		tb.Fatal(err)

@@ -127,17 +127,12 @@ func (t *TCP) input(pkt *mbuf.Mbuf, meta proto.Meta) {
 	t.flush()
 }
 
-// segInputGRO feeds a GRO super-segment to the state machine.  The
-// common case — established connection, header prediction hits, every
-// merged segment carried the same acceptable ACK — evaluates the VJ
-// predicate once for the whole train and then replays the per-segment
-// receive effects (rcvNxt advance, the every-other-segment delayed-ACK
-// cadence, output scheduling) boundary by boundary, so the wire is
-// byte-identical to unbatched delivery.  Anything short of that
-// reconstructs each original segment from the recorded boundaries and
-// replays it through segInput verbatim.  t.mu held.
+// segInputGRO feeds a GRO super-segment to the state machine, one
+// original segment at a time, so every per-segment effect (rcvNxt
+// advance, the every-other-segment delayed-ACK cadence, ACK and window
+// processing, output scheduling) happens exactly as it would for
+// unbatched delivery and the wire is byte-identical.  t.mu held.
 func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.Meta, src, dst inet.IP6) {
-	t := c.t
 	tlen := pkt.Len() - HeaderLen
 	// Strip the TCP header; each remaining chain segment is one merged
 	// payload, one-to-one with the recorded boundaries, so delivery
@@ -172,38 +167,32 @@ func (c *Conn) segInputGRO(th *Header, pkt *mbuf.Mbuf, g *groMeta, meta *proto.M
 		return b
 	}
 
-	fast := t.Predict && c.state == StateEstablished &&
+	// A bulk train takes segInput's in-order data arm for every
+	// segment without the rest of the switch: the connection is
+	// established and sending nothing it has sent before, the train
+	// starts at rcvNxt with the send window unchanged, nothing waits
+	// in reassembly, the whole train fits the receive space, and no
+	// segment acknowledges new data.  segInput would then trim nothing,
+	// count no duplicate ACK, change no window and take that same arm,
+	// so only the remaining trains need the replay below.
+	inOrder := c.state == StateEstablished &&
 		th.Seq == c.rcvNxt && th.Wnd != 0 && int(th.Wnd) == c.sndWnd &&
-		c.sndNxt == c.sndMax &&
-		len(c.reassQ) == 0 && tlen <= c.rcvSpace()
-	if fast {
-		// Every merged segment must carry the ACK prediction already
-		// validated for the head (no new data acknowledged), or the
-		// later segments' ACK processing would differ from replay.
-		for _, s := range g.segs {
-			if s.ack != c.sndUna {
-				fast = false
-				break
-			}
+		c.sndNxt == c.sndMax && len(c.reassQ) == 0 && tlen <= c.rcvSpace()
+	for _, s := range g.segs {
+		if s.ack != c.sndUna {
+			inOrder = false
+			break
 		}
 	}
-	if fast {
-		t.Stats.PredDat.Add(uint64(len(g.segs)))
+	if inOrder {
 		for _, s := range g.segs {
-			c.rcvNxt += uint32(s.len)
-			c.rcvBuf = sbappend(&c.rcvArr, c.rcvBuf, next(s.len), c.RcvBufMax)
-			if c.delack {
-				c.needAck = true
-			} else {
-				c.delack = true
-			}
-			c.wakeupLocked()
+			c.deliverInOrder(next(s.len))
 			c.output()
 		}
 		return
 	}
-	// Slow path: replay the original segments one by one.  Each gets a
-	// private header copy — segInput mutates Seq/Flags while trimming.
+	// Each segment gets a private header copy — segInput mutates
+	// Seq/Flags while trimming.
 	seq := th.Seq
 	for _, s := range g.segs {
 		sh := *th
@@ -232,54 +221,6 @@ func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet
 	}
 
 	tlen := len(data)
-
-	// Header prediction (Van Jacobson): in ESTABLISHED, with nothing
-	// unusual in the segment — no SYN/FIN/RST/URG, the next sequence
-	// number expected, an unchanged window, nothing retransmitted —
-	// two cases cover the bulk-transfer common path and skip the
-	// trim/ACK machinery below. Each short-circuit is an exact
-	// restatement of what the general path does for the same segment
-	// (including congestion-window growth, which the historic BSD fast
-	// path froze), so disabling t.Predict changes only which counters
-	// fire — the equivalence tests diff the wire both ways.
-	if t.Predict && c.state == StateEstablished &&
-		th.Flags&(FlagSYN|FlagFIN|FlagRST|FlagURG) == 0 && th.Flags&FlagACK != 0 &&
-		th.Seq == c.rcvNxt && th.Wnd != 0 && int(th.Wnd) == c.sndWnd &&
-		c.sndNxt == c.sndMax {
-		if tlen == 0 {
-			// Pure ACK advancing sndUna with the congestion window
-			// open: take the shared new-data-acknowledged path and
-			// give output a chance at the freed window.
-			if seqGT(th.Ack, c.sndUna) && seqLEQ(th.Ack, c.sndMax) &&
-				c.cwnd >= c.sndWnd {
-				t.Stats.PredAck.Inc()
-				if c.ackNew(th.Ack) {
-					return
-				}
-				if c.needAck {
-					c.output()
-				} else if len(c.sndBuf) > int(c.sndMax-c.sndUna) {
-					c.output()
-				}
-				return
-			}
-		} else if th.Ack == c.sndUna && len(c.reassQ) == 0 && tlen <= c.rcvSpace() {
-			// Pure in-order data with an empty reassembly queue:
-			// deliver directly and schedule a delayed ACK — every
-			// other full segment forces one out (RFC 1122 §4.2.3.2).
-			t.Stats.PredDat.Inc()
-			c.rcvNxt += uint32(tlen)
-			c.rcvBuf = sbappend(&c.rcvArr, c.rcvBuf, data, c.RcvBufMax)
-			if c.delack {
-				c.needAck = true
-			} else {
-				c.delack = true
-			}
-			c.wakeupLocked()
-			c.output()
-			return
-		}
-	}
 
 	// RST processing.
 	if th.Flags&FlagRST != 0 {
@@ -334,6 +275,7 @@ func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet
 	if c.state == StateSynRcvd {
 		if seqLT(c.sndUna, ack) && seqLEQ(ack, c.sndMax) {
 			c.state = StateEstablished
+			c.synced = true
 			t.Stats.ConnEstab.Inc()
 			c.tConn = 0
 			c.tRexmt = 0
@@ -409,15 +351,7 @@ func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet
 		switch c.state {
 		case StateEstablished, StateFinWait1, StateFinWait2:
 			if th.Seq == c.rcvNxt && len(c.reassQ) == 0 {
-				// In-order: deliver directly, schedule a delayed ACK.
-				c.rcvNxt += uint32(tlen)
-				c.rcvBuf = sbappend(&c.rcvArr, c.rcvBuf, data, c.RcvBufMax)
-				if c.delack {
-					c.needAck = true
-				} else {
-					c.delack = true
-				}
-				c.wakeupLocked()
+				c.deliverInOrder(data)
 			} else {
 				// Out of order: through the version-split reassembly
 				// (§5.3), then ACK immediately so the sender sees
@@ -454,13 +388,26 @@ func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet
 	}
 }
 
+// deliverInOrder appends the next in-order data to the receive buffer
+// and schedules a delayed ACK; every other full segment forces one out
+// (RFC 1122 §4.2.3.2). Caller holds t.mu.
+func (c *Conn) deliverInOrder(data []byte) {
+	c.rcvNxt += uint32(len(data))
+	c.rcvBuf = sbappend(&c.rcvArr, c.rcvBuf, data, c.RcvBufMax)
+	if c.delack {
+		c.needAck = true
+	} else {
+		c.delack = true
+	}
+	c.wakeupLocked()
+}
+
 // ackNew processes an ACK acknowledging new data (sndUna < ack <=
 // sndMax): RTT sampling, congestion-window growth, send-buffer trim,
-// retransmit-timer management and reachability confirmation. It is
-// shared verbatim between the general ACK switch and the
-// header-prediction fast path so the two stay behaviorally identical.
-// Returns true if the connection was closed (LAST_ACK's FIN
-// acknowledged). Caller holds t.mu.
+// retransmit-timer management and reachability confirmation — the
+// "new data acknowledged" arm of segInput's ACK switch. Returns true
+// if the connection was closed (LAST_ACK's FIN acknowledged). Caller
+// holds t.mu.
 func (c *Conn) ackNew(ack uint32) bool {
 	t := c.t
 	acked := int(ack - c.sndUna)
@@ -630,6 +577,7 @@ func (c *Conn) synSentInput(th *Header) {
 	if th.Flags&FlagACK != 0 {
 		c.sndUna = th.Ack
 		c.state = StateEstablished
+		c.synced = true
 		t.Stats.ConnEstab.Inc()
 		c.tConn = 0
 		c.tRexmt = 0

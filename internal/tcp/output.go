@@ -168,79 +168,47 @@ func (c *Conn) gsoOK() bool {
 
 // queueSegment finalizes a segment (checksum over the right
 // pseudo-header for the session's protocol family — the §5.3 code
-// split) and places it in the outbox. Caller holds t.mu.
-//
-// Two per-packet shortcuts live here. A pure ACK — no payload, no
-// options, no flag beyond ACK — differs from the previous one only in
-// sequence, acknowledgment and window, so its wire image is rebuilt
-// from the cached template with those fields patched and the checksum
-// repaired incrementally (RFC 1624); the ports, addresses and length
-// feeding the pseudo-header never change within a connection. Data
-// segments fuse the payload copy with its checksum pass (SumCopy) so
-// the bytes are touched once, not twice.
+// split) and places it in the outbox. Every segment, a pure ACK
+// included, is marshalled by Header.Put and summed in one pass; data
+// segments fuse the payload copy with that pass (SumCopy) so the bytes
+// are touched once, not twice. Caller holds t.mu.
 func (c *Conn) queueSegment(hdr *Header, payload []byte) {
 	src, dst := c.pcb.LAddr, c.pcb.FAddr
 	v6 := !dst.IsV4Mapped()
-	pureACK := len(payload) == 0 && hdr.Flags == FlagACK && hdr.MSS == 0 && hdr.Urp == 0
-	var pkt *mbuf.Mbuf
-	if pureACK && c.ackTmplOK {
-		pkt = mbuf.Get(HeaderLen)
-		seg := pkt.Bytes()
-		copy(seg, c.ackTmpl[:])
-		ck := uint16(seg[16])<<8 | uint16(seg[17])
-		oldSeq := uint32(seg[4])<<24 | uint32(seg[5])<<16 | uint32(seg[6])<<8 | uint32(seg[7])
-		seg[4], seg[5], seg[6], seg[7] = byte(hdr.Seq>>24), byte(hdr.Seq>>16), byte(hdr.Seq>>8), byte(hdr.Seq)
-		ck = inet.UpdateChecksum32(ck, oldSeq, hdr.Seq)
-		oldAck := uint32(seg[8])<<24 | uint32(seg[9])<<16 | uint32(seg[10])<<8 | uint32(seg[11])
-		seg[8], seg[9], seg[10], seg[11] = byte(hdr.Ack>>24), byte(hdr.Ack>>16), byte(hdr.Ack>>8), byte(hdr.Ack)
-		ck = inet.UpdateChecksum32(ck, oldAck, hdr.Ack)
-		oldWnd := uint16(seg[14])<<8 | uint16(seg[15])
-		seg[14], seg[15] = byte(hdr.Wnd>>8), byte(hdr.Wnd)
-		ck = inet.UpdateChecksum16(ck, oldWnd, hdr.Wnd)
-		seg[16], seg[17] = byte(ck>>8), byte(ck)
-		copy(c.ackTmpl[:], seg)
-	} else {
-		hlen := hdr.Len()
-		tlen := hlen + len(payload)
-		// One pooled buffer carries header and payload contiguously:
-		// the header is written in place, the checksum runs in a
-		// single pass and the IP header lands in the slab's headroom
-		// on output.
-		pkt = mbuf.Get(tlen)
-		seg := pkt.Bytes()
-		hdr.Put(seg)
-		sum := inet.Sum(pseudoSum(src, dst, tlen, v6), seg[:hlen])
-		if len(payload) > c.mss {
-			// GSO super-segment: copy+checksum per MSS-sized chunk,
-			// keeping each chunk's folded sum so the splitter can
-			// finalize every wire frame's checksum without re-reading
-			// the payload.  Chunks start at even payload offsets (MSS
-			// is even by gsoOK), so the partial sums chain with no
-			// byte-swaps, and the folded 16-bit values add without
-			// overflowing the 32-bit accumulator.
-			acc := uint32(inet.FoldRaw(sum))
-			gso := mbuf.NewGSO(c.mss, hlen, (len(payload)+c.mss-1)/c.mss)
-			for o := 0; o < len(payload); o += c.mss {
-				end := o + c.mss
-				if end > len(payload) {
-					end = len(payload)
-				}
-				cs := uint32(inet.FoldRaw(inet.SumCopy(0, seg[hlen+o:], payload[o:end])))
-				gso.Sums = append(gso.Sums, cs)
-				acc += cs
+	hlen := hdr.Len()
+	tlen := hlen + len(payload)
+	// One pooled buffer carries header and payload contiguously: the
+	// header is written in place, the checksum runs in a single pass
+	// and the IP header lands in the slab's headroom on output.
+	pkt := mbuf.Get(tlen)
+	seg := pkt.Bytes()
+	hdr.Put(seg)
+	sum := inet.Sum(pseudoSum(src, dst, tlen, v6), seg[:hlen])
+	if len(payload) > c.mss {
+		// GSO super-segment: copy+checksum per MSS-sized chunk,
+		// keeping each chunk's folded sum so the splitter can finalize
+		// every wire frame's checksum without re-reading the payload.
+		// Chunks start at even payload offsets (MSS is even by gsoOK),
+		// so the partial sums chain with no byte-swaps, and the folded
+		// 16-bit values add without overflowing the 32-bit accumulator.
+		acc := uint32(inet.FoldRaw(sum))
+		gso := mbuf.NewGSO(c.mss, hlen, (len(payload)+c.mss-1)/c.mss)
+		for o := 0; o < len(payload); o += c.mss {
+			end := o + c.mss
+			if end > len(payload) {
+				end = len(payload)
 			}
-			ck := inet.Fold(acc)
-			seg[16], seg[17] = byte(ck>>8), byte(ck)
-			pkt.Hdr().GSO = gso
-		} else {
-			sum = inet.SumCopy(sum, seg[hlen:], payload)
-			ck := inet.Fold(sum)
-			seg[16], seg[17] = byte(ck>>8), byte(ck)
+			cs := uint32(inet.FoldRaw(inet.SumCopy(0, seg[hlen+o:], payload[o:end])))
+			gso.Sums = append(gso.Sums, cs)
+			acc += cs
 		}
-		if pureACK {
-			copy(c.ackTmpl[:], seg)
-			c.ackTmplOK = true
-		}
+		ck := inet.Fold(acc)
+		seg[16], seg[17] = byte(ck>>8), byte(ck)
+		pkt.Hdr().GSO = gso
+	} else {
+		sum = inet.SumCopy(sum, seg[hlen:], payload)
+		ck := inet.Fold(sum)
+		seg[16], seg[17] = byte(ck>>8), byte(ck)
 	}
 	pkt.Hdr().Socket = c.pcb.Socket
 	c.t.outbox = append(c.t.outbox, outSeg{

@@ -82,8 +82,6 @@ type Stats struct {
 	RcvAfterWin   stat.Counter
 	Reass4        stat.Counter // segments through tcp_reass
 	Reass6        stat.Counter // segments through tcpv6_reass
-	PredAck       stat.Counter // pure ACKs taken by the header-prediction fast path
-	PredDat       stat.Counter // in-order data segments taken by the fast path
 	DelAcks       stat.Counter
 	RstOut        stat.Counter
 	PolicyDrops   stat.Counter
@@ -171,14 +169,6 @@ type TCP struct {
 	// DefaultTimeWaitMax; negative removes the cap.
 	TimeWaitMax int
 
-	// Predict enables the Van Jacobson header-prediction fast path in
-	// segment input (on by default). The fast path is an exact
-	// restatement of the general path for its two covered cases, so
-	// turning it off changes only which counters fire — the wire
-	// equivalence tests rely on that to diff the two paths
-	// byte-for-byte.
-	Predict bool
-
 	// GSOMax, when larger than a connection's MSS, lets tcp_output
 	// build one super-segment of up to GSOMax payload bytes per send
 	// opportunity instead of MSS-sized segments; the link boundary
@@ -238,7 +228,7 @@ type outSeg struct {
 // New creates the TCP instance and registers it with both IP layers.
 func New(v4l *ipv4.Layer, v6l *ipv6.Layer) *TCP {
 	t := &TCP{Table: pcb.NewTable(), v4: v4l, v6: v6l, conns: make(map[*Conn]struct{}),
-		Predict: true, GSOMax: DefaultGSOMax}
+		GSOMax: DefaultGSOMax}
 	t.cookieSeed = newCookieSeed()
 	if v4l != nil {
 		v4l.Register(proto.TCP, t.input, t.ctlInput)
@@ -258,6 +248,11 @@ type Conn struct {
 	// is needed.
 	pf    inet.Family
 	state State
+	// synced latches on the first entry into ESTABLISHED and never
+	// clears: the moment BSD's soisconnected() ends a connect(2). The
+	// state may have moved on (the peer's FIN can be processed before
+	// the connector looks), so a wait for the handshake asks this.
+	synced bool
 
 	// Send sequence space.
 	iss                    uint32
@@ -299,14 +294,6 @@ type Conn struct {
 	delack  bool
 	needAck bool
 	err     error
-
-	// ACK template: the wire image of the last pure ACK sent. The next
-	// pure ACK differs only in sequence, acknowledgment and window, so
-	// output patches those fields and repairs the checksum
-	// incrementally (RFC 1624) instead of marshalling and summing a
-	// fresh header.
-	ackTmpl   [HeaderLen]byte
-	ackTmplOK bool
 
 	// Listener state.
 	listening bool
@@ -386,6 +373,16 @@ func (c *Conn) State() State {
 		return StateClosed
 	}
 	return c.state
+}
+
+// Synchronized reports whether the three-way handshake ever completed.
+// It stays true in every later state, CLOSED included, so a connector
+// that looks only after the peer has already closed still sees its
+// connection as made.
+func (c *Conn) Synchronized() bool {
+	c.t.mu.Lock()
+	defer c.t.mu.Unlock()
+	return c.synced
 }
 
 // Err returns the terminal error, if any.

@@ -222,7 +222,6 @@ func (c *Conn) enterTimeWait() {
 	c.twe = e
 	c.tRexmt, c.tPersist, c.tConn = 0, 0, 0
 	c.sndBuf, c.reassQ = nil, nil
-	c.ackTmplOK = false
 	t.Table.Detach(c.pcb)
 	delete(t.conns, c)
 	c.wakeupLocked()

@@ -12,13 +12,11 @@ import (
 
 // TestDatagramAllocatesOnlyItsMbuf pins the UDP datapath at one
 // allocation per datagram, the packet's Mbuf: udp_output through a
-// perfect hub to the socket-enqueue hook, in both families, with the
-// IPv6 fast path on as the production stack runs it.  The hook here
-// keeps nothing; a real socket's copy of the payload is its own.  Built
-// without the race detector, whose instrumentation allocates.
+// perfect hub to the socket-enqueue hook, in both families.  The hook
+// here keeps nothing; a real socket's copy of the payload is its own.
+// Built without the race detector, whose instrumentation allocates.
 func TestDatagramAllocatesOnlyItsMbuf(t *testing.T) {
 	a, b := pair(t)
-	a.V6.FastPath, b.V6.FastPath = true, true
 	delivered := 0
 	b.u.Deliver = func(*pcb.PCB, []byte, inet.IP6, uint16, proto.Meta) { delivered++ }
 	srv := b.u.Table.Attach(inet.AFInet6, nil)
