@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	ipbench [-t table1|table2|table3|table4|table5|figure8|micro|conns|stream|tunnel|topo|all] [-iters N] [-mb N] [-json] [-tag NAME] [-baseline]
+//	ipbench [-t table1|table2|table3|table4|table5|figure8|conns|tunnel|topo|all] [-iters N] [-mb N] [-json] [-tag NAME] [-baseline]
 //
 // -t also accepts a comma-separated list (e.g. -t table5,tunnel) so
 // one run — and one JSON report — can cover several tables.
@@ -41,7 +41,6 @@ var (
 	flagTag      = flag.String("tag", "", "suffix for the BENCH_<date> filename")
 	flagBaseline = flag.Bool("baseline", false, "mark this run as the baseline of a before/after pair")
 	flagProfile  = flag.String("cpuprofile", "", "write a CPU profile of the measured region to this file")
-	flagNoBatch  = flag.Bool("nobatch", false, "disable datapath batching (burst dequeue, GRO, GSO) in the measured stacks")
 )
 
 // latencyCell is one row of a request-response table (Tables 1-2,
@@ -73,23 +72,6 @@ type securityCell struct {
 	SAs      int     `json:"sas,omitempty"`
 	Churn    bool    `json:"churn,omitempty"`
 	KBps     float64 `json:"kbps"`
-}
-
-// microCell is one in-process micro-benchmark: per-call latency and
-// the implied processing rate for a primitive the per-packet path
-// leans on (today: the internet checksum at representative sizes).
-type microCell struct {
-	Name string  `json:"name"`
-	NsOp float64 `json:"ns_op"`
-	MBps float64 `json:"mb_s"`
-}
-
-// batchCell is one row of the batching table: bulk IPv6 TCP
-// throughput with the datapath batching stages toggled individually.
-type batchCell struct {
-	GRO  bool    `json:"gro"`
-	GSO  bool    `json:"gso"`
-	KBps float64 `json:"kbps"`
 }
 
 // tunnelCell is one row of the transition-path table: bulk TCP
@@ -132,9 +114,7 @@ type report struct {
 	Table4  []streamCell   `json:"table4,omitempty"`
 	Table5  []securityCell `json:"table5,omitempty"`
 	Figure8 []latencyCell  `json:"figure8,omitempty"`
-	Micro   []microCell    `json:"micro,omitempty"`
 	Conns   []connCell     `json:"conns,omitempty"`
-	Stream  []batchCell    `json:"stream,omitempty"`
 	Tunnel  []tunnelCell   `json:"tunnel,omitempty"`
 	Topo    []topoCell     `json:"topo,omitempty"`
 	// Snapshots holds the full counter state of every stack used by
@@ -155,16 +135,9 @@ type testbed struct {
 }
 
 func newTestbed() *testbed {
-	if *flagNoBatch {
-		return newTestbedOpts(bsd6.Options{BurstSize: -1, GRO: -1, GSO: -1})
-	}
-	return newTestbedOpts(bsd6.Options{})
-}
-
-func newTestbedOpts(opts bsd6.Options) *testbed {
 	hub := bsd6.NewHub()
-	cli := bsd6.NewStack("cli", opts)
-	srv := bsd6.NewStack("srv", opts)
+	cli := bsd6.NewStack("cli", bsd6.Options{})
+	srv := bsd6.NewStack("srv", bsd6.Options{})
 	cIf := cli.AttachLink(hub, bsd6.LinkAddr{2, 0, 0, 0, 0, 1}, 1500)
 	sIf := srv.AttachLink(hub, bsd6.LinkAddr{2, 0, 0, 0, 0, 2}, 1500)
 	cli.ConfigureV4(cIf, bsd6.IP4{10, 0, 0, 1}, 24)
@@ -504,47 +477,6 @@ func figure8() {
 	}
 }
 
-// checksumSink keeps the micro-benchmark loop observable so the
-// checksum calls cannot be optimized away.
-var checksumSink uint16
-
-// micro times the internet checksum at the sizes the datapath
-// actually sees: a TCP/IP header's worth, a small RR message, and a
-// full Ethernet payload.  This is the cost every in/out packet pays
-// twice (generate + verify), so it is recorded next to the tables it
-// explains.
-func micro() {
-	fmt.Println("\nMicro: internet checksum (inet.Checksum)")
-	fmt.Printf("%10s %12s %12s\n", "bytes", "ns/op", "MB/s")
-	for _, size := range []int{20, 40, 576, 1500} {
-		buf := make([]byte, size)
-		for i := range buf {
-			buf[i] = byte(i * 7)
-		}
-		// Calibrate the iteration count until the timed region is long
-		// enough to swamp timer granularity.
-		iters := 1 << 12
-		var elapsed time.Duration
-		for {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				checksumSink = inet.Checksum(buf)
-			}
-			elapsed = time.Since(start)
-			if elapsed >= 100*time.Millisecond {
-				break
-			}
-			iters *= 2
-		}
-		ns := float64(elapsed.Nanoseconds()) / float64(iters)
-		mbs := float64(size) / ns * 1e3 // bytes/ns -> MB/s (1e6 B/s units are close enough at this scale)
-		fmt.Printf("%10d %12.2f %12.0f\n", size, ns, mbs)
-		results.Micro = append(results.Micro, microCell{
-			Name: fmt.Sprintf("checksum-%d", size), NsOp: ns, MBps: mbs,
-		})
-	}
-}
-
 // lookupSink keeps the demux loop observable.
 var lookupSink *pcb.PCB
 
@@ -564,7 +496,8 @@ func conns() {
 		a[12], a[13], a[14], a[15] = byte(i>>24), byte(i>>16), byte(i>>8), byte(i)
 		return a
 	}
-	// timeOp calibrates the iteration count like micro() does.
+	// timeOp calibrates the iteration count until the timed region is
+	// long enough to swamp timer granularity.
 	timeOp := func(op func(i int)) float64 {
 		iters := 1 << 10
 		var elapsed time.Duration
@@ -607,37 +540,6 @@ func conns() {
 	}
 }
 
-// streamTable regenerates the batching table: bulk IPv6 TCP streaming
-// with GRO (receive coalescing) and GSO (send super-segments) toggled
-// one at a time.  This is the table that justifies the batched
-// datapath — the "both" row should pull away from the "neither" row.
-func streamTable() {
-	fmt.Println("\nStream: batched-datapath TCP throughput, IPv6 (KB/s)")
-	fmt.Printf("%6s %6s %12s\n", "gro", "gso", "KB/s")
-	onoff := func(b bool) string {
-		if b {
-			return "on"
-		}
-		return "off"
-	}
-	for _, cfg := range []struct{ gro, gso bool }{
-		{false, false}, {true, false}, {false, true}, {true, true},
-	} {
-		var opts bsd6.Options
-		if !cfg.gro {
-			opts.GRO = -1
-		}
-		if !cfg.gso {
-			opts.GSO = -1
-		}
-		tb := newTestbedOpts(opts)
-		kbps := tb.stream(true, true, 1<<16, 1<<20, nil)
-		tb.close()
-		fmt.Printf("%6s %6s %12.0f\n", onoff(cfg.gro), onoff(cfg.gso), kbps)
-		results.Stream = append(results.Stream, batchCell{GRO: cfg.gro, GSO: cfg.gso, KBps: kbps})
-	}
-}
-
 // tunnelStream builds a two-stack world whose hub carries only the
 // outer protocol, joins the stacks with configured tunnels of the
 // given mode, and measures bulk TCP throughput across the tunnel
@@ -646,13 +548,9 @@ func streamTable() {
 // system-wide "use" policy wraps the encapsulated traffic — the full
 // §3 composition.
 func tunnelStream(mode bsd6.TunnelMode, espAlg string) float64 {
-	var opts bsd6.Options
-	if *flagNoBatch {
-		opts = bsd6.Options{BurstSize: -1, GRO: -1, GSO: -1}
-	}
 	hub := bsd6.NewHub()
-	cli := bsd6.NewStack("cli", opts)
-	srv := bsd6.NewStack("srv", opts)
+	cli := bsd6.NewStack("cli", bsd6.Options{})
+	srv := bsd6.NewStack("srv", bsd6.Options{})
 	defer func() {
 		if *flagJSON {
 			results.Snapshots = append(results.Snapshots, cli.Snapshot(), srv.Snapshot())
@@ -776,11 +674,7 @@ func topoTable() {
 	const udpMsg = 1024
 	for _, routers := range []int{1, 2, 4} {
 		n := routers + 2
-		var opts core.Options
-		if *flagNoBatch {
-			opts = core.Options{BurstSize: -1, GRO: -1, GSO: -1}
-		}
-		nw, err := topo.Build(topo.Spec{Kind: topo.Line, N: n, Seed: 1, Stack: opts})
+		nw, err := topo.Build(topo.Spec{Kind: topo.Line, N: n, Seed: 1})
 		if err != nil {
 			die(err)
 		}
@@ -888,14 +782,8 @@ func main() {
 	if run("figure8") {
 		figure8()
 	}
-	if run("micro") {
-		micro()
-	}
 	if run("conns") {
 		conns()
-	}
-	if run("stream") {
-		streamTable()
 	}
 	if run("tunnel") {
 		tunnelTable()

@@ -17,11 +17,11 @@ import (
 	"bsd6/internal/testnet"
 )
 
-// The batched datapath — burst netisr dequeue, the GRO coalescer ahead
-// of TCP input, and the GSO splitter at the driver boundary — is sold
-// as wire-transparent: an observer sniffing the link must not be able
-// to tell whether either endpoint batches.  These tests hold it to
-// that literally, comparing full hub traces frame by frame.
+// The batched datapath — burst netisr dequeue and the GRO coalescer
+// ahead of TCP input — is sold as wire-transparent: an observer
+// sniffing the link must not be able to tell whether either endpoint
+// batches.  These tests hold it to that literally, comparing full hub
+// traces frame by frame.
 //
 // Determinism notes.  Both runs ride the virtual clock, whose timers
 // fire in (deadline, creation order), and the hub serializes captures
@@ -33,9 +33,9 @@ import (
 // reader goroutine drains — the one header field that would otherwise
 // leak scheduling into the trace.
 
-// batchStreamTotal is sized to outlast slow start (so full-width GSO
-// supers appear) while staying far below the receive buffer, keeping
-// the advertised window pinned.
+// batchStreamTotal is sized to outlast slow start (so full GRO trains
+// form) while staying far below the receive buffer, keeping the
+// advertised window pinned.
 const batchStreamTotal = 256 << 10
 
 func batchStreamBody() []byte {
@@ -49,11 +49,13 @@ func batchStreamBody() []byte {
 // runBatchStream brings up two stacks on one captured hub, streams
 // batchStreamTotal bytes client→server, and returns the full wire
 // trace (every frame: MACs, ethertype, payload bytes) plus the
-// server's final snapshot.  The trace is cut at a marker scheduled at
-// an absolute virtual instant before the clock starts, so both runs
-// of a comparison observe exactly the same window of simulated time —
-// trailing delayed ACKs and retransmissions included.
-func runBatchStream(t *testing.T, opts core.Options, faults netif.Faults, seed int64, horizon time.Duration) ([]string, core.Snapshot, core.Snapshot) {
+// client's and server's final snapshots.  newStack builds both
+// stacks: core.NewStack or core.NewUnbatchedStack.  The trace is cut
+// at a marker scheduled at an absolute virtual instant before the
+// clock starts, so both runs of a comparison observe exactly the same
+// window of simulated time — trailing delayed ACKs and retransmissions
+// included.
+func runBatchStream(t *testing.T, newStack func(string, core.Options) *core.Stack, faults netif.Faults, seed int64, horizon time.Duration) ([]string, core.Snapshot, core.Snapshot) {
 	t.Helper()
 	e := newEnv(t)
 	hub := e.hub()
@@ -69,9 +71,8 @@ func runBatchStream(t *testing.T, opts core.Options, faults netif.Faults, seed i
 	hub.SetFaults(faults)
 	hub.SetSeed(seed)
 
-	opts.Clock = e.clock
 	mk := func(name string) *core.Stack {
-		s := core.NewStack(name, opts)
+		s := newStack(name, core.Options{Clock: e.clock})
 		t.Cleanup(s.Close)
 		return s
 	}
@@ -172,36 +173,26 @@ func diffTraces(t *testing.T, label string, x, y []string) {
 
 // TestBatchingWireEquivalence streams a quarter megabyte through the
 // default (batched) configuration and through a stack with burst
-// dequeue, GRO and GSO all disabled, and requires the two wire traces
-// to be byte-identical, frame for frame.  Poisoned mbufs make any
-// freed-buffer reuse in the splitter or coalescer corrupt a frame and
-// fail the comparison.  The batched run is repeated with the same
-// seed, and must replay the same wire: the driven clock's accounting
-// keeps goroutine scheduling from leaking into it.
+// dequeue and GRO disabled, and requires the two wire traces to be
+// byte-identical, frame for frame.  Poisoned mbufs make any
+// freed-buffer reuse in the coalescer corrupt a frame and fail the
+// comparison.  The batched run is repeated with the same seed, and
+// must replay the same wire: the driven clock's accounting keeps
+// goroutine scheduling from leaking into it.
 func TestBatchingWireEquivalence(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
 
 	lockstep := netif.Faults{Latency: 2 * time.Millisecond}
-	off, _, _ := runBatchStream(t,
-		core.Options{BurstSize: -1, GRO: -1, GSO: -1},
-		lockstep, 1, 30*time.Second)
-	on, cliSnap, srvSnap := runBatchStream(t,
-		core.Options{},
-		lockstep, 1, 30*time.Second)
+	off, _, _ := runBatchStream(t, core.NewUnbatchedStack, lockstep, 1, 30*time.Second)
+	on, _, srvSnap := runBatchStream(t, core.NewStack, lockstep, 1, 30*time.Second)
 	diffTraces(t, "clean link, batching off vs on", off, on)
-	again, _, _ := runBatchStream(t, core.Options{}, lockstep, 1, 30*time.Second)
+	again, _, _ := runBatchStream(t, core.NewStack, lockstep, 1, 30*time.Second)
 	diffTraces(t, "clean link, batched run vs its replay", on, again)
 
 	// The identical wire must have been produced *by* the batched
-	// machinery, or the test proves nothing: the sender must have
-	// split supers, the receiver must have coalesced.
-	if n := cliSnap.TCP["GSOSegs"]; n == 0 {
-		t.Error("batched sender built no GSO super-segments")
-	}
-	if s, f := cliSnap.TCP["GSOSplits"], cliSnap.TCP["GSOSegs"]; s <= f {
-		t.Errorf("GSO split %d supers into only %d frames", f, s)
-	}
+	// machinery, or the test proves nothing: the receiver must have
+	// coalesced.
 	if n := srvSnap.TCP["GROCoalesced"]; n == 0 {
 		t.Error("batched receiver coalesced no segments")
 	}
@@ -211,26 +202,21 @@ func TestBatchingWireEquivalence(t *testing.T) {
 }
 
 // TestBatchingWireEquivalenceHostileLink repeats the comparison over
-// a link that loses one frame in fifty: lost supers force the GSO
-// retransmission path and seq gaps force GRO flushes, and every
-// recovery frame must still match the unbatched stack's, in order.
-// The fault RNG is reseeded identically for both runs, and loss draws
-// happen in transmit order, which the lockstep latency makes the
-// timer order — so both runs lose the same frames, and a replay of
-// the batched run loses them again.
+// a link that loses one frame in fifty: seq gaps force GRO flushes,
+// and every recovery frame must still match the unbatched stack's, in
+// order.  The fault RNG is reseeded identically for both runs, and
+// loss draws happen in transmit order, which the lockstep latency
+// makes the timer order — so both runs lose the same frames, and a
+// replay of the batched run loses them again.
 func TestBatchingWireEquivalenceHostileLink(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
 
 	hostile := netif.Faults{Latency: 2 * time.Millisecond, Loss: 0.02}
-	off, _, _ := runBatchStream(t,
-		core.Options{BurstSize: -1, GRO: -1, GSO: -1},
-		hostile, 42, 2*time.Minute)
-	on, cliSnap, _ := runBatchStream(t,
-		core.Options{},
-		hostile, 42, 2*time.Minute)
+	off, _, _ := runBatchStream(t, core.NewUnbatchedStack, hostile, 42, 2*time.Minute)
+	on, cliSnap, _ := runBatchStream(t, core.NewStack, hostile, 42, 2*time.Minute)
 	diffTraces(t, "hostile link, batching off vs on", off, on)
-	again, _, _ := runBatchStream(t, core.Options{}, hostile, 42, 2*time.Minute)
+	again, _, _ := runBatchStream(t, core.NewStack, hostile, 42, 2*time.Minute)
 	diffTraces(t, "hostile link, batched run vs its replay", on, again)
 
 	if cliSnap.TCP["SndRexmit"] == 0 {
@@ -241,9 +227,10 @@ func TestBatchingWireEquivalenceHostileLink(t *testing.T) {
 // The golden traces pin the default configuration's wire image for
 // runBatchStream byte for byte: frame count and the SHA-256 of the
 // frames joined with newlines. They were recorded while TCP input still
-// carried Van Jacobson header prediction and output still built pure
-// ACKs from a patched template; the one segment path must reproduce
-// them exactly.
+// carried Van Jacobson header prediction, output still built pure ACKs
+// from a patched template and IPv6 output still built GSO
+// super-segments for the link to split; the one segment path must
+// reproduce them exactly.
 func checkGoldenTrace(t *testing.T, trace []string, frames int, sum string) {
 	t.Helper()
 	h := sha256.Sum256([]byte(strings.Join(trace, "\n")))
@@ -256,7 +243,7 @@ func checkGoldenTrace(t *testing.T, trace []string, frames int, sum string) {
 func TestGoldenTraceBatchStream(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
-	trace, _, _ := runBatchStream(t, core.Options{},
+	trace, _, _ := runBatchStream(t, core.NewStack,
 		netif.Faults{Latency: 2 * time.Millisecond}, 1, 30*time.Second)
 	checkGoldenTrace(t, trace, 294, "50afd611cf3bf4cf998cc8cdbe40a1ad0bd1c9a7ee5439063a39cd874fa497a9")
 }
@@ -267,7 +254,7 @@ func TestGoldenTraceBatchStream(t *testing.T) {
 func TestGoldenTraceBatchStreamHostileLink(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
-	trace, _, _ := runBatchStream(t, core.Options{},
+	trace, _, _ := runBatchStream(t, core.NewStack,
 		netif.Faults{Latency: 2 * time.Millisecond, Loss: 0.02}, 42, 2*time.Minute)
 	checkGoldenTrace(t, trace, 313, "cef40b9817b198136477668deb485fd9388cb23e3f379ea4ec8590969462841f")
 }

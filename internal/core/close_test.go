@@ -24,7 +24,7 @@ func TestCloseWithQueuedInput(t *testing.T) {
 	b := e.stack("b")
 	// c's netisr drains one frame per wakeup, so everything sent to c
 	// queues behind the frame its netisr is held on.
-	c := core.NewStack("c", core.Options{Clock: e.clock, BurstSize: -1})
+	c := core.NewUnbatchedStack("c", core.Options{Clock: e.clock})
 	t.Cleanup(c.Close)
 	a.AttachLink(hub, testnet.MacA, 1500)
 	b.AttachLink(hub, testnet.MacB, 1500)

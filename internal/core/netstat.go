@@ -140,8 +140,8 @@ func (s *Stack) ProtoStats() string {
 	fmt.Fprintf(&b, "tcp: %d/%d pkts out/in, %d rexmit, %d est, %d accepts, reass v4/v6 %d/%d, policy drops %d, delacks %d\n",
 		ts["SndPack"], ts["RcvPack"], ts["SndRexmit"], ts["ConnEstab"], ts["ConnAccepts"],
 		ts["Reass4"], ts["Reass6"], ts["PolicyDrops"], ts["DelAcks"])
-	fmt.Fprintf(&b, "tcp-batch: gro %d coalesced into %d flushes, gso %d supers split to %d frames\n",
-		ts["GROCoalesced"], ts["GROFlushes"], ts["GSOSegs"], ts["GSOSplits"])
+	fmt.Fprintf(&b, "tcp-batch: gro %d coalesced into %d flushes\n",
+		ts["GROCoalesced"], ts["GROFlushes"])
 	us := snap.UDP
 	fmt.Fprintf(&b, "udp: %d out, %d in (%d v4->v6 socket), %d bad sums, %d no port, policy drops %d\n",
 		us["OutDatagrams"], us["InDatagrams"], us["InV4ToV6"], us["BadChecksums"], us["InNoPorts"], us["InPolicyDrops"])

@@ -41,8 +41,8 @@ func TestSnapshotObservability(t *testing.T) {
 	if snap.UDP["InNoPorts"] == 0 {
 		t.Fatal("UDP InNoPorts not in snapshot")
 	}
-	if snap.Netisr.Burst != core.DefaultBurstSize {
-		t.Fatalf("netisr burst = %d, want %d", snap.Netisr.Burst, core.DefaultBurstSize)
+	if snap.Netisr.Burst != core.BurstSize {
+		t.Fatalf("netisr burst = %d, want %d", snap.Netisr.Burst, core.BurstSize)
 	}
 	// The flight recorder holds the drop with its rendered detail.
 	found := false

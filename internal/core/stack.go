@@ -71,7 +71,7 @@ type Stack struct {
 	inqBytes  atomic.Int64 // payload bytes currently queued
 
 	// Batched datapath state: burst is the per-wakeup dequeue cap;
-	// gro is the receive-coalescing engine (nil when GRO is disabled)
+	// gro is the receive-coalescing engine (nil on an unbatched stack)
 	// and groIfp the interface of its pending super-segment.  Only the
 	// netisr goroutine touches them.
 	burst  int
@@ -145,25 +145,6 @@ type Options struct {
 	// refused with mbuf-limit and freed back to the pool instead of
 	// accumulating unboundedly behind a slow consumer.
 	MbufLimit int
-
-	// Datapath batching knobs.  Same convention as the ceilings above:
-	// 0 selects the default, negative disables the mechanism.  All
-	// three are wire-transparent — captures with batching on and off
-	// are byte-identical; only throughput and counters differ.
-
-	// BurstSize caps the frames the netisr drains per wakeup,
-	// dispatching them as one batch and settling the queue accounting
-	// once (default DefaultBurstSize; negative reverts to the classic
-	// one-frame-per-wakeup software interrupt).
-	BurstSize int
-	// GRO bounds the payload bytes receive coalescing may merge into
-	// one TCP super-segment ahead of IP input (default
-	// tcp.DefaultGROMax; negative disables coalescing).
-	GRO int
-	// GSO bounds the super-segment TCP builds for the netif boundary
-	// to split into MSS-sized wire frames (default tcp.DefaultGSOMax;
-	// negative disables, every segment leaves at MSS size).
-	GSO int
 }
 
 // Defaults for the governance ceilings whose home is the stack
@@ -173,8 +154,8 @@ const (
 	DefaultNDCacheMax = 512
 	// DefaultMbufLimit bounds netisr-queued payload bytes (4 MiB).
 	DefaultMbufLimit = 4 << 20
-	// DefaultBurstSize is the frames the netisr drains per wakeup.
-	DefaultBurstSize = 32
+	// burstSize is the frames the netisr drains per wakeup.
+	burstSize = 32
 	// inputQueueLen is the netisr queue's slot count: past it a frame
 	// is dropped with netisr-queue-full, as BSD's IF_DROP does at
 	// ifqmaxlen, rather than the queue growing behind a slow netisr.
@@ -196,6 +177,13 @@ func limitOpt(v, def int) int {
 
 // NewStack builds and starts a stack.
 func NewStack(name string, opts Options) *Stack {
+	return newStack(name, opts, false)
+}
+
+// newStack builds and starts a stack.  unbatched gives it the classic
+// one-frame-per-wakeup netisr with no GRO, the reference the batched
+// datapath's wire image is compared against in tests.
+func newStack(name string, opts Options, unbatched bool) *Stack {
 	if opts.Clock == nil {
 		opts.Clock = vclock.Real()
 	}
@@ -260,14 +248,12 @@ func NewStack(name string, opts Options) *Stack {
 	s.UDP.Deliver = deliverDatagram
 	s.UDP.Notify = notifyDatagramErr
 
-	// Batched datapath: burst dequeue, send-side GSO, receive-side GRO.
-	s.burst = limitOpt(opts.BurstSize, DefaultBurstSize)
-	if s.burst < 1 {
+	// Batched datapath: burst dequeue and receive-side GRO.
+	s.burst = burstSize
+	if unbatched {
 		s.burst = 1
-	}
-	s.TCP.GSOMax = limitOpt(opts.GSO, tcp.DefaultGSOMax)
-	if gmax := limitOpt(opts.GRO, tcp.DefaultGROMax); gmax > 0 {
-		s.gro = s.TCP.NewGRO(gmax)
+	} else {
+		s.gro = s.TCP.NewGRO(tcp.DefaultGROMax)
 	}
 
 	// Loopback.

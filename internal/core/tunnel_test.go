@@ -3,8 +3,8 @@ package core_test
 // Full-stack tests for the tunnel devices: dual-stack islands joined
 // across a core of the other protocol, TCP transfers riding the
 // encap/decap re-entry paths, nested PMTU discovery against a narrow
-// middle, the GSO flush at tunnel netifs held to wire equivalence,
-// and tunnel-mode IPsec composing over the same re-entry.
+// middle, a tunnel stream pinned to its golden wire trace, and
+// tunnel-mode IPsec composing over the same re-entry.
 
 import (
 	"bytes"
@@ -305,7 +305,7 @@ func TestTunnelNestedPTBHostileLink(t *testing.T) {
 // tunnel: the same quarter-megabyte stream, but every data frame
 // crosses the hub encapsulated.  Returns the full wire trace and the
 // client/server snapshots.
-func runTunnelStream(t *testing.T, opts core.Options, faults netif.Faults, seed int64, horizon time.Duration) ([]string, core.Snapshot, core.Snapshot) {
+func runTunnelStream(t *testing.T, newStack func(string, core.Options) *core.Stack, faults netif.Faults, seed int64, horizon time.Duration) ([]string, core.Snapshot, core.Snapshot) {
 	t.Helper()
 	e := newEnv(t)
 	hub := e.hub()
@@ -321,9 +321,8 @@ func runTunnelStream(t *testing.T, opts core.Options, faults netif.Faults, seed 
 	hub.SetFaults(faults)
 	hub.SetSeed(seed)
 
-	opts.Clock = e.clock
 	mk := func(name string) *core.Stack {
-		s := core.NewStack(name, opts)
+		s := newStack(name, core.Options{Clock: e.clock})
 		t.Cleanup(s.Close)
 		return s
 	}
@@ -407,34 +406,21 @@ func runTunnelStream(t *testing.T, opts core.Options, faults netif.Faults, seed 
 	return out, cli.Snapshot(), srv.Snapshot()
 }
 
-// TestGSOTunnelWireEquivalence pins the GSO.PathMTU tunnel bugfix: a
-// batched stack whose supers are split at the tunnel boundary (and
-// whose descriptors are flushed before encapsulation) must put
-// byte-identical frames on the v4 core as an unbatched stack.  Were a
-// super's descriptor to survive into the outer path, the splitter
-// would cut encapsulated packets at inner-derived offsets and the
-// traces would diverge immediately.  A same-seed replay of the
-// batched run must put the same frames on the wire again.
-func TestGSOTunnelWireEquivalence(t *testing.T) {
+// TestGoldenTraceTunnelStream pins the stream over a 6in4 tunnel byte
+// for byte, recorded while IPv6 output still built GSO super-segments
+// and split or flushed them at the tunnel device.  The unbatched stack
+// and a same-seed replay must put the same frames on the v4 core.
+func TestGoldenTraceTunnelStream(t *testing.T) {
 	mbuf.SetPoison(true)
 	defer mbuf.SetPoison(false)
 
 	lockstep := netif.Faults{Latency: 2 * time.Millisecond}
-	off, _, _ := runTunnelStream(t,
-		core.Options{BurstSize: -1, GRO: -1, GSO: -1},
-		lockstep, 1, 30*time.Second)
-	on, cliSnap, _ := runTunnelStream(t,
-		core.Options{},
-		lockstep, 1, 30*time.Second)
+	on, _, _ := runTunnelStream(t, core.NewStack, lockstep, 1, 30*time.Second)
+	checkGoldenTrace(t, on, 295, "0f9cd3871a38e335b16400aaca932dcbe279ef155a44c117f08a49f13883ff75")
+	off, _, _ := runTunnelStream(t, core.NewUnbatchedStack, lockstep, 1, 30*time.Second)
 	diffTraces(t, "tunnel path, batching off vs on", off, on)
-	again, _, _ := runTunnelStream(t, core.Options{}, lockstep, 1, 30*time.Second)
+	again, _, _ := runTunnelStream(t, core.NewStack, lockstep, 1, 30*time.Second)
 	diffTraces(t, "tunnel path, batched run vs its replay", on, again)
-
-	// The equivalence must have been earned: the batched sender really
-	// built supers for the tunnel boundary to split and flush.
-	if n := cliSnap.TCP["GSOSegs"]; n == 0 {
-		t.Error("batched sender built no GSO super-segments over the tunnel")
-	}
 }
 
 // TestIPsecOverTunnel composes tunnel-mode ESP with a 6in6 island

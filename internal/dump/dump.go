@@ -144,10 +144,8 @@ func v6(b []byte) string {
 	// Walk the extension chain like the receiver would.
 	var exts []string
 	info, perr := ipv6.Preparse(b, false)
-	if perr != nil {
-		if info != nil && info.Truncated {
-			return head + " [truncated extension chain]"
-		}
+	if perr != nil && info.Truncated {
+		return head + " [truncated extension chain]"
 	}
 	for _, rec := range info.Ext {
 		switch rec.Proto {

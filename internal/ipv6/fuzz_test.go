@@ -35,17 +35,15 @@ func FuzzPreparse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		info, err := Preparse(b, false)
-		if info != nil {
-			at := HeaderLen
-			for _, r := range info.Ext {
-				if r.Offset != at || r.Len <= 0 || r.Offset+r.Len > len(b) {
-					t.Fatalf("ext header %+v out of bounds/order in %d-byte packet", r, len(b))
-				}
-				at += r.Len
+		at := HeaderLen
+		for _, r := range info.Ext {
+			if r.Offset != at || r.Len <= 0 || r.Offset+r.Len > len(b) {
+				t.Fatalf("ext header %+v out of bounds/order in %d-byte packet", r, len(b))
 			}
-			if err == nil && !info.Truncated && (info.FinalOff != at || info.FinalOff > len(b)) {
-				t.Fatalf("FinalOff = %d, want %d (packet len %d)", info.FinalOff, at, len(b))
-			}
+			at += r.Len
+		}
+		if err == nil && !info.Truncated && (info.FinalOff != at || info.FinalOff > len(b)) {
+			t.Fatalf("FinalOff = %d, want %d (packet len %d)", info.FinalOff, at, len(b))
 		}
 
 		fast, ferr := Preparse(b, true)

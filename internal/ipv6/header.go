@@ -336,13 +336,14 @@ func IsExt(p uint8) bool {
 // Preparse scans the daisy-chained headers of packet b (starting with
 // the base header) and records each one.  fastPath enables the paper's
 // planned optimization: when the first next-header is not an extension
-// header, skip the scan entirely.
-func Preparse(b []byte, fastPath bool) (*PacketInfo, error) {
+// header, skip the scan entirely.  The result is a value: a packet
+// with no extension header is pre-parsed without allocating.
+func Preparse(b []byte, fastPath bool) (PacketInfo, error) {
 	h, err := Parse(b)
 	if err != nil {
-		return nil, err
+		return PacketInfo{}, err
 	}
-	info := &PacketInfo{Final: h.NextHdr, FinalOff: HeaderLen}
+	info := PacketInfo{Final: h.NextHdr, FinalOff: HeaderLen}
 	if fastPath && !IsExt(h.NextHdr) {
 		return info, nil
 	}

@@ -233,6 +233,23 @@ func TestPreparseFastPath(t *testing.T) {
 	}
 }
 
+// TestPreparseAllocatesNothing pins that pre-parsing a packet with no
+// extension header allocates nothing, on the scan and the fast path:
+// the result is returned by value.
+func TestPreparseAllocatesNothing(t *testing.T) {
+	h := &Header{NextHdr: proto.TCP, HopLimit: 64, PayloadLen: 20}
+	pkt := append(h.Marshal(nil), make([]byte, 20)...)
+	for _, fastPath := range []bool{false, true} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := Preparse(pkt, fastPath); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("Preparse(fastPath=%v) allocates %v times, want 0", fastPath, n)
+		}
+	}
+}
+
 func TestPreparseStopsAtFragment(t *testing.T) {
 	// base -> frag -> (opaque mid-datagram bytes that would misparse)
 	fh := &FragHeader{NextHdr: proto.UDP, Off: 8, More: true, ID: 1}
@@ -260,7 +277,7 @@ func TestPreparseTruncated(t *testing.T) {
 	if err == nil {
 		t.Fatal("truncated chain parsed")
 	}
-	if info == nil || !info.Truncated {
+	if !info.Truncated {
 		t.Fatal("Truncated not set")
 	}
 }

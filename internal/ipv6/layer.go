@@ -773,22 +773,7 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 		pkt.Free()
 		return ErrMsgSize
 	}
-	// A GSO super-segment sails past the MTU gate whole: the netif
-	// boundary splits it into MSS-sized wire frames.  Extension
-	// headers or a security wrap would sit between the fixed headers
-	// the splitter replicates and the payload it chops, so either one
-	// demotes the packet to the ordinary paths below.
-	gso := pkt.Hdr().GSO != nil && !secWrapped && len(chain.unfrag) == 0
-	if secWrapped {
-		pkt.Hdr().GSO = nil
-	}
-	if gso {
-		// Record the resolved path MTU (route-clamped, so PMTU
-		// discovery steers the split size even when the super-segment
-		// fits the first hop).
-		pkt.Hdr().GSO.PathMTU = mtu
-	}
-	if total <= mtu || gso {
+	if total <= mtu {
 		hdr.PayloadLen = len(chain.unfrag) + pkt.Len()
 		if len(chain.unfrag) > 0 {
 			pkt.Prepend(chain.unfrag)
@@ -1026,7 +1011,7 @@ func (l *Layer) process(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, depth i
 		if _, isOptErr := err.(*OptionError); !isOptErr {
 			l.Stats.InHdrErrors.Inc()
 			l.Drops.DropPkt(stat.RV6BadExtChain, b)
-			if l.Error != nil && info != nil && info.Truncated {
+			if l.Error != nil && info.Truncated {
 				l.Error(ErrParamProblem, ParamErrHeader, uint32(info.FinalOff), pkt, ifp.Name)
 			}
 			pkt.Free() // the error hook quoted its copy

@@ -40,32 +40,6 @@ const (
 	MSumOK                 // transport checksum already verified (GRO)
 )
 
-// GSO is the segmentation-offload descriptor a transport attaches to
-// a super-segment: the link boundary splits the packet into SegSize
-// payload chunks behind a copy of the leading HdrLen header bytes,
-// patching sequence numbers and checksums per frame (the software
-// analog of NIC TSO).  Sums caches the folded (16-bit, not yet
-// complemented) ones-complement sum of each payload chunk, computed
-// for free while the transport built the packet, so the splitter
-// folds pseudo-header + header + chunk without re-reading the
-// payload.  The 16-bit partials add into a 32-bit accumulator without
-// overflow however many chunks a frame combines.  Take descriptors
-// from NewGSO: the packet's Free recycles them.
-type GSO struct {
-	SegSize int      // payload bytes per wire frame (the connection MSS)
-	HdrLen  int      // leading bytes replicated onto every frame
-	Sums    []uint32 // per-chunk folded payload sums, in order
-	// PathMTU is the route MTU the IP output path resolved — the
-	// split threshold.  The interface MTU alone is not enough: a
-	// super-segment smaller than the first hop can still exceed a
-	// narrower link downstream, which the unbatched sender respects
-	// through its PMTU-derived MSS.  0 means not resolved (the link
-	// boundary falls back to the interface MTU).
-	PathMTU int
-
-	pooled bool // from NewGSO: Free returns it to the free list
-}
-
 // PktHdr is the per-packet header present on the first mbuf of a chain
 // (BSD's m_pkthdr).
 type PktHdr struct {
@@ -88,10 +62,6 @@ type PktHdr struct {
 	// terminates deterministically instead of recursing.
 	Encap uint8
 
-	// GSO, when non-nil, marks a transport-built super-segment to be
-	// split into SegSize frames at the link boundary.
-	GSO *GSO
-
 	// GRO, when non-nil, carries receive-coalescing metadata: the
 	// transport-defined record of the original segment boundaries
 	// merged into this super-segment, so transport input can replay
@@ -111,12 +81,9 @@ func (h *PktHdr) AddSPI(spi uint32) {
 
 // cloneHdr returns a copy of h for a new packet: AuxSPI is copied
 // into the copy's own storage, never shared, and Len starts at 0.
-// The GSO descriptor is not carried: it belongs to exactly one packet,
-// whose Free recycles it.
 func cloneHdr(h *PktHdr) PktHdr {
 	c := *h
 	c.Len = 0
-	c.GSO = nil
 	c.AuxSPI = nil
 	for _, spi := range h.AuxSPI {
 		c.AddSPI(spi)

@@ -283,81 +283,6 @@ func TestCursorWalksNonEmptySegments(t *testing.T) {
 	}
 }
 
-// TestGSODescriptorNotCopied pins that a GSO descriptor belongs to one
-// packet: Copy and Split carry none, so only the original's Free can
-// recycle it.
-func TestGSODescriptorNotCopied(t *testing.T) {
-	m := Get(3000)
-	g := NewGSO(1000, 20, 3)
-	m.Hdr().GSO = g
-	c := m.Copy()
-	tail := m.Split(2000)
-	if c.Hdr().GSO != nil || tail.Hdr().GSO != nil {
-		t.Fatalf("Copy carries %p, Split tail %p: a descriptor must not be shared", c.Hdr().GSO, tail.Hdr().GSO)
-	}
-	if m.Hdr().GSO != g {
-		t.Fatal("Split took the descriptor from the original")
-	}
-	c.Free()
-	tail.Free()
-	m.Free()
-	if m.Hdr().GSO != nil {
-		t.Fatal("Free left the recycled descriptor attached")
-	}
-}
-
-// TestGSODescriptorFreedOnce frees a GSO packet, its copy and its split
-// tail, then the original a second time: the descriptor must reach the
-// free list once, so two descriptors taken afterwards are distinct.
-func TestGSODescriptorFreedOnce(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		m := Get(3000)
-		m.Hdr().GSO = NewGSO(1000, 20, 3)
-		c := m.Copy()
-		tail := m.Split(2000)
-		m.Free()
-		c.Free()
-		tail.Free()
-		m.Free()
-		a, b := NewGSO(1000, 20, 3), NewGSO(1000, 20, 3)
-		if a == b {
-			t.Fatalf("round %d: the free list handed out one descriptor twice", i)
-		}
-	}
-}
-
-// TestGSOLiteralNotRecycled pins that a descriptor built as a literal
-// is left to the collector: its Sums may be its maker's, which a
-// recycled descriptor would overwrite.
-func TestGSOLiteralNotRecycled(t *testing.T) {
-	sums := []uint32{1, 2, 3}
-	for i := 0; i < 100; i++ {
-		m := Get(100)
-		m.Hdr().GSO = &GSO{SegSize: 1000, HdrLen: 20, Sums: sums}
-		m.Free()
-		g := NewGSO(1000, 20, 3)
-		g.Sums = append(g.Sums, 9, 9, 9)
-	}
-	if sums[0] != 1 || sums[1] != 2 || sums[2] != 3 {
-		t.Fatalf("a recycled literal's Sums were overwritten: %v", sums)
-	}
-}
-
-func TestNewGSOResets(t *testing.T) {
-	g := NewGSO(1000, 20, 4)
-	g.Sums = append(g.Sums, 1, 2, 3, 4)
-	g.PathMTU = 1280
-	m := Get(10)
-	m.Hdr().GSO = g
-	m.Free()
-	for i := 0; i < 10; i++ {
-		n := NewGSO(500, 32, 8)
-		if n.SegSize != 500 || n.HdrLen != 32 || n.PathMTU != 0 || len(n.Sums) != 0 || cap(n.Sums) < 8 {
-			t.Fatalf("NewGSO = %+v (cap %d), want a fresh 500/32 descriptor with room for 8 sums", *n, cap(n.Sums))
-		}
-	}
-}
-
 func TestCopyRange(t *testing.T) {
 	m := chainOf([]byte("ab"), []byte("cdef"), []byte("gh"))
 	if got := m.CopyRange(1, 5); string(got) != "bcdef" {

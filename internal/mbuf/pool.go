@@ -133,8 +133,7 @@ func getSlab(total int) *[]byte {
 // empties the chain. Only the packet's owner may call it, and the
 // packet (and any slice into it) must not be used afterwards.
 // Segments that are not pool-owned are simply dropped for the GC, so
-// Free is always safe to call on any packet the caller owns.  A GSO
-// descriptor from NewGSO goes back to its free list with the packet.
+// Free is always safe to call on any packet the caller owns.
 func (m *Mbuf) Free() {
 	if m == nil {
 		return
@@ -142,53 +141,6 @@ func (m *Mbuf) Free() {
 	releaseFrom(m.head)
 	m.head, m.tail = nil, nil
 	m.hdr.Len = 0
-	if g := m.hdr.GSO; g != nil {
-		m.hdr.GSO = nil
-		putGSO(g)
-	}
-}
-
-// gsoPool is the free list of GSO descriptors: a super-segment's
-// descriptor lives exactly as long as its packet, like the slab under
-// it, so a bulk stream reuses a handful of descriptors and their Sums
-// arrays instead of allocating two objects per super-segment.
-var gsoPool sync.Pool
-
-// NewGSO returns a segmentation descriptor for a super-segment of
-// segSize-byte payload chunks behind hdrLen header bytes, with Sums
-// empty and room for n chunk sums.  It comes from a free list.
-// Attach it to exactly one packet: that packet's Free returns it, so
-// whoever keeps the descriptor beyond the packet must not.  A
-// descriptor dropped from a packet before Free (PktHdr.GSO = nil) is
-// left to the collector.
-func NewGSO(segSize, hdrLen, n int) *GSO {
-	g, _ := gsoPool.Get().(*GSO)
-	if g == nil {
-		g = &GSO{}
-	}
-	sums := g.Sums[:0]
-	if cap(sums) < n {
-		sums = make([]uint32, 0, n)
-	}
-	*g = GSO{SegSize: segSize, HdrLen: hdrLen, Sums: sums, pooled: true}
-	return g
-}
-
-// putGSO returns a descriptor NewGSO made to the free list; one built
-// as a literal is left to the collector, since its Sums may be shared
-// with its maker.  With poison on, the chunk sums are scribbled first
-// so a reader that outlived its packet emits frames that fail their
-// checksums.
-func putGSO(g *GSO) {
-	if !g.pooled {
-		return
-	}
-	if poison.Load() {
-		for i := range g.Sums {
-			g.Sums[i] = 0xDBDBDBDB
-		}
-	}
-	gsoPool.Put(g)
 }
 
 func putSlab(h *[]byte) {

@@ -460,24 +460,6 @@ func (ifp *Interface) Output(dst inet.LinkAddr, etherType uint16, pkt *mbuf.Mbuf
 		ifp.mu.Unlock()
 		return ErrIfDown
 	}
-	if gso := pkt.Hdr().GSO; gso != nil && etherType == EtherTypeIPv6 {
-		limit := mtu
-		if gso.PathMTU > 0 && gso.PathMTU < limit {
-			limit = gso.PathMTU
-		}
-		if pkt.Len() > limit {
-			return ifp.gsoSplit(dst, etherType, pkt)
-		}
-		if ifp.Flags()&FlagTunnel != 0 {
-			// GSO flushes at tunnel devices: a super that fits whole
-			// under the tunnel MTU must not carry its descriptor into
-			// encapsulation — the outer IP layer would re-stamp
-			// PathMTU from the *outer* path, and if that later
-			// narrows, the physical link would split the encapsulated
-			// bytes at inner-header offsets, corrupting the stream.
-			pkt.Hdr().GSO = nil
-		}
-	}
 	if pkt.Len() > mtu {
 		ifp.mu.Lock()
 		ifp.stats.OutErrors++

@@ -109,13 +109,13 @@ func TestEveryTCPCounterHasASource(t *testing.T) {
 	// The must-list pins the counters whose loss a refactor would most
 	// plausibly hide: the delayed-ACK timer, the stateless
 	// connection-demux machinery (SYN cookies, compressed TIME_WAIT)
-	// and the batched-datapath engines (GRO/GSO), whose silent death
-	// would read as "batching never engaged".
+	// and the GRO engine, whose silent death would read as "coalescing
+	// never engaged".
 	for _, must := range []string{
 		"DelAcks",
 		"SynCookiesSent", "SynCookiesValidated", "SynCookiesFailed",
 		"TimeWaitRecycled", "TimeWaitOverflow",
-		"GROCoalesced", "GROFlushes", "GSOSegs", "GSOSplits",
+		"GROCoalesced", "GROFlushes",
 	} {
 		found := false
 		for _, f := range fields {

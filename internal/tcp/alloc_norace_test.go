@@ -111,9 +111,8 @@ func TestSegmentAllocatesOnlyItsMbuf(t *testing.T) {
 // bulkRun sends four full-sized segments' worth of data from cli to
 // srv, hands the frames srv's link queued to deliver (nil when the
 // link delivers them itself), drains the data and flushes srv's
-// delayed ACK.  With the congestion window open, tcp_output builds the
-// four segments as one GSO super-segment, which the link splits into
-// four frames.
+// delayed ACK.  With the congestion window open, tcp_output sends the
+// four segments back to back, one MSS-sized frame each.
 func bulkRun(t *testing.T, b *tnode, cli, srv *tcp.Conn, msg, buf []byte, deliver func()) {
 	if n, err := cli.Send(msg); err != nil || n != len(msg) {
 		t.Fatalf("send: %d, %v", n, err)
@@ -132,37 +131,33 @@ func bulkRun(t *testing.T, b *tnode, cli, srv *tcp.Conn, msg, buf []byte, delive
 }
 
 // checkStreamAllocs runs bulkRun on a warm connection and pins its
-// allocations at one Mbuf per wire frame (data and ACKs, both ways)
-// plus one per super-segment, with at least one super-segment a run.
+// allocations at one Mbuf per wire frame, data and ACKs both ways.
 func checkStreamAllocs(t *testing.T, a, b *tnode, run func()) {
 	t.Helper()
 	for i := 0; i < 8; i++ { // warm: cwnd, arenas, free lists
 		run()
 	}
-	frames0 := a.tcp.Stats.SndPack.Get() + b.tcp.Stats.SndPack.Get()
-	supers0 := a.tcp.Stats.GSOSegs.Get()
+	data0 := a.tcp.Stats.SndPack.Get()
+	frames0 := data0 + b.tcp.Stats.SndPack.Get()
 	const runs = 50
 	allocs := testing.AllocsPerRun(runs, run)
+	data := a.tcp.Stats.SndPack.Get() - data0
 	frames := a.tcp.Stats.SndPack.Get() + b.tcp.Stats.SndPack.Get() - frames0
-	supers := a.tcp.Stats.GSOSegs.Get() - supers0
-	if frames%(runs+1) != 0 || supers%(runs+1) != 0 {
-		t.Fatalf("%d frames and %d super-segments over %d runs: runs differ", frames, supers, runs+1)
+	if frames%(runs+1) != 0 || data%(runs+1) != 0 {
+		t.Fatalf("%d frames (%d data) over %d runs: runs differ", frames, data, runs+1)
 	}
-	perRun := float64((frames + supers) / (runs + 1))
-	if supers/(runs+1) == 0 {
-		t.Fatal("no GSO super-segment was built")
+	if data/(runs+1) < 4 {
+		t.Fatalf("%d data frames a run, want the 4 MSS-sized segments", data/(runs+1))
 	}
-	if allocs != perRun {
-		t.Fatalf("%v allocations per run, want %v: one Mbuf per frame (%d) and per super-segment (%d)",
-			allocs, perRun, frames/(runs+1), supers/(runs+1))
+	if perRun := float64(frames / (runs + 1)); allocs != perRun {
+		t.Fatalf("%v allocations per run, want %v: one Mbuf per wire frame", allocs, perRun)
 	}
 }
 
-// TestGSOSuperSegmentAllocatesOnlyMbufs pins the transmit batch: a
-// super-segment built by tcp_output and split at the link costs its
-// own Mbuf and one per frame.  Its descriptor and chunk sums come from
-// a free list and go back with the super-segment's Free.
-func TestGSOSuperSegmentAllocatesOnlyMbufs(t *testing.T) {
+// TestStreamSendAllocatesOnlyItsFrames pins the transmit side of a
+// bulk send: a Send of four MSS worth of data leaves as four frames,
+// and each frame costs its own Mbuf and nothing else.
+func TestStreamSendAllocatesOnlyItsFrames(t *testing.T) {
 	_, a, b, cli, srv := allocPair(t, false, false)
 	msg, buf := pattern(4*1440), make([]byte, 8192)
 	checkStreamAllocs(t, a, b, func() { bulkRun(t, b, cli, srv, msg, buf, nil) })

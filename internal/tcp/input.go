@@ -216,7 +216,9 @@ func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet
 		c.listenInput(th, data, meta, src, dst)
 		return
 	case StateSynSent:
-		c.synSentInput(th)
+		if c.synSentInput(th) {
+			c.synAckText(th, data)
+		}
 		return
 	}
 
@@ -345,8 +347,30 @@ func (c *Conn) segInput(th *Header, data []byte, meta *proto.Meta, src, dst inet
 
 	// Window update.
 	c.sndWnd = int(th.Wnd)
+	c.textInput(th, data)
+}
 
-	// Data.
+// synAckText is 4.4BSD's trimthenstep6 for a SYN|ACK that moved the
+// connection to ESTABLISHED: the SYN takes one sequence number, text
+// beyond the receive window is cut (and a FIN with it), and the rest
+// goes through data and FIN processing.  The ACK was processed by
+// synSentInput. Caller holds t.mu.
+func (c *Conn) synAckText(th *Header, data []byte) {
+	th.Seq++
+	th.Flags &^= FlagSYN
+	if win := c.rcvSpace(); len(data) > win {
+		data = data[:win]
+		th.Flags &^= FlagFIN
+	}
+	c.textInput(th, data)
+}
+
+// textInput processes a segment's text and FIN once its ACK has been
+// processed (tcp_input's step 6), then sends whatever that made pending.
+// Caller holds t.mu.
+func (c *Conn) textInput(th *Header, data []byte) {
+	t := c.t
+	tlen := len(data)
 	if tlen > 0 {
 		switch c.state {
 		case StateEstablished, StateFinWait1, StateFinWait2:
@@ -552,20 +576,21 @@ func (c *Conn) listenInput(th *Header, data []byte, meta *proto.Meta, src, dst i
 }
 
 // synSentInput handles the SYN|ACK (or simultaneous SYN) of an active
-// open.
-func (c *Conn) synSentInput(th *Header) {
+// open.  It reports whether the connection became ESTABLISHED, so the
+// segment's text and FIN are processed next.
+func (c *Conn) synSentInput(th *Header) bool {
 	t := c.t
 	if th.Flags&FlagACK != 0 && (seqLEQ(th.Ack, c.iss) || seqGT(th.Ack, c.sndMax)) {
-		return // unacceptable ACK; a RST would answer it in BSD
+		return false // unacceptable ACK; a RST would answer it in BSD
 	}
 	if th.Flags&FlagRST != 0 {
 		if th.Flags&FlagACK != 0 {
 			c.drop(ErrRefused)
 		}
-		return
+		return false
 	}
 	if th.Flags&FlagSYN == 0 {
-		return
+		return false
 	}
 	c.irs = th.Seq
 	c.rcvNxt = th.Seq + 1
@@ -584,13 +609,13 @@ func (c *Conn) synSentInput(th *Header) {
 		c.rexmtShift = 0
 		c.needAck = true
 		c.wakeupLocked()
-		c.output()
-	} else {
-		// Simultaneous open.
-		c.state = StateSynRcvd
-		c.sndNxt = c.iss
-		c.output()
+		return true
 	}
+	// Simultaneous open.
+	c.state = StateSynRcvd
+	c.sndNxt = c.iss
+	c.output()
+	return false
 }
 
 // processFIN advances over the peer's FIN and transitions state.

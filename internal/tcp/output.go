@@ -40,16 +40,6 @@ func (c *Conn) output() {
 			return // SYN in flight; the retransmit timer re-arms it
 		}
 
-		// GSO: when the session is eligible, build one super-segment
-		// covering up to GSOMax bytes instead of one MSS-sized frame;
-		// the netif boundary splits it back into wire frames.  The cap
-		// is rounded down to an MSS multiple so the split emits exactly
-		// the frames the unbatched loop would have.
-		segMax := c.mss
-		if gmax := t.GSOMax; gmax > c.mss && c.gsoOK() {
-			segMax = c.mss * (gmax / c.mss)
-		}
-
 		length := 0
 		if !synPending {
 			usable := wnd - off
@@ -60,8 +50,8 @@ func (c *Conn) output() {
 			if length > usable {
 				length = usable
 			}
-			if length > segMax {
-				length = segMax
+			if length > c.mss {
+				length = c.mss
 			}
 		}
 
@@ -100,15 +90,7 @@ func (c *Conn) output() {
 			payload = c.sndBuf[off : off+length]
 		}
 		c.queueSegment(hdr, payload)
-		nseg := 1
-		if length > c.mss {
-			// One super-segment, nseg wire frames: counters track the
-			// wire so batching on/off reads identically in netstat.
-			nseg = (length + c.mss - 1) / c.mss
-			t.Stats.GSOSegs.Inc()
-			t.Stats.GSOSplits.Add(uint64(nseg))
-		}
-		t.Stats.SndPack.Add(uint64(nseg))
+		t.Stats.SndPack.Inc()
 		t.Stats.SndByte.Add(uint64(length))
 
 		adv := uint32(length)
@@ -126,12 +108,6 @@ func (c *Conn) output() {
 				// Time this segment for RTT estimation.
 				c.rttTicks = c.ticks
 				c.rttSeq = c.sndNxt
-				if length > c.mss {
-					// The super-segment leaves the wire as MSS-sized
-					// frames; close the sample where the unbatched
-					// sender would — at the first frame's end.
-					c.rttSeq = hdr.Seq + uint32(c.mss)
-				}
 			}
 		} else if wasRexmit {
 			t.Stats.SndRexmit.Inc()
@@ -146,24 +122,10 @@ func (c *Conn) output() {
 		c.delack = false
 
 		// Keep going while full-size segments remain sendable.
-		if length != segMax || avail <= length {
+		if length != c.mss || avail <= length {
 			return
 		}
 	}
-}
-
-// gsoOK reports whether this connection's data may leave as GSO
-// super-segments.  IPv6 only: an IPv4 splitter would have to invent
-// per-frame IP IDs the unbatched sender draws from the shared
-// counter, so the wire could never be equivalent.  The MSS must be
-// even, or per-chunk checksums could not chain (RFC 1071 byte-order
-// rules at odd offsets).  Security encapsulation wraps the whole IP
-// packet, so a super-segment would encrypt as one giant datagram —
-// those sessions stay unbatched.  Caller holds t.mu.
-func (c *Conn) gsoOK() bool {
-	t := c.t
-	return !c.pcb.FAddr.IsV4Mapped() && c.mss > 0 && c.mss&1 == 0 &&
-		(t.SecOverhead == nil || t.SecOverhead(c.pcb.Socket) == 0)
 }
 
 // queueSegment finalizes a segment (checksum over the right
@@ -184,32 +146,9 @@ func (c *Conn) queueSegment(hdr *Header, payload []byte) {
 	seg := pkt.Bytes()
 	hdr.Put(seg)
 	sum := inet.Sum(pseudoSum(src, dst, tlen, v6), seg[:hlen])
-	if len(payload) > c.mss {
-		// GSO super-segment: copy+checksum per MSS-sized chunk,
-		// keeping each chunk's folded sum so the splitter can finalize
-		// every wire frame's checksum without re-reading the payload.
-		// Chunks start at even payload offsets (MSS is even by gsoOK),
-		// so the partial sums chain with no byte-swaps, and the folded
-		// 16-bit values add without overflowing the 32-bit accumulator.
-		acc := uint32(inet.FoldRaw(sum))
-		gso := mbuf.NewGSO(c.mss, hlen, (len(payload)+c.mss-1)/c.mss)
-		for o := 0; o < len(payload); o += c.mss {
-			end := o + c.mss
-			if end > len(payload) {
-				end = len(payload)
-			}
-			cs := uint32(inet.FoldRaw(inet.SumCopy(0, seg[hlen+o:], payload[o:end])))
-			gso.Sums = append(gso.Sums, cs)
-			acc += cs
-		}
-		ck := inet.Fold(acc)
-		seg[16], seg[17] = byte(ck>>8), byte(ck)
-		pkt.Hdr().GSO = gso
-	} else {
-		sum = inet.SumCopy(sum, seg[hlen:], payload)
-		ck := inet.Fold(sum)
-		seg[16], seg[17] = byte(ck>>8), byte(ck)
-	}
+	sum = inet.SumCopy(sum, seg[hlen:], payload)
+	ck := inet.Fold(sum)
+	seg[16], seg[17] = byte(ck>>8), byte(ck)
 	pkt.Hdr().Socket = c.pcb.Socket
 	c.t.outbox = append(c.t.outbox, outSeg{
 		v6: v6, src: src, dst: dst, pkt: pkt,

@@ -68,6 +68,30 @@ func TestPredAckFastPath(t *testing.T) {
 	}
 }
 
+// TestSynAckCarriesTextAndFIN: a SYN|ACK|FIN carrying two bytes
+// completes the active open and then, as 4.4BSD's tcp_input goes on to
+// step 6, delivers the text and the FIN. One ACK answers all of it.
+func TestSynAckCarriesTextAndFIN(t *testing.T) {
+	c := newSegConn()
+	const iss, irs = 5000, 9000
+	c.state = StateSynSent
+	c.iss, c.sndUna, c.sndNxt, c.sndMax = iss, iss, iss+1, iss+1
+	th := &Header{Flags: FlagSYN | FlagACK | FlagFIN, Seq: irs, Ack: iss + 1, Wnd: 8192, MSS: 512}
+	c.segInput(th, []byte("hi"), segMeta, c.pcb.FAddr, c.pcb.LAddr)
+	if c.state != StateCloseWait {
+		t.Fatalf("state %v, want CLOSE_WAIT", c.state)
+	}
+	if c.rcvNxt != irs+4 {
+		t.Fatalf("rcvNxt = irs+%d, want irs+4 (SYN, 2 bytes, FIN)", c.rcvNxt-irs)
+	}
+	if string(c.rcvBuf) != "hi" || !c.rcvClosed {
+		t.Fatalf("receive buffer %q, rcvClosed %v; want \"hi\" and the FIN", c.rcvBuf, c.rcvClosed)
+	}
+	if len(c.t.outbox) != 1 || c.queuedAck(0) != irs+4 {
+		t.Fatalf("%d segments queued, want one ACK of irs+4", len(c.t.outbox))
+	}
+}
+
 // TestPredAckBypassWindowChange: a window update riding the ACK
 // applies both the ack and the new window.
 func TestPredAckBypassWindowChange(t *testing.T) {

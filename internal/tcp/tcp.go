@@ -97,8 +97,6 @@ type Stats struct {
 
 	GROCoalesced stat.Counter // received segments absorbed into a super-segment
 	GROFlushes   stat.Counter // coalesced super-segments handed to tcp_input
-	GSOSegs      stat.Counter // super-segments built by tcp_output
-	GSOSplits    stat.Counter // wire frames those super-segments cut into
 }
 
 // DefaultSynBacklog is the default cap on embryonic (SYN_RCVD)
@@ -106,18 +104,12 @@ type Stats struct {
 // the half-open stage a SYN flood inflates.
 const DefaultSynBacklog = 128
 
-// Batched-datapath defaults.  Both are payload-byte ceilings chosen
-// so the super-segment plus its 20-byte TCP header (and for GRO the
-// worst-case 20-byte IPv4 header too) stays inside the 65535-byte IP
-// payload field — and, with the IP header and pool headroom, inside
-// the largest mbuf slab class.
-const (
-	// DefaultGSOMax caps the payload of a transmit super-segment.
-	DefaultGSOMax = 65515
-	// DefaultGROMax caps the coalesced payload of a receive
-	// super-segment.
-	DefaultGROMax = 65495
-)
+// DefaultGROMax caps the coalesced payload of a receive super-segment,
+// so the super-segment plus its 20-byte TCP header and a worst-case
+// 20-byte IPv4 header stays inside the 65535-byte IP payload field —
+// and, with the IP header and pool headroom, inside the largest mbuf
+// slab class.
+const DefaultGROMax = 65495
 
 // TCP is the TCP protocol instance of one stack.
 type TCP struct {
@@ -169,19 +161,6 @@ type TCP struct {
 	// DefaultTimeWaitMax; negative removes the cap.
 	TimeWaitMax int
 
-	// GSOMax, when larger than a connection's MSS, lets tcp_output
-	// build one super-segment of up to GSOMax payload bytes per send
-	// opportunity instead of MSS-sized segments; the link boundary
-	// (netif) splits it back into MSS wire frames with incremental
-	// header patching, so header construction, route validation and
-	// outbox handling run once per burst.  The effective cap is
-	// rounded down to a multiple of the MSS, which keeps the split
-	// frame sequence byte-identical to the unbatched one.  Applied to
-	// IPv6 sessions without security wrapping (the splitter cannot
-	// cut an encrypted payload, and IPv4 would need per-frame IP-ID
-	// allocation).  0 disables; New sets DefaultGSOMax.
-	GSOMax int
-
 	Stats Stats
 
 	iss   uint32
@@ -227,8 +206,7 @@ type outSeg struct {
 
 // New creates the TCP instance and registers it with both IP layers.
 func New(v4l *ipv4.Layer, v6l *ipv6.Layer) *TCP {
-	t := &TCP{Table: pcb.NewTable(), v4: v4l, v6: v6l, conns: make(map[*Conn]struct{}),
-		GSOMax: DefaultGSOMax}
+	t := &TCP{Table: pcb.NewTable(), v4: v4l, v6: v6l, conns: make(map[*Conn]struct{})}
 	t.cookieSeed = newCookieSeed()
 	if v4l != nil {
 		v4l.Register(proto.TCP, t.input, t.ctlInput)

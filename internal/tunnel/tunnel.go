@@ -8,7 +8,7 @@
 // like any link, and the forwarding path's MTU checks read its MTU.
 // The device's MTU is the *inner* budget — the underlying path MTU
 // minus the encapsulation overhead — so TCP MSS derivation, source
-// fragmentation, GSO sizing, and the forwarding Packet Too Big checks
+// fragmentation, and the forwarding Packet Too Big checks
 // all produce correctly-sized inner packets with no tunnel-specific
 // arithmetic anywhere in the IP layers.
 //
@@ -285,10 +285,6 @@ func (t *Tunnel) encap(fr netif.Frame) error {
 		return nil
 	}
 	hdr.Encap++
-	// The inner packet's GSO descriptor must not survive into the
-	// outer path: the netif boundary already split or flushed it (see
-	// netif.Output), this is the belt to that suspender.
-	hdr.GSO = nil
 
 	t.mu.Lock()
 	t.stats.Encapped++
