@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
@@ -82,6 +83,47 @@ func TestSnapshotObservability(t *testing.T) {
 	for _, want := range []string{"udp-no-port=", "drops:", "trace (last"} {
 		if !strings.Contains(ns, want) {
 			t.Fatalf("Netstat missing %q:\n%s", want, ns)
+		}
+	}
+}
+
+// TestSnapshotIPKeySets pins the ip4 and ip6 Snapshot key sets.  The
+// snapshot reads only a Stats struct's own Counter fields, so a
+// counter moved into an embedded struct would drop its key without a
+// compile error, and perfbench and netstat read these keys by name.
+func TestSnapshotIPKeySets(t *testing.T) {
+	s := core.NewStack("keys", core.Options{})
+	t.Cleanup(s.Close)
+	snap := s.Snapshot()
+	for _, tc := range []struct {
+		block string
+		got   map[string]uint64
+		want  []string
+	}{
+		{"ip4", snap.IP4, []string{
+			"InReceives", "InHdrErrors", "InAddrErrors", "InUnknownProt",
+			"InDelivers", "ReasmOverflow", "Forwarded", "FwdCacheHits",
+			"OutRequests", "OutNoRoute", "OutDrops", "FragsCreated",
+			"FragsReceived", "Reassembled", "ReasmFails", "ArpRequests",
+			"ArpReplies", "ArpBad",
+		}},
+		{"ip6", snap.IP6, []string{
+			"InReceives", "InHdrErrors", "InAddrErrors", "InUnknownProt",
+			"InTruncated", "InDelivers", "ReasmOverflow", "InOptErrors",
+			"Forwarded", "FwdCacheHits", "OutRequests", "OutNoRoute",
+			"OutDrops", "OutFrags", "FragsReceived", "Reassembled",
+			"ReasmFails", "RouteHdrSeen", "FastPathHits", "PreparseRuns",
+		}},
+	} {
+		var got []string
+		for k := range tc.got {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		want := append([]string(nil), tc.want...)
+		sort.Strings(want)
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s keys:\n got  %v\n want %v", tc.block, got, want)
 		}
 	}
 }

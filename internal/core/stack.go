@@ -117,11 +117,11 @@ type Options struct {
 	// "Limits & overload control" for the full table).
 
 	// ReasmMaxDatagrams caps in-progress reassemblies per IP layer
-	// (default ipv6.DefaultReasmMaxDatagrams); overflow evicts the
+	// (default ip.DefaultReasmMaxDatagrams); overflow evicts the
 	// oldest datagram with ip6-reasm-overflow / ip4-reasm-overflow.
 	ReasmMaxDatagrams int
 	// ReasmMaxPerSource caps in-progress reassemblies per source
-	// address (default ipv6.DefaultReasmMaxPerSource).
+	// address (default ip.DefaultReasmMaxPerSource).
 	ReasmMaxPerSource int
 	// NDCacheMax caps dynamic neighbor host routes per family
 	// (default DefaultNDCacheMax); overflow evicts unreachable-first

@@ -33,6 +33,7 @@ var lintedPackages = []string{
 	"../admin",
 	"../ipsec",
 	"../key",
+	"../ip",
 }
 
 func TestExportedIdentifiersAreDocumented(t *testing.T) {

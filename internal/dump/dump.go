@@ -147,7 +147,7 @@ func v6(b []byte) string {
 	if perr != nil && info.Truncated {
 		return head + " [truncated extension chain]"
 	}
-	for _, rec := range info.Ext {
+	for _, rec := range info.Ext() {
 		switch rec.Proto {
 		case proto.HopByHop:
 			exts = append(exts, "hbh")
@@ -175,7 +175,7 @@ func v6(b []byte) string {
 		head += " [" + strings.Join(exts, " ") + "]"
 	}
 	// A non-first fragment's content is opaque.
-	for _, rec := range info.Ext {
+	for _, rec := range info.Ext() {
 		if rec.Proto == proto.Fragment {
 			if fh, err := ipv6.ParseFrag(b[rec.Offset : rec.Offset+rec.Len]); err == nil && fh.Off != 0 {
 				return fmt.Sprintf("%s, %d bytes of %s fragment data", head, len(b)-info.FinalOff, proto.Name(info.Final))

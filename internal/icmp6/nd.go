@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"bsd6/internal/inet"
+	"bsd6/internal/ip"
 	"bsd6/internal/ipv6"
 	"bsd6/internal/mbuf"
 	"bsd6/internal/netif"
@@ -58,17 +59,16 @@ const (
 	ndMaxUnicast   = 3 // unicast probes before declaring unreachable
 	ndReachable    = 30 * time.Second
 	ndRejectLinger = 20 * time.Second
-	ndMaxQueue     = 8
 )
 
 // ndEntry is the LLInfo of a neighbor host route.
 type ndEntry struct {
-	state     NDState
-	confirmed time.Time // when reachability was last confirmed
-	tries     int
-	lastSent  time.Time
-	queue     []*mbuf.Mbuf
-	isRouter  bool
+	ip.HoldQueue // packets awaiting resolution
+	state        NDState
+	confirmed    time.Time // when reachability was last confirmed
+	tries        int
+	lastSent     time.Time
+	isRouter     bool
 }
 
 // EvictPinned implements route.NeighborPin: entries for routers
@@ -76,16 +76,6 @@ type ndEntry struct {
 // cap — losing the default router to a cache flood would cut off all
 // off-link traffic.
 func (e *ndEntry) EvictPinned() bool { return e.isRouter }
-
-// ReleaseOnEvict implements route.NeighborRelease: packets queued
-// awaiting resolution go back to the mbuf pool when the cap evicts
-// this neighbor.
-func (e *ndEntry) ReleaseOnEvict() {
-	for _, pkt := range e.queue {
-		pkt.Free()
-	}
-	e.queue = nil
-}
 
 // NeighborAddr extracts the IPv6 address of a neighbor route.
 func neighborAddr(rt *route.Entry) inet.IP6 {
@@ -150,9 +140,7 @@ func (m *Module) Resolve(ifp *netif.Interface, rt *route.Entry, nextHop inet.IP6
 			e = &ndEntry{state: NDIncomplete}
 			rt.LLInfo = e
 		}
-		if len(e.queue) < ndMaxQueue {
-			e.queue = append(e.queue, pkt)
-		} else {
+		if !e.Hold(pkt) {
 			result = 4 // queue full: drop the arriving packet
 		}
 		if now.Sub(e.lastSent) >= ndRetrans {
@@ -403,12 +391,9 @@ func (m *Module) updateEntry(ifp *netif.Interface, rt *route.Entry, mac inet.Lin
 			e.state = NDStale
 		}
 		e.tries = 0
-		flush = e.queue
-		e.queue = nil
+		flush = e.Take()
 	})
-	for _, pkt := range flush {
-		ifp.Output(mac, netif.EtherTypeIPv6, pkt)
-	}
+	ip.Send(ifp, mac, netif.EtherTypeIPv6, flush)
 }
 
 // Confirm records upper-layer reachability confirmation (§4.3: "Upper-
@@ -495,10 +480,7 @@ func (m *Module) ndTimer(now time.Time) {
 					if e.tries >= ndMaxMulticast {
 						rt.Flags |= route.FlagReject
 						rt.Expire = now.Add(ndRejectLinger)
-						for _, p := range e.queue {
-							p.Free() // resolution failed: pool the queued packets
-						}
-						e.queue = nil
+						e.Drop() // resolution failed: pool the queued packets
 						e.tries = 0
 						m.Stats.NdTimeouts.Inc()
 					} else if ifp != nil {

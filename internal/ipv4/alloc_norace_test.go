@@ -1,0 +1,50 @@
+//go:build !race
+
+package ipv4
+
+import (
+	"testing"
+
+	"bsd6/internal/mbuf"
+	"bsd6/internal/proto"
+)
+
+// TestV4ForwardAllocatesOnlyItsMbuf pins the IPv4 send and forward
+// paths at one allocation per datagram, the packet's Mbuf: ip_output
+// on A, the router's forward with its incremental checksum update, and
+// delivery to a sink protocol on B, over warm ARP entries and held
+// routes.  The source is given, as the transports give it.  Built without the race detector, whose instrumentation
+// allocates.
+func TestV4ForwardAllocatesOnlyItsMbuf(t *testing.T) {
+	a, r, b := threeNodeNet(t, 1500)
+	p := &pinger{}
+	p.hook(a.ic)
+	if err := a.ic.SendEcho(addrB2, 1, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "warm-up echo reply", func() bool { return p.count() >= 1 })
+	delivered := 0
+	b.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ proto.Meta) {
+		delivered++
+		pkt.Free()
+	}, nil)
+	send := func() {
+		pkt := mbuf.Get(64)
+		if err := a.l.Output(pkt, addrA, addrB2, proto.UDP, OutputOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	forwarded := r.l.Stats.Forwarded.Get()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, send)
+	if got := r.l.Stats.Forwarded.Get() - forwarded; got != runs+1 {
+		t.Fatalf("router forwarded %d datagrams over %d sends", got, runs+1)
+	}
+	if delivered != runs+2 {
+		t.Fatalf("%d datagrams delivered over %d sends", delivered, runs+2)
+	}
+	if allocs != 1 {
+		t.Fatalf("%v allocations per forwarded datagram, want 1 (its Mbuf)", allocs)
+	}
+}

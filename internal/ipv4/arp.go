@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"bsd6/internal/inet"
+	"bsd6/internal/ip"
 	"bsd6/internal/mbuf"
 	"bsd6/internal/netif"
 	"bsd6/internal/route"
@@ -20,7 +21,6 @@ const (
 	arpMaxTries   = 5
 	arpRetry      = time.Second
 	arpEntryLife  = 20 * time.Minute
-	arpMaxQueue   = 8 // packets held per unresolved entry
 	arpRejectLife = 20 * time.Second
 )
 
@@ -29,10 +29,10 @@ const (
 // ND machine in icmp6; the paper notes ND keeps link-layer information
 // "much as 4.4BSD implements ARP entries" (§4.3).
 type arpEntry struct {
-	resolved bool
-	tries    int
-	lastSent time.Time
-	queue    []*mbuf.Mbuf // packets awaiting resolution
+	ip.HoldQueue // packets awaiting resolution
+	resolved     bool
+	tries        int
+	lastSent     time.Time
 }
 
 // arpMarshal builds an ARP packet for IPv4-over-Ethernet.
@@ -49,26 +49,28 @@ func arpMarshal(op uint16, sha inet.LinkAddr, spa inet.IP4, tha inet.LinkAddr, t
 	return b
 }
 
-// arpResolve maps an on-link next hop to a MAC. If unresolved it queues
-// the packet and emits a who-has broadcast; the caller is done with the
-// packet either way.
-func (l *Layer) arpResolve(ifp *netif.Interface, rt *route.Entry, nextHop inet.IP4, pkt *mbuf.Mbuf) (inet.LinkAddr, bool) {
+// arpResolve maps an on-link next hop to a MAC; it is the layer's
+// resolver.  If unresolved it holds the packet and emits a who-has
+// broadcast.  A rejected entry drops the packet while the reject
+// lingers and resolves afresh after it, as 4.4 BSD's arpresolve does;
+// transmit reports neither as an error.
+func (l *Layer) arpResolve(ifp *netif.Interface, rt *route.Entry, _ int, _ any, nextHop inet.IP4, pkt *mbuf.Mbuf) (inet.LinkAddr, bool, error) {
 	// ARP entry state (route fields + llinfo) lives under the routing
 	// table lock, as in BSD where splnet guards both.  Fast path: a
 	// resolved entry needs no state transition and no clock, so the
 	// per-packet cost is one shared lock, as in ND's Resolve.
+	routes := l.Routes()
 	var mac inet.LinkAddr
 	resolved := false
-	l.routes.View(func() {
+	routes.View(func() {
 		mac, resolved = arpResolved(rt)
 	})
 	if resolved {
-		return mac, true
+		return mac, true, nil
 	}
-	now := l.routes.Now()
-	rejected := false
-	needSend := false
-	l.routes.Mutate(func() {
+	now := routes.Now()
+	rejected, held, needSend := false, false, false
+	routes.Mutate(func() {
 		if mac, resolved = arpResolved(rt); resolved {
 			return // resolved since the fast path looked
 		}
@@ -85,39 +87,36 @@ func (l *Layer) arpResolve(ifp *netif.Interface, rt *route.Entry, nextHop inet.I
 			e = &arpEntry{}
 			rt.LLInfo = e
 		}
-		if len(e.queue) < arpMaxQueue {
-			e.queue = append(e.queue, pkt)
-			pkt = nil // ownership moved to the hold queue
-		} else {
-			l.Stats.OutDrops.Inc()
-		}
+		held = e.Hold(pkt)
 		if now.Sub(e.lastSent) >= arpRetry {
 			needSend = true
 			e.lastSent = now
 			e.tries++
 		}
 	})
-	if resolved {
-		return mac, true
-	}
-	// Not handed to the device and not on the hold queue (rejected
-	// entry, or queue full): the packet ends here.
-	pkt.Free()
-	if rejected {
+	switch {
+	case resolved:
+		return mac, true, nil
+	case rejected:
 		l.Stats.OutNoRoute.Inc()
-		return inet.LinkAddr{}, false
+		l.Drops.DropNote(stat.RV4NoRoute, nextHop.String())
+		pkt.Free()
+		return inet.LinkAddr{}, false, nil
+	case !held:
+		l.Stats.OutDrops.Inc()
+		l.Drops.DropNote(stat.RArpQueueFull, nextHop.String())
+		pkt.Free()
 	}
-
 	if needSend {
 		src, ok := srcAddrOn(ifp)
 		if !ok {
-			return inet.LinkAddr{}, false
+			return inet.LinkAddr{}, false, nil
 		}
 		req := mbuf.New(arpMarshal(arpRequest, ifp.HW, src, inet.LinkAddr{}, nextHop))
 		ifp.Output(netif.Broadcast, EtherTypeARP, req)
 		l.Stats.ArpRequests.Inc()
 	}
-	return inet.LinkAddr{}, false
+	return inet.LinkAddr{}, false, nil
 }
 
 // arpResolved returns the link-layer address of a resolved, usable
@@ -165,13 +164,14 @@ func (l *Layer) ArpInput(ifp *netif.Interface, pkt *mbuf.Mbuf) {
 // learnArp installs/updates the neighbor host route for spa and flushes
 // any packets queued on it.
 func (l *Layer) learnArp(ifp *netif.Interface, spa inet.IP4, sha inet.LinkAddr) {
-	rt, ok := l.routes.Lookup(inet.AFInet, spa[:])
+	routes := l.Routes()
+	rt, ok := routes.Lookup(inet.AFInet, spa[:])
 	if !ok {
 		return
 	}
 	var flush []*mbuf.Mbuf
-	now := l.routes.Now()
-	l.routes.Mutate(func() {
+	now := routes.Now()
+	routes.Mutate(func() {
 		if !rt.Host() || rt.Flags&route.FlagLLInfo == 0 || rt.IfName != ifp.Name {
 			return // not an on-link neighbor of ours
 		}
@@ -179,17 +179,14 @@ func (l *Layer) learnArp(ifp *netif.Interface, spa inet.IP4, sha inet.LinkAddr) 
 		rt.Flags &^= route.FlagReject
 		rt.Expire = now.Add(arpEntryLife)
 		if e, _ := rt.LLInfo.(*arpEntry); e != nil {
-			flush = e.queue
-			e.queue = nil
+			flush = e.Take()
 			e.resolved = true
 			e.tries = 0
 		} else {
 			rt.LLInfo = &arpEntry{resolved: true}
 		}
 	})
-	for _, qp := range flush {
-		ifp.Output(sha, netif.EtherTypeIPv4, qp)
-	}
+	ip.Send(ifp, sha, netif.EtherTypeIPv4, flush)
 }
 
 // arpTimer retries pending resolutions and rejects entries that have
@@ -201,19 +198,20 @@ func (l *Layer) arpTimer(now time.Time) {
 		nextHop inet.IP4
 	}
 	var retries []retry
-	var drops []*mbuf.Mbuf
+	drops := 0
 	// Snapshot candidate entries under the walk, then process each one
 	// under the same (table) lock via Mutate — the walk itself holds
 	// that lock, so state seen here cannot regress.
 	var candidates []*route.Entry
-	l.routes.Walk(inet.AFInet, func(rt *route.Entry) bool {
+	routes := l.Routes()
+	routes.Walk(inet.AFInet, func(rt *route.Entry) bool {
 		if e, _ := rt.LLInfo.(*arpEntry); e != nil && !e.resolved {
 			candidates = append(candidates, rt)
 		}
 		return true
 	})
 	for _, rt := range candidates {
-		l.routes.Mutate(func() {
+		routes.Mutate(func() {
 			e, _ := rt.LLInfo.(*arpEntry)
 			if e == nil || e.resolved {
 				return
@@ -221,8 +219,7 @@ func (l *Layer) arpTimer(now time.Time) {
 			if e.tries >= arpMaxTries {
 				rt.Flags |= route.FlagReject
 				rt.Expire = now.Add(arpRejectLife)
-				drops = append(drops, e.queue...)
-				e.queue = nil
+				drops += e.Drop() // resolution failed: the hold queue was their last stop
 				e.tries = 0
 				e.lastSent = time.Time{}
 				return
@@ -232,19 +229,13 @@ func (l *Layer) arpTimer(now time.Time) {
 				e.tries++
 				var nh inet.IP4
 				copy(nh[:], rt.Dst)
-				l.mu.Lock()
-				ifp := l.ifaces[rt.IfName]
-				l.mu.Unlock()
-				if ifp != nil {
+				if ifp := l.Interface(rt.IfName); ifp != nil {
 					retries = append(retries, retry{ifp, nh})
 				}
 			}
 		})
 	}
-	l.Stats.OutDrops.Add(uint64(len(drops)))
-	for _, d := range drops {
-		d.Free() // resolution failed; the hold queue was their last stop
-	}
+	l.Stats.OutDrops.Add(uint64(drops))
 	for _, r := range retries {
 		src, ok := srcAddrOn(r.ifp)
 		if !ok {

@@ -162,10 +162,7 @@ func (ic *ICMP) ctlDispatch(typ, code uint8, b []byte) {
 		ic.OnError(kind, oh.Dst)
 	}
 	meta := &proto.Meta{Family: inet.AFInet, Src4: oh.Src, Dst4: oh.Dst, Proto: oh.Proto}
-	ic.l.mu.Lock()
-	ctl := ic.l.ctls[oh.Proto]
-	ic.l.mu.Unlock()
-	if ctl != nil {
+	if ctl := ic.l.Ctl(oh.Proto); ctl != nil {
 		ctl(kind, meta, inner[hl:], mtu)
 	}
 }

@@ -10,10 +10,13 @@ import (
 	"time"
 
 	"bsd6/internal/inet"
+	"bsd6/internal/ip"
 	"bsd6/internal/mbuf"
 	"bsd6/internal/netif"
 	"bsd6/internal/proto"
 	"bsd6/internal/route"
+	"bsd6/internal/stat"
+	"bsd6/internal/vclock"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -351,11 +354,11 @@ func TestReassemblyTimeout(t *testing.T) {
 	frag := mbuf.New(make([]byte, 16))
 	frag.Prepend(h.Marshal(nil))
 	b.l.Input(b.ifps[0], frag)
-	if b.l.frags.Len() != 1 {
+	if b.l.FragQueueLen() != 1 {
 		t.Fatal("fragment not queued")
 	}
 	b.l.SlowTimo(time.Now().Add(time.Minute))
-	if b.l.frags.Len() != 0 {
+	if b.l.FragQueueLen() != 0 {
 		t.Fatal("fragment queue not expired")
 	}
 	if b.l.Stats.ReasmFails.Get() == 0 {
@@ -540,5 +543,67 @@ func TestNotForwardingDropsTransit(t *testing.T) {
 	b.l.Input(b.ifps[0], pkt)
 	if b.l.Stats.InAddrErrors.Get() != 1 {
 		t.Fatal("transit packet not dropped on host")
+	}
+}
+
+// TestARPEvictionFreesHeldPackets fills the neighbor cache past its
+// cap with unresolved entries, each holding one pooled datagram: every
+// entry the cap evicts must hand its held packet back to the pool, so
+// only the packets of the entries still in the cache stay outstanding.
+func TestARPEvictionFreesHeldPackets(t *testing.T) {
+	a, _ := twoNodes(t)
+	a.rt.MaxNeighbors = 2
+	probe := mbuf.Get(100)
+	base := mbuf.Outstanding()
+	probe.Free()
+	per := base - mbuf.Outstanding()
+
+	before := mbuf.Outstanding()
+	for i := 0; i < 6; i++ {
+		pkt := mbuf.Get(100)
+		dst := inet.IP4{10, 0, 0, byte(100 + i)}
+		if err := a.l.Output(pkt, inet.IP4{}, dst, proto.UDP, OutputOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.rt.NbrEvictions.Get(); got != 4 {
+		t.Fatalf("%d neighbor evictions, want 4", got)
+	}
+	if leak := mbuf.Outstanding() - before; leak != 2*per {
+		t.Fatalf("%d bytes outstanding after the evictions, want %d (the 2 packets still held)", leak, 2*per)
+	}
+}
+
+// TestARPHoldDropsAreTyped checks that the two ways an unresolved
+// neighbor drops a packet land under typed reasons: its hold queue is
+// full, or its entry lingers rejected after resolution failed and a
+// packet reaches it through a gateway route.
+func TestARPHoldDropsAreTyped(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(1_000_000, 0))
+	a := newNode("a")
+	onClock(clk, a)
+	a.join(netif.NewHub(), macA, addrA, 24, 1500)
+	a.l.Drops = stat.NewRecorder(0)
+	ghost := inet.IP4{10, 0, 0, 77}
+	for i := 0; i <= ip.MaxHold; i++ {
+		if err := a.l.Output(mbuf.Get(32), addrA, ghost, proto.UDP, OutputOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := a.l.Drops.Reasons.Get(stat.RArpQueueFull); n != 1 {
+		t.Fatalf("arp-queue-overflow = %d, want 1", n)
+	}
+	for i := 0; i < arpMaxTries+1; i++ {
+		clk.Advance(2 * arpRetry)
+		a.l.SlowTimo(clk.Now())
+	}
+	far := inet.IP4{192, 168, 0, 0}
+	a.rt.Add(&route.Entry{Family: inet.AFInet, Dst: far[:], Plen: 16,
+		Flags: route.FlagUp | route.FlagGateway, Gateway: ghost, IfName: a.ifps[0].Name})
+	if err := a.l.Output(mbuf.Get(32), addrA, inet.IP4{192, 168, 1, 1}, proto.UDP, OutputOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.l.Drops.Reasons.Get(stat.RV4NoRoute); n != 1 {
+		t.Fatalf("ip4-no-route = %d, want 1", n)
 	}
 }

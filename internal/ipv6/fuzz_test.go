@@ -36,7 +36,7 @@ func FuzzPreparse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		info, err := Preparse(b, false)
 		at := HeaderLen
-		for _, r := range info.Ext {
+		for _, r := range info.Ext() {
 			if r.Offset != at || r.Len <= 0 || r.Offset+r.Len > len(b) {
 				t.Fatalf("ext header %+v out of bounds/order in %d-byte packet", r, len(b))
 			}
@@ -47,7 +47,7 @@ func FuzzPreparse(f *testing.F) {
 		}
 
 		fast, ferr := Preparse(b, true)
-		if err == nil && ferr == nil && len(info.Ext) == 0 {
+		if err == nil && ferr == nil && len(info.Ext()) == 0 {
 			if fast.Final != info.Final || fast.FinalOff != info.FinalOff {
 				t.Fatalf("fast path disagrees: %+v vs %+v", fast, info)
 			}

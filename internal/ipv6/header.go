@@ -288,12 +288,36 @@ type HeaderRec struct {
 	Len    int   // length of this header in bytes
 }
 
-// PacketInfo is the result of pre-parsing.
+// PacketInfo is the result of pre-parsing.  The records of a chain of
+// up to four extension headers live in the value itself, so
+// pre-parsing a common packet allocates nothing.
 type PacketInfo struct {
-	Ext       []HeaderRec // extension headers, in order
-	Final     uint8       // first non-extension next-header value
-	FinalOff  int         // offset of the upper-layer header / opaque data
-	Truncated bool        // chain ran past the packet end
+	ext       [4]HeaderRec
+	more      []HeaderRec // the whole chain, once it outgrows ext
+	n         int
+	Final     uint8 // first non-extension next-header value
+	FinalOff  int   // offset of the upper-layer header / opaque data
+	Truncated bool  // chain ran past the packet end
+}
+
+// Ext returns the extension headers, in order.
+func (p *PacketInfo) Ext() []HeaderRec {
+	if p.more != nil {
+		return p.more
+	}
+	return p.ext[:p.n]
+}
+
+func (p *PacketInfo) add(r HeaderRec) {
+	if p.more == nil && p.n < len(p.ext) {
+		p.ext[p.n] = r
+	} else {
+		if p.more == nil {
+			p.more = append([]HeaderRec(nil), p.ext[:]...)
+		}
+		p.more = append(p.more, r)
+	}
+	p.n++
 }
 
 // extHeaderLen returns the length of the extension header of type p
@@ -338,12 +362,12 @@ func IsExt(p uint8) bool {
 // planned optimization: when the first next-header is not an extension
 // header, skip the scan entirely.  The result is a value: a packet
 // with no extension header is pre-parsed without allocating.
-func Preparse(b []byte, fastPath bool) (PacketInfo, error) {
+func Preparse(b []byte, fastPath bool) (info PacketInfo, err error) {
 	h, err := Parse(b)
 	if err != nil {
-		return PacketInfo{}, err
+		return info, err
 	}
-	info := PacketInfo{Final: h.NextHdr, FinalOff: HeaderLen}
+	info.Final, info.FinalOff = h.NextHdr, HeaderLen
 	if fastPath && !IsExt(h.NextHdr) {
 		return info, nil
 	}
@@ -355,7 +379,7 @@ func Preparse(b []byte, fastPath bool) (PacketInfo, error) {
 			info.Truncated = true
 			return info, ErrExtHdr
 		}
-		info.Ext = append(info.Ext, HeaderRec{Proto: nh, Offset: off, Len: n})
+		info.add(HeaderRec{Proto: nh, Offset: off, Len: n})
 		next := b[off]
 		isFrag := nh == proto.Fragment
 		off += n
@@ -366,7 +390,7 @@ func Preparse(b []byte, fastPath bool) (PacketInfo, error) {
 			// header chain.  The reassembled datagram is re-preparsed.
 			break
 		}
-		if len(info.Ext) > 64 {
+		if info.n > 64 {
 			return info, ErrExtHdr
 		}
 	}

@@ -170,7 +170,7 @@ func TestRoutingHeaderErrors(t *testing.T) {
 
 // buildChain assembles base header + extension chain + payload for
 // preparse tests.
-func buildChain(t *testing.T, payload []byte) []byte {
+func buildChain(t testing.TB, payload []byte) []byte {
 	t.Helper()
 	// dstopts -> payload (UDP)
 	dst := MarshalOptions(proto.UDP, []Option{{Type: 0x05, Data: []byte{1}}})
@@ -193,11 +193,11 @@ func TestPreparseChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Ext) != 3 {
-		t.Fatalf("ext count = %d", len(info.Ext))
+	if len(info.Ext()) != 3 {
+		t.Fatalf("ext count = %d", len(info.Ext()))
 	}
 	want := []uint8{proto.HopByHop, proto.Routing, proto.DstOpts}
-	for i, rec := range info.Ext {
+	for i, rec := range info.Ext() {
 		if rec.Proto != want[i] {
 			t.Fatalf("ext[%d] = %d, want %d", i, rec.Proto, want[i])
 		}
@@ -210,7 +210,7 @@ func TestPreparseChain(t *testing.T) {
 	}
 	// Offsets must tile: each ext starts where the previous ended.
 	at := HeaderLen
-	for _, rec := range info.Ext {
+	for _, rec := range info.Ext() {
 		if rec.Offset != at {
 			t.Fatalf("offset %d, want %d", rec.Offset, at)
 		}
@@ -222,13 +222,13 @@ func TestPreparseFastPath(t *testing.T) {
 	h := &Header{NextHdr: proto.TCP, HopLimit: 64, PayloadLen: 4}
 	pkt := append(h.Marshal(nil), 1, 2, 3, 4)
 	info, err := Preparse(pkt, true)
-	if err != nil || len(info.Ext) != 0 || info.Final != proto.TCP || info.FinalOff != HeaderLen {
+	if err != nil || len(info.Ext()) != 0 || info.Final != proto.TCP || info.FinalOff != HeaderLen {
 		t.Fatalf("fast path: %+v %v", info, err)
 	}
 	// Fast path must not be taken when extension headers are present.
 	chain := buildChain(t, []byte{1})
 	info, err = Preparse(chain, true)
-	if err != nil || len(info.Ext) != 3 {
+	if err != nil || len(info.Ext()) != 3 {
 		t.Fatalf("fast path with ext: %+v %v", info, err)
 	}
 }
@@ -250,6 +250,50 @@ func TestPreparseAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestPreparseChainAllocatesNothing pins that pre-parsing a
+// hop-by-hop, routing and destination-options chain allocates nothing:
+// the header records of a common-length chain live in the result.
+func TestPreparseChainAllocatesNothing(t *testing.T) {
+	pkt := buildChain(t, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Preparse(pkt, false); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Preparse of a 3-header chain allocates %v times, want 0", n)
+	}
+}
+
+// TestPreparseLongChain walks a chain longer than PacketInfo's inline
+// records: every header is recorded, in order, tiling the packet.
+func TestPreparseLongChain(t *testing.T) {
+	const n = 7
+	var chain []byte
+	for i := 0; i < n; i++ {
+		next := uint8(proto.DstOpts)
+		if i == n-1 {
+			next = proto.UDP
+		}
+		chain = append(chain, MarshalOptions(next, []Option{{Type: 0x05, Data: []byte{byte(i)}}})...)
+	}
+	h := &Header{NextHdr: proto.DstOpts, HopLimit: 64, PayloadLen: len(chain) + 8}
+	pkt := append(append(h.Marshal(nil), chain...), make([]byte, 8)...)
+	info, err := Preparse(pkt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(info.Ext()) != n || info.Final != proto.UDP || info.FinalOff != len(pkt)-8 {
+		t.Fatalf("%d records, final %d at %d", len(info.Ext()), info.Final, info.FinalOff)
+	}
+	at := HeaderLen
+	for i, rec := range info.Ext() {
+		if rec.Proto != proto.DstOpts || rec.Offset != at {
+			t.Fatalf("record %d = %+v, want dst-opts at %d", i, rec, at)
+		}
+		at += rec.Len
+	}
+}
+
 func TestPreparseStopsAtFragment(t *testing.T) {
 	// base -> frag -> (opaque mid-datagram bytes that would misparse)
 	fh := &FragHeader{NextHdr: proto.UDP, Off: 8, More: true, ID: 1}
@@ -261,8 +305,8 @@ func TestPreparseStopsAtFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Ext) != 1 || info.Ext[0].Proto != proto.Fragment {
-		t.Fatalf("ext = %+v", info.Ext)
+	if len(info.Ext()) != 1 || info.Ext()[0].Proto != proto.Fragment {
+		t.Fatalf("ext = %+v", info.Ext())
 	}
 	if info.Final != proto.UDP || info.FinalOff != HeaderLen+FragHeaderLen {
 		t.Fatalf("final=%d off=%d", info.Final, info.FinalOff)
@@ -294,8 +338,8 @@ func TestPreparseAH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Ext) != 1 || info.Ext[0].Proto != proto.AH || info.Ext[0].Len != 24 {
-		t.Fatalf("ext = %+v", info.Ext)
+	if len(info.Ext()) != 1 || info.Ext()[0].Proto != proto.AH || info.Ext()[0].Len != 24 {
+		t.Fatalf("ext = %+v", info.Ext())
 	}
 	if info.Final != proto.TCP || info.FinalOff != HeaderLen+24 {
 		t.Fatalf("final=%d off=%d", info.Final, info.FinalOff)
@@ -350,5 +394,18 @@ func BenchmarkPreparse(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPreparseChain pre-parses a hop-by-hop, routing and
+// destination-options chain, the records of which live in the result.
+func BenchmarkPreparseChain(b *testing.B) {
+	pkt := buildChain(b, make([]byte, 20))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Preparse(pkt, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,41 +4,27 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bsd6/internal/inet"
+	"bsd6/internal/ip"
 	"bsd6/internal/key"
 	"bsd6/internal/mbuf"
 	"bsd6/internal/netif"
 	"bsd6/internal/proto"
-	"bsd6/internal/reasm"
 	"bsd6/internal/route"
 	"bsd6/internal/stat"
 )
 
 // Stats counts IPv6 protocol events.
 type Stats struct {
-	InReceives    stat.Counter
-	InHdrErrors   stat.Counter
-	InAddrErrors  stat.Counter
-	InUnknownProt stat.Counter
-	InTruncated   stat.Counter
-	InDelivers    stat.Counter
-	ReasmOverflow stat.Counter // datagrams evicted by a reassembly quota
-	InOptErrors   stat.Counter
-	Forwarded     stat.Counter
-	FwdCacheHits  stat.Counter // forwards resolved from the held-route shards
-	OutRequests   stat.Counter
-	OutNoRoute    stat.Counter
-	OutDrops      stat.Counter
-	OutFrags      stat.Counter
-	FragsReceived stat.Counter
-	Reassembled   stat.Counter
-	ReasmFails    stat.Counter
-	RouteHdrSeen  stat.Counter
-	FastPathHits  stat.Counter
-	PreparseRuns  stat.Counter
+	ip.Stats
+	InTruncated  stat.Counter
+	InOptErrors  stat.Counter
+	OutFrags     stat.Counter
+	RouteHdrSeen stat.Counter
+	FastPathHits stat.Counter
+	PreparseRuns stat.Counter
 }
 
 // Output errors.
@@ -111,11 +97,6 @@ type SecInputFunc func(pkt *mbuf.Mbuf, hdr Header, p uint8, off int) SecAction
 // SA table.
 type SecOutputFunc func(hdr Header, payload *mbuf.Mbuf, nh uint8, socket any, sc *key.Cache) (*mbuf.Mbuf, uint8, inet.IP6, error)
 
-type fragKey struct {
-	src, dst inet.IP6
-	id       uint32
-}
-
 // OutputOpts carries per-packet options for Output.
 type OutputOpts struct {
 	HopLimit uint8  // 0 means layer default
@@ -154,22 +135,15 @@ type OutputOpts struct {
 	SecCache *key.Cache
 }
 
+// base is the family-independent half of the layer.
+type base = ip.Layer[inet.IP6]
+
 // Layer is the IPv6 protocol instance of one stack.
 type Layer struct {
-	mu     sync.RWMutex
-	routes *route.Table
-	ifaces map[string]*netif.Interface
-	lo     *netif.Interface
-	protos map[uint8]proto.TransportInput
-	ctls   map[uint8]proto.CtlInput
-	frags  *reasm.Queue[fragKey]
-	fragID uint32
+	*base
+	gmu    sync.RWMutex
 	groups map[string]map[inet.IP6]int // multicast memberships per iface
-	local  atomic.Pointer[localSet]    // cached unicast-destination set
-	fwd    route.ShardedCache          // forwarding fast path's held routes
 
-	// Forwarding enables router behavior.
-	Forwarding bool
 	// DefaultHopLimit is used when OutputOpts.HopLimit is 0.
 	DefaultHopLimit uint8
 
@@ -184,70 +158,39 @@ type Layer struct {
 	// group membership messages (§4.1).
 	OnGroupChange func(ifName string, group inet.IP6, joined bool)
 
-	// Drops is the stack-wide drop observability sink (reason counters
-	// + flight recorder), shared with the other protocol modules by
-	// the stack assembly. nil (standalone layers) counts nothing.
-	Drops *stat.Recorder
-
 	Stats Stats
 }
-
-// Reassembly quota defaults: a datagram ceiling (BSD's
-// ip_maxfragpackets descendant) and a per-source share of it, so one
-// spoofed source cannot own the whole queue.
-const (
-	DefaultReasmMaxDatagrams = 256
-	DefaultReasmMaxPerSource = 16
-)
 
 // NewLayer creates an IPv6 layer over the routing table.
 func NewLayer(rt *route.Table) *Layer {
 	l := &Layer{
-		routes:          rt,
-		ifaces:          make(map[string]*netif.Interface),
-		protos:          make(map[uint8]proto.TransportInput),
-		ctls:            make(map[uint8]proto.CtlInput),
-		frags:           reasm.NewQueue[fragKey](30 * time.Second),
 		groups:          make(map[string]map[inet.IP6]int),
 		DefaultHopLimit: 64,
 	}
-	l.frags.MaxDatagrams = DefaultReasmMaxDatagrams
-	l.frags.MaxPerSource = DefaultReasmMaxPerSource
-	l.frags.SourceOf = func(k fragKey) any { return k.src }
-	l.frags.OnEvict = func(k fragKey, _ *reasm.Buffer) {
-		l.Stats.ReasmOverflow.Inc()
-		l.Stats.ReasmFails.Inc()
-		l.Drops.DropNote(stat.RV6ReasmOverflow, k.src.String()+">"+k.dst.String())
-	}
+	l.base = ip.NewLayer(rt, ip.Family[inet.IP6]{
+		AF:         inet.AFInet6,
+		EtherType:  netif.EtherTypeIPv6,
+		ErrNoRoute: ErrNoRoute,
+		ErrMsgSize: ErrMsgSize,
+		LocalAddrs: func(ifp *netif.Interface, add func(inet.IP6)) {
+			for _, a := range ifp.Addrs6() {
+				if !a.Duplicated {
+					add(a.Addr)
+				}
+			}
+		},
+		LinkDst: func(dst inet.IP6) (inet.LinkAddr, bool) {
+			if !dst.IsMulticast() {
+				return inet.LinkAddr{}, false
+			}
+			return inet.EthernetMulticast(dst), true
+		},
+		Resolve:             l.resolve,
+		Stats:               &l.Stats.Stats,
+		ReasmOverflowReason: stat.RV6ReasmOverflow,
+		ReasmTimeoutReason:  stat.RV6ReasmTimeout,
+	})
 	return l
-}
-
-// SetReasmLimits tunes the reassembly quotas (0 leaves a value
-// unchanged; negative disables that quota).
-func (l *Layer) SetReasmLimits(maxDatagrams, maxPerSource int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if maxDatagrams != 0 {
-		l.frags.MaxDatagrams = max(maxDatagrams, 0)
-	}
-	if maxPerSource != 0 {
-		l.frags.MaxPerSource = max(maxPerSource, 0)
-	}
-}
-
-// ReasmLimits reports the effective reassembly quotas.
-func (l *Layer) ReasmLimits() (maxDatagrams, maxPerSource int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.frags.MaxDatagrams, l.frags.MaxPerSource
-}
-
-// FragQueueLen returns the number of in-progress reassemblies — the
-// occupancy half of the reasm limit surface.
-func (l *Layer) FragQueueLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.frags.Len()
 }
 
 // AddInterface registers an interface. The first loopback becomes the
@@ -255,58 +198,11 @@ func (l *Layer) FragQueueLen() int {
 // link-layer multicast group — every IPv6 node is implicitly a member
 // (§4.2.2: routers advertise to the all-nodes multicast address).
 func (l *Layer) AddInterface(ifp *netif.Interface) {
-	l.mu.Lock()
-	l.ifaces[ifp.Name] = ifp
-	if ifp.Loopback() && l.lo == nil {
-		l.lo = ifp
-	}
-	l.mu.Unlock()
-	netif.BumpAddrGen()
+	l.base.AddInterface(ifp)
 	if !ifp.Loopback() {
 		ifp.JoinGroup(inet.EthernetMulticast(inet.AllNodes))
 	}
 }
-
-// Interface returns a registered interface by name.
-func (l *Layer) Interface(name string) *netif.Interface {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.ifaces[name]
-}
-
-// Interfaces returns all registered interfaces.
-func (l *Layer) Interfaces() []*netif.Interface {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]*netif.Interface, 0, len(l.ifaces))
-	for _, ifp := range l.ifaces {
-		out = append(out, ifp)
-	}
-	return out
-}
-
-// Register installs a transport protocol in the protocol switch.
-func (l *Layer) Register(p uint8, in proto.TransportInput, ctl proto.CtlInput) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if in != nil {
-		l.protos[p] = in
-	}
-	if ctl != nil {
-		l.ctls[p] = ctl
-	}
-}
-
-// Ctl looks up a transport's control-input entry (used by icmp6 to
-// deliver errors upward).
-func (l *Layer) Ctl(p uint8) proto.CtlInput {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ctls[p]
-}
-
-// Routes returns the routing table.
-func (l *Layer) Routes() *route.Table { return l.routes }
 
 //
 // Multicast group membership.
@@ -315,12 +211,11 @@ func (l *Layer) Routes() *route.Table { return l.routes }
 // JoinGroup joins an IPv6 multicast group on an interface, programming
 // the link-layer filter and notifying the group-membership protocol.
 func (l *Layer) JoinGroup(ifName string, group inet.IP6) error {
-	l.mu.Lock()
-	ifp := l.ifaces[ifName]
+	ifp := l.Interface(ifName)
 	if ifp == nil {
-		l.mu.Unlock()
 		return fmt.Errorf("ipv6: no interface %q", ifName)
 	}
+	l.gmu.Lock()
 	g := l.groups[ifName]
 	if g == nil {
 		g = make(map[inet.IP6]int)
@@ -329,7 +224,7 @@ func (l *Layer) JoinGroup(ifName string, group inet.IP6) error {
 	g[group]++
 	first := g[group] == 1
 	cb := l.OnGroupChange
-	l.mu.Unlock()
+	l.gmu.Unlock()
 	if first {
 		ifp.JoinGroup(inet.EthernetMulticast(group))
 		if cb != nil {
@@ -341,8 +236,8 @@ func (l *Layer) JoinGroup(ifName string, group inet.IP6) error {
 
 // LeaveGroup drops one membership reference.
 func (l *Layer) LeaveGroup(ifName string, group inet.IP6) {
-	l.mu.Lock()
-	ifp := l.ifaces[ifName]
+	ifp := l.Interface(ifName)
+	l.gmu.Lock()
 	g := l.groups[ifName]
 	last := false
 	if g != nil && g[group] > 0 {
@@ -353,7 +248,7 @@ func (l *Layer) LeaveGroup(ifName string, group inet.IP6) {
 		}
 	}
 	cb := l.OnGroupChange
-	l.mu.Unlock()
+	l.gmu.Unlock()
 	if last && ifp != nil {
 		ifp.LeaveGroup(inet.EthernetMulticast(group))
 		if cb != nil {
@@ -368,8 +263,8 @@ func (l *Layer) InGroup(ifName string, group inet.IP6) bool {
 	if group == inet.AllNodes {
 		return true
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
+	l.gmu.RLock()
+	defer l.gmu.RUnlock()
 	if g := l.groups[ifName]; g != nil {
 		return g[group] > 0
 	}
@@ -378,53 +273,13 @@ func (l *Layer) InGroup(ifName string, group inet.IP6) bool {
 
 // Groups lists the groups joined on an interface.
 func (l *Layer) Groups(ifName string) []inet.IP6 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.gmu.RLock()
+	defer l.gmu.RUnlock()
 	var out []inet.IP6
 	for g := range l.groups[ifName] {
 		out = append(out, g)
 	}
 	return out
-}
-
-// isLocal reports whether dst is one of this node's unicast addresses.
-func (l *Layer) isLocal(dst inet.IP6) bool {
-	if dst.IsLoopback() {
-		return true
-	}
-	gen := netif.AddrGen()
-	c := l.local.Load()
-	if c == nil || c.gen != gen {
-		c = l.rebuildLocal(gen)
-	}
-	_, ok := c.set[dst]
-	return ok
-}
-
-// localSet is a generation-stamped flat view of every configured
-// (non-duplicated) unicast address, so the per-packet destination
-// check is one atomic load and a map probe instead of an interface
-// walk under locks.  Address or membership changes bump
-// netif.AddrGen and the next packet rebuilds.
-type localSet struct {
-	gen uint64
-	set map[inet.IP6]struct{}
-}
-
-func (l *Layer) rebuildLocal(gen uint64) *localSet {
-	set := make(map[inet.IP6]struct{})
-	l.mu.RLock()
-	for _, ifp := range l.ifaces {
-		for _, a := range ifp.Addrs6() {
-			if !a.Duplicated {
-				set[a.Addr] = struct{}{}
-			}
-		}
-	}
-	l.mu.RUnlock()
-	c := &localSet{gen: gen, set: set}
-	l.local.Store(c)
-	return c
 }
 
 // SourceFor selects a source address for reaching dst, implementing
@@ -433,7 +288,7 @@ func (l *Layer) rebuildLocal(gen uint64) *localSet {
 // longest prefix (address lifetimes steer traffic away from
 // deprecated prefixes during renumbering, §4.2.2).
 func (l *Layer) SourceFor(dst inet.IP6, ifp *netif.Interface) (inet.IP6, bool) {
-	now := l.routes.Now()
+	now := l.Routes().Now()
 	wantLinkLocal := dst.IsLinkLocal() || dst.IsLinkLocalMulticast()
 	var best inet.IP6
 	bestScore := -1
@@ -465,13 +320,7 @@ func (l *Layer) SourceFor(dst inet.IP6, ifp *netif.Interface) (inet.IP6, bool) {
 			consider(a)
 		}
 	} else {
-		l.mu.Lock()
-		ifaces := make([]*netif.Interface, 0, len(l.ifaces))
-		for _, i := range l.ifaces {
-			ifaces = append(ifaces, i)
-		}
-		l.mu.Unlock()
-		for _, i := range ifaces {
+		for _, i := range l.Interfaces() {
 			for _, a := range i.Addrs6() {
 				consider(a)
 			}
@@ -487,14 +336,15 @@ func (l *Layer) SourceFor(dst inet.IP6, ifp *netif.Interface) (inet.IP6, bool) {
 // store the path MTU: "Host routes are automatically created for IP
 // communications originating on the local machine" (§2.2).
 func (l *Layer) ensureHostRoute(dst inet.IP6) (*route.Entry, bool) {
-	rt, ok := l.routes.Lookup(inet.AFInet6, dst[:])
+	routes := l.Routes()
+	rt, ok := routes.Lookup(inet.AFInet6, dst[:])
 	if !ok {
 		return nil, false
 	}
 	var host bool
 	var gw any
 	var flags, mtu int
-	l.routes.View(func() {
+	routes.View(func() {
 		host = rt.Host()
 		gw, flags, mtu = rt.Gateway, rt.Flags, rt.MTU
 	})
@@ -510,38 +360,8 @@ func (l *Layer) ensureHostRoute(dst inet.IP6) (*route.Entry, bool) {
 		IfName:  rt.IfName,
 		MTU:     mtu,
 	}
-	l.routes.Add(clone)
+	routes.Add(clone)
 	return clone, true
-}
-
-// entryIfName reads a route entry's interface name under the table
-// lock.
-func (l *Layer) entryIfName(rt *route.Entry) string {
-	var n string
-	l.routes.View(func() { n = rt.IfName })
-	return n
-}
-
-// entryFlags reads a route entry's flags under the table lock.
-func (l *Layer) entryFlags(rt *route.Entry) int {
-	var f int
-	l.routes.View(func() { f = rt.Flags })
-	return f
-}
-
-// entryMTU reads a route entry's MTU under the table lock.
-func (l *Layer) entryMTU(rt *route.Entry) int {
-	var m int
-	l.routes.View(func() { m = rt.MTU })
-	return m
-}
-
-func (l *Layer) nextFragID() uint32 {
-	l.mu.Lock()
-	l.fragID++
-	id := l.fragID
-	l.mu.Unlock()
-	return id
 }
 
 //
@@ -618,26 +438,22 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 	var rt *route.Entry
 	var loopLocal bool
 	switch {
-	case l.isLocal(dst):
+	case l.IsLocal(dst):
 		loopLocal = true
 	case dst.IsMulticast(), opts.IfName != "":
 		name := opts.IfName
 		if name == "" {
 			// Multicast with no pinned interface: use any non-loopback.
-			l.mu.Lock()
-			for _, cand := range l.ifaces {
+			for _, cand := range l.Interfaces() {
 				if !cand.Loopback() && cand.Up() {
 					name = cand.Name
 					break
 				}
 			}
-			l.mu.Unlock()
 		}
 		ifp = l.Interface(name)
 		if ifp == nil {
-			l.Stats.OutNoRoute.Inc()
-			pkt.Free()
-			return ErrNoRoute
+			return l.NoRoute(pkt, ErrNoRoute)
 		}
 		if !dst.IsMulticast() {
 			// Unicast pinned to an interface still needs a neighbor
@@ -648,11 +464,11 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 			// on the wrong link.
 			var ok bool
 			rt, ok = l.ensureHostRoute(dst)
-			if ok && dst.IsLinkLocal() && l.entryIfName(rt) != ifp.Name {
-				ok = false
+			if ok && dst.IsLinkLocal() {
+				l.Routes().View(func() { ok = rt.IfName == ifp.Name })
 			}
 			if !ok {
-				rt = l.routes.Add(&route.Entry{
+				rt = l.Routes().Add(&route.Entry{
 					Family: inet.AFInet6, Dst: append([]byte(nil), dst[:]...), Plen: 128,
 					Flags: route.FlagUp | route.FlagHost | route.FlagLLInfo | route.FlagDynamic, IfName: ifp.Name,
 				})
@@ -660,27 +476,20 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 		}
 	default:
 		var hit bool
-		rt, hit = l.routes.CacheGet(opts.RouteCache, inet.AFInet6, dst[:])
+		rt, hit = l.Routes().CacheGet(opts.RouteCache, inet.AFInet6, dst[:])
 		if !hit {
 			var ok bool
 			rt, ok = l.ensureHostRoute(dst)
 			if !ok {
-				l.Stats.OutNoRoute.Inc()
-				pkt.Free()
-				return ErrNoRoute
+				return l.NoRoute(pkt, ErrNoRoute)
 			}
-			l.routes.CacheFill(opts.RouteCache, inet.AFInet6, dst[:], rt)
+			l.Routes().CacheFill(opts.RouteCache, inet.AFInet6, dst[:], rt)
 		}
-		if l.entryFlags(rt)&route.FlagReject != 0 {
-			l.Stats.OutNoRoute.Inc()
-			pkt.Free()
-			return ErrReject
+		if l.EntryFlags(rt)&route.FlagReject != 0 {
+			return l.NoRoute(pkt, ErrReject)
 		}
-		ifp = l.Interface(rt.IfName)
-		if ifp == nil {
-			l.Stats.OutNoRoute.Inc()
-			pkt.Free()
-			return ErrNoRoute
+		if ifp = l.Interface(rt.IfName); ifp == nil {
+			return l.NoRoute(pkt, ErrNoRoute)
 		}
 	}
 
@@ -729,20 +538,14 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 			// gateway: route toward it instead.
 			hdr.Dst = secDst
 			dst = secDst
-			loopLocal = l.isLocal(dst)
+			loopLocal = l.IsLocal(dst)
 			if !loopLocal && !dst.IsMulticast() {
 				var ok bool
-				rt, ok = l.ensureHostRoute(dst)
-				if !ok {
-					l.Stats.OutNoRoute.Inc()
-					pkt.Free()
-					return ErrNoRoute
+				if rt, ok = l.ensureHostRoute(dst); !ok {
+					return l.NoRoute(pkt, ErrNoRoute)
 				}
-				ifp = l.Interface(rt.IfName)
-				if ifp == nil {
-					l.Stats.OutNoRoute.Inc()
-					pkt.Free()
-					return ErrNoRoute
+				if ifp = l.Interface(rt.IfName); ifp == nil {
+					return l.NoRoute(pkt, ErrNoRoute)
 				}
 			}
 		}
@@ -751,19 +554,10 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 	}
 
 	mtu := MinMTU
-	if loopLocal {
-		l.mu.Lock()
-		if l.lo != nil {
-			mtu = l.lo.MTU()
-		}
-		l.mu.Unlock()
-	} else {
-		mtu = ifp.MTU()
-		if rt != nil {
-			if rtMTU := l.entryMTU(rt); rtMTU != 0 && rtMTU < mtu {
-				mtu = rtMTU
-			}
-		}
+	if !loopLocal {
+		mtu = l.PathMTU(ifp, rt)
+	} else if lo := l.Loopback(); lo != nil {
+		mtu = lo.MTU()
 	}
 
 	total := HeaderLen + len(chain.unfrag) + pkt.Len()
@@ -780,9 +574,9 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 		}
 		hdr.Marshal(pkt.PrependN(HeaderLen)[:0])
 		if loopLocal {
-			return l.loop(pkt)
+			return l.Loop(pkt)
 		}
-		return l.transmit(ifp, rt, dst, pkt)
+		return l.Transmit(ifp, rt, dst, pkt)
 	}
 	if opts.NoFrag && !secWrapped {
 		pkt.Free()
@@ -798,7 +592,7 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP6, nh uint8, opts OutputO
 }
 
 func (l *Layer) fragmentOut(ifp *netif.Interface, rt *route.Entry, hdr Header, chain extChain, fragNH uint8, pkt *mbuf.Mbuf, mtu int, loopLocal bool) error {
-	id := l.nextFragID()
+	id := l.NextID()
 	// Point the chain at the fragment header.
 	if len(chain.unfrag) > 0 {
 		chain.unfrag[chain.unfragPatch] = proto.Fragment
@@ -806,23 +600,8 @@ func (l *Layer) fragmentOut(ifp *netif.Interface, rt *route.Entry, hdr Header, c
 		hdr.NextHdr = proto.Fragment
 	}
 	chunk := (mtu - HeaderLen - len(chain.unfrag) - FragHeaderLen) &^ 7
-	if chunk <= 0 {
-		pkt.Free()
-		return ErrMsgSize
-	}
-	payload := pkt.Bytes()
-	for off := 0; off < len(payload); off += chunk {
-		end := off + chunk
-		if end > len(payload) {
-			end = len(payload)
-		}
-		fh := FragHeader{NextHdr: fragNH, Off: off, More: end < len(payload), ID: id}
-		// Each fragment gets its own pooled buffer: the parent is
-		// freed (and its slab recycled) right after this loop, so the
-		// in-flight fragments must not alias its bytes.
-		fm := mbuf.Get(end - off)
-		copy(fm.Bytes(), payload[off:end])
-		fm.Hdr().Flags |= mbuf.MFrag
+	return l.Fragment(pkt, chunk, func(fm *mbuf.Mbuf, off int, more bool) error {
+		fh := FragHeader{NextHdr: fragNH, Off: off, More: more, ID: id}
 		fh.Marshal(fm.PrependN(FragHeaderLen)[:0])
 		if len(chain.unfrag) > 0 {
 			fm.Prepend(chain.unfrag)
@@ -830,102 +609,29 @@ func (l *Layer) fragmentOut(ifp *netif.Interface, rt *route.Entry, hdr Header, c
 		hdr.PayloadLen = fm.Len()
 		hdr.Marshal(fm.PrependN(HeaderLen)[:0])
 		l.Stats.OutFrags.Inc()
-		var err error
 		if loopLocal {
-			err = l.loop(fm)
-		} else {
-			err = l.transmit(ifp, rt, hdr.Dst, fm)
+			return l.Loop(fm)
 		}
-		if err != nil {
-			pkt.Free()
-			return err
-		}
+		return l.Transmit(ifp, rt, hdr.Dst, fm)
+	})
+}
+
+// resolve is the layer's resolver: a rejected neighbor fails fast
+// with ErrReject; with no resolver installed, only a neighbor route
+// already holding a link-layer address is usable.
+func (l *Layer) resolve(ifp *netif.Interface, rt *route.Entry, flags int, gw any, nextHop inet.IP6, pkt *mbuf.Mbuf) (inet.LinkAddr, bool, error) {
+	if flags&route.FlagReject != 0 {
+		return inet.LinkAddr{}, false, l.NoRoute(pkt, ErrReject)
+	}
+	if l.Resolve != nil {
+		mac, ok := l.Resolve(ifp, rt, nextHop, pkt)
+		return mac, ok, nil
+	}
+	if mac, ok := gw.(inet.LinkAddr); ok && flags&route.FlagLLInfo != 0 {
+		return mac, true, nil
 	}
 	pkt.Free()
-	return nil
-}
-
-// loop delivers a packet to ourselves through loopback.  Like
-// transmit, it consumes pkt even on error.
-func (l *Layer) loop(pkt *mbuf.Mbuf) error {
-	l.mu.RLock()
-	lo := l.lo
-	l.mu.RUnlock()
-	if lo == nil {
-		pkt.Free()
-		return ErrNoRoute
-	}
-	if err := lo.Output(inet.LinkAddr{}, netif.EtherTypeIPv6, pkt); err != nil {
-		pkt.Free()
-		return err
-	}
-	return nil
-}
-
-// transmit resolves the link-layer destination and hands the packet to
-// the interface.  It consumes pkt on every path: success passes
-// ownership to the device (or queues on the neighbor entry awaiting
-// resolution); failure frees it — the interface's Output contract
-// leaves an errored packet with the caller, and here the buck stops.
-func (l *Layer) transmit(ifp *netif.Interface, rt *route.Entry, dst inet.IP6, pkt *mbuf.Mbuf) error {
-	out := func(mac inet.LinkAddr) error {
-		if err := ifp.Output(mac, netif.EtherTypeIPv6, pkt); err != nil {
-			pkt.Free()
-			return err
-		}
-		return nil
-	}
-	if ifp.Flags()&netif.FlagTunnel != 0 {
-		// Point-to-point encapsulating device: no link addressing, no
-		// neighbor discovery — the device's output closure wraps the
-		// packet and re-enters the outer IP layer.
-		return out(inet.LinkAddr{})
-	}
-	if dst.IsMulticast() {
-		return out(inet.EthernetMulticast(dst))
-	}
-	nextHop := dst
-	var flags int
-	var gw any
-	if rt != nil {
-		l.routes.View(func() { flags, gw = rt.Flags, rt.Gateway })
-	}
-	if rt != nil && flags&route.FlagGateway != 0 {
-		gwAddr, ok := gw.(inet.IP6)
-		if !ok {
-			pkt.Free()
-			return ErrNoRoute
-		}
-		nextHop = gwAddr
-		grt, ok := l.routes.GatewayRoute(rt, gwAddr[:])
-		if !ok {
-			l.Stats.OutNoRoute.Inc()
-			pkt.Free()
-			return ErrNoRoute
-		}
-		rt = grt
-		l.routes.View(func() { flags, gw = rt.Flags, rt.Gateway })
-	}
-	if rt != nil && flags&route.FlagReject != 0 {
-		l.Stats.OutNoRoute.Inc()
-		pkt.Free()
-		return ErrReject
-	}
-	// Fast case: the neighbor route already holds a link-layer address.
-	if rt != nil {
-		if mac, ok := gw.(inet.LinkAddr); ok && flags&route.FlagLLInfo != 0 && l.Resolve == nil {
-			return out(mac)
-		}
-	}
-	if l.Resolve == nil {
-		pkt.Free()
-		return ErrNoRoute
-	}
-	mac, ok := l.Resolve(ifp, rt, nextHop, pkt)
-	if !ok {
-		return nil // queued on the neighbor entry
-	}
-	return out(mac)
+	return inet.LinkAddr{}, false, ErrNoRoute
 }
 
 //
@@ -972,7 +678,7 @@ func (l *Layer) input(ifp *netif.Interface, pkt *mbuf.Mbuf, depth int) {
 	}
 
 	// Destination check: one of ours (unicast) or a group we belong to.
-	local := l.isLocal(h.Dst)
+	local := l.IsLocal(h.Dst)
 	if !local && h.Dst.IsMulticast() {
 		// All-nodes is implicit; solicited-node and other groups are
 		// joined explicitly (ND joins one per configured address,
@@ -1019,7 +725,8 @@ func (l *Layer) process(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, depth i
 		}
 	}
 
-	for i, rec := range info.Ext {
+	ext := info.Ext()
+	for i, rec := range ext {
 		switch rec.Proto {
 		case proto.HopByHop:
 			if i != 0 {
@@ -1042,7 +749,13 @@ func (l *Layer) process(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, depth i
 			}
 			_ = cont
 		case proto.Fragment:
-			l.processFragment(ifp, h, pkt, rec, depth)
+			// The header before the fragment header holds the
+			// next-header byte the reassembled datagram rewrites.
+			nhOff := 6
+			if i > 0 {
+				nhOff = ext[i-1].Offset
+			}
+			l.processFragment(ifp, h, pkt, rec, nhOff, depth)
 			return
 		case proto.AH:
 			if l.SecIn == nil {
@@ -1092,9 +805,7 @@ func (l *Layer) dispatch(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, final 
 		Src6:   h.Src, Dst6: h.Dst,
 		Proto: final, Hops: h.HopLimit, FlowInfo: h.FlowInfo, RcvIf: ifp.Name,
 	}
-	l.mu.RLock()
-	in := l.protos[final]
-	l.mu.RUnlock()
+	in := l.Proto(final)
 	if in == nil {
 		l.Stats.InUnknownProt.Inc()
 		l.Drops.DropPkt(stat.RV6UnknownProt, pkt.Bytes())
@@ -1187,7 +898,7 @@ func (l *Layer) processRouting(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, 
 	// Strict hops must be on-link neighbors: a set strict bit with a
 	// next hop reachable only through a gateway is the "errors with
 	// strict source routing" case of §4.1 (Unreachable, not-a-neighbor).
-	if rh.StrictBits&(1<<uint(i)) != 0 && l.entryFlags(rt)&route.FlagGateway != 0 {
+	if rh.StrictBits&(1<<uint(i)) != 0 && l.EntryFlags(rt)&route.FlagGateway != 0 {
 		l.Drops.DropPkt(stat.RV6RouteHdrErr, b)
 		l.sendErr(ErrDstUnreach, 2 /* not a neighbor */, 0, pkt, ifp.Name)
 		pkt.Free()
@@ -1200,15 +911,16 @@ func (l *Layer) processRouting(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, 
 		pkt.Free()
 		return true, false
 	}
-	if err := l.transmit(oifp, rt, next, pkt); err != nil {
+	if err := l.Transmit(oifp, rt, next, pkt); err != nil {
 		l.Stats.OutDrops.Inc()
 	}
 	return true, false
 }
 
 // processFragment feeds the reassembly queue; a completed datagram is
-// rebuilt and reprocessed.
-func (l *Layer) processFragment(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, rec HeaderRec, depth int) {
+// rebuilt and reprocessed.  nhOff is the offset of the next-header
+// byte that points at the fragment header.
+func (l *Layer) processFragment(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, rec HeaderRec, nhOff, depth int) {
 	l.Stats.FragsReceived.Inc()
 	b := pkt.Bytes()
 	fh, err := ParseFrag(b[rec.Offset : rec.Offset+rec.Len])
@@ -1218,23 +930,11 @@ func (l *Layer) processFragment(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf,
 		pkt.Free()
 		return
 	}
-	key := fragKey{src: h.Src, dst: h.Dst, id: fh.ID}
-	frag := b[rec.Offset+FragHeaderLen:]
-	l.mu.Lock()
-	data, done, err := l.frags.Add(key, l.routes.Now(), fh.Off, fh.More, frag)
-	if err == nil && !done && fh.Off == 0 {
-		// Remember the first fragment so a reassembly timeout can quote
-		// it in the Time Exceeded error (RFC 2460 §4.5).
-		if buf := l.frags.Get(key); buf != nil && buf.Ctx == nil {
-			ctx := b
-			if len(ctx) > MinMTU {
-				ctx = ctx[:MinMTU]
-			}
-			buf.Ctx = append([]byte(nil), ctx...)
-			buf.CtxIf = ifp.Name
-		}
-	}
-	l.mu.Unlock()
+	key := ip.FragKey[inet.IP6]{Src: h.Src, Dst: h.Dst, ID: fh.ID}
+	// The first fragment's leading bytes let a reassembly timeout
+	// quote it in the Time Exceeded error (RFC 2460 §4.5).
+	quote := func() []byte { return append([]byte(nil), b[:min(len(b), MinMTU)]...) }
+	data, done, err := l.Reassemble(key, fh.Off, fh.More, b[rec.Offset+FragHeaderLen:], quote, ifp.Name)
 	if err != nil {
 		l.Stats.ReasmFails.Inc()
 		l.Drops.DropPkt(stat.RV6ReasmFail, b)
@@ -1251,19 +951,7 @@ func (l *Layer) processFragment(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf,
 	// Rebuild: headers up to (not including) the fragment header, the
 	// preceding next-header pointer patched, then the assembled data.
 	prefix := append([]byte(nil), b[:rec.Offset]...)
-	if rec.Offset == HeaderLen {
-		prefix[6] = fh.NextHdr
-	} else {
-		// The previous extension header's first byte is its
-		// next-header field; find it by rescanning.
-		info, _ := Preparse(b, false)
-		for _, r := range info.Ext {
-			if r.Offset+r.Len == rec.Offset {
-				prefix[r.Offset] = fh.NextHdr
-				break
-			}
-		}
-	}
+	prefix[nhOff] = fh.NextHdr
 	plen := len(prefix) - HeaderLen + len(data)
 	prefix[4], prefix[5] = byte(plen>>8), byte(plen)
 	whole := mbuf.NewNoCopy(append(prefix, data...))
@@ -1298,28 +986,13 @@ func (l *Layer) forward(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 			return
 		}
 	}
-	// Transit routing through the held-route shards: a repeat
-	// destination costs one generation compare instead of a radix
-	// walk; any structural table change (route delete, ND expiry)
-	// bumps the generation and the next packet re-walks the radix.
-	rc := l.fwd.For(h.Dst[:])
-	rt, ok := l.routes.CacheGet(rc, inet.AFInet6, h.Dst[:])
-	if ok {
-		l.Stats.FwdCacheHits.Inc()
-	} else if rt, ok = l.routes.Lookup(inet.AFInet6, h.Dst[:]); ok {
-		l.routes.CacheFill(rc, inet.AFInet6, h.Dst[:], rt)
-	}
-	if !ok || l.entryFlags(rt)&route.FlagReject != 0 {
-		l.Stats.OutNoRoute.Inc()
-		l.Drops.DropPkt(stat.RV6NoRoute, b)
-		l.sendErr(ErrDstUnreach, 0, 0, pkt, ifp.Name)
-		pkt.Free()
-		return
-	}
-	oifp := l.Interface(rt.IfName)
+	rt, oifp := l.ForwardRoute(h.Dst[:])
 	if oifp == nil {
 		l.Stats.OutNoRoute.Inc()
 		l.Drops.DropPkt(stat.RV6NoRoute, b)
+		if rt == nil {
+			l.sendErr(ErrDstUnreach, 0, 0, pkt, ifp.Name)
+		}
 		pkt.Free()
 		return
 	}
@@ -1332,7 +1005,7 @@ func (l *Layer) forward(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 	}
 	b[7]-- // hop limit; no checksum to fix up afterwards
 	l.Stats.Forwarded.Inc()
-	if err := l.transmit(oifp, rt, h.Dst, pkt); err != nil {
+	if err := l.Transmit(oifp, rt, h.Dst, pkt); err != nil {
 		l.Stats.OutDrops.Inc()
 	}
 }
@@ -1355,21 +1028,7 @@ func (l *Layer) sendErr(kind int, code uint8, param uint32, orig *mbuf.Mbuf, rcv
 // §4.5. Timeouts where the first fragment never showed stay silent —
 // the error must quote the offender's header, which we never saw.
 func (l *Layer) SlowTimo(now time.Time) {
-	type timedOut struct {
-		ctx   []byte
-		rcvIf string
-	}
-	var errs []timedOut
-	l.mu.Lock()
-	n := l.frags.ExpireFunc(now, func(k fragKey, b *reasm.Buffer) {
-		l.Drops.DropNote(stat.RV6ReasmTimeout, k.src.String()+">"+k.dst.String())
-		if b.HasFirst() && b.Ctx != nil {
-			errs = append(errs, timedOut{b.Ctx, b.CtxIf})
-		}
-	})
-	l.Stats.ReasmFails.Add(uint64(n))
-	l.mu.Unlock()
-	for _, e := range errs {
-		l.sendErr(ErrTimeExceeded, 1, 0, mbuf.New(e.ctx), e.rcvIf)
+	for _, b := range l.ExpireReasm(now) {
+		l.sendErr(ErrTimeExceeded, 1, 0, mbuf.New(b.Ctx), b.CtxIf)
 	}
 }

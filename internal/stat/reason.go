@@ -95,6 +95,7 @@ const (
 	RV4ReasmOverflow // reassembly quota evicted an in-progress v4 datagram
 	RNbrCacheEvicted // neighbor-cache cap evicted a dynamic host route
 	RNDQueueFull     // per-neighbor pending-packet queue overflowed
+	RArpQueueFull    // per-ARP-entry pending-packet queue overflowed
 	RTCPSynOverflow  // listener SYN backlog dropped an embryonic connection
 	RMbufLimit       // netisr queued-byte ceiling refused an input frame
 
@@ -170,6 +171,7 @@ var reasonNames = [reasonCount]string{
 	RV4ReasmOverflow:  "ip4-reasm-overflow",
 	RNbrCacheEvicted:  "nd-cache-evicted",
 	RNDQueueFull:      "nd-queue-overflow",
+	RArpQueueFull:     "arp-queue-overflow",
 	RTCPSynOverflow:   "tcp-syn-overflow",
 	RMbufLimit:        "mbuf-limit",
 
