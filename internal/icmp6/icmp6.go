@@ -136,7 +136,7 @@ type Module struct {
 const DefaultErrPPS = 100
 
 // Attach creates the module, registers it in the IPv6 protocol switch,
-// and installs the layer's error sink and ND resolver.
+// and installs the layer's error sink and neighbor solicit.
 func Attach(l *ipv6.Layer) *Module {
 	m := &Module{
 		l:       l,
@@ -148,7 +148,7 @@ func Attach(l *ipv6.Layer) *Module {
 	}
 	l.Register(proto.ICMPv6, m.input, nil)
 	l.Error = m.LayerError
-	l.Resolve = m.Resolve
+	l.Solicit = m.solicit
 	l.OnGroupChange = m.groupChange
 	return m
 }

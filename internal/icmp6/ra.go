@@ -162,10 +162,8 @@ func (m *Module) rsInput(body []byte, meta *proto.Meta) {
 	}
 	if opts := parseNDOpts(body[4:]); opts != nil {
 		if ll, ok := opts[optSrcLLAddr]; ok && len(ll) >= 6 && !meta.Src6.IsUnspecified() {
-			var mac inet.LinkAddr
-			copy(mac[:], ll)
 			if ifp := m.l.Interface(meta.RcvIf); ifp != nil {
-				m.ensureNeighbor(ifp, meta.Src6, mac, false)
+				m.ensureNeighbor(ifp, meta.Src6, inet.LinkAddr(ll[:6]), false)
 			}
 		}
 	}
@@ -199,9 +197,7 @@ func (m *Module) raInput(body []byte, meta *proto.Meta) {
 
 	// Learn the router as a neighbor, pinned against cache eviction.
 	if ll, ok := opts[optSrcLLAddr]; ok && len(ll) >= 6 {
-		var mac inet.LinkAddr
-		copy(mac[:], ll)
-		m.ensureNeighbor(ifp, meta.Src6, mac, true)
+		m.ensureNeighbor(ifp, meta.Src6, inet.LinkAddr(ll[:6]), true)
 	}
 
 	// Default route via the advertising router.
@@ -305,7 +301,7 @@ func (m *Module) prefixInput(ifp *netif.Interface, opt []byte, now time.Time) {
 }
 
 // ensureNeighbor installs a resolved neighbor host route (used for
-// routers learned via RA/RS options).  isRouter marks the ND entry as
+// routers learned via RA/RS options).  isRouter marks the neighbor as
 // a router, which pins it against neighbor-cache eviction.
 func (m *Module) ensureNeighbor(ifp *netif.Interface, addr inet.IP6, mac inet.LinkAddr, isRouter bool) {
 	rt, ok := m.l.Routes().Lookup(inet.AFInet6, addr[:])
@@ -319,13 +315,9 @@ func (m *Module) ensureNeighbor(ifp *netif.Interface, addr inet.IP6, mac inet.Li
 			Flags: route.FlagUp | route.FlagHost | route.FlagLLInfo | route.FlagDynamic, IfName: ifp.Name,
 		})
 	}
-	m.updateEntry(ifp, rt, mac, false)
+	m.l.Learn(ifp, rt, mac, false)
 	if isRouter {
-		m.l.Routes().Mutate(func() {
-			if e, _ := rt.LLInfo.(*ndEntry); e != nil {
-				e.isRouter = true
-			}
-		})
+		m.l.SetRouter(rt, true)
 	}
 }
 

@@ -77,10 +77,13 @@ func NewLayer(rt *route.Table) *Layer {
 			}
 		},
 		LinkDst:             linkDst,
-		Resolve:             l.arpResolve,
+		Solicit:             l.arpSolicit,
+		Neighbor:            ip.NeighborTiming{Retrans: arpRetry, MaxMulticast: arpMaxTries, RejectLinger: arpRejectLife},
 		Stats:               &l.Stats.Stats,
 		ReasmOverflowReason: stat.RV4ReasmOverflow,
 		ReasmTimeoutReason:  stat.RV4ReasmTimeout,
+		NoRouteReason:       stat.RV4NoRoute,
+		HoldFullReason:      stat.RArpQueueFull,
 	})
 	return l
 }
@@ -137,7 +140,7 @@ func (l *Layer) Output(pkt *mbuf.Mbuf, src, dst inet.IP4, p uint8, opts OutputOp
 	if !ok {
 		return l.NoRoute(pkt, ErrNoRoute)
 	}
-	if l.EntryFlags(rt)&route.FlagReject != 0 {
+	if l.Rejected(rt) {
 		return l.NoRoute(pkt, ErrReject)
 	}
 	ifp := l.Interface(rt.IfName)
@@ -363,5 +366,5 @@ func (l *Layer) SlowTimo(now time.Time) {
 	for _, b := range l.ExpireReasm(now) {
 		l.SendError(IcmpTimeExceeded, 1, 0, b.Ctx)
 	}
-	l.arpTimer(now)
+	l.NeighborTimer(now)
 }
