@@ -173,7 +173,7 @@ func TestGoldenTraceIPv4(t *testing.T) {
 			if err := r.l.Output(mbuf.New(pattern(32)), rB, ghost, proto.UDP, OutputOpts{}); err != ErrReject {
 				t.Fatalf("direct send to a rejected neighbor: %v, want ErrReject", err)
 			}
-		}, 12, "5ea13c3889a385c8d6335960e9cba0f2d17943ee277f3c58d1f16cfc5fd884bd"},
+		}, 10, "ee6b6919084fb04c561d474862d6ed0d37ed838e45086c47f983976c36b21103"},
 		{"Loopback", func(t *testing.T, w *wireLog, clk *vclock.Virtual) {
 			hub := netif.NewHub()
 			w.tapHub(hub, "h")

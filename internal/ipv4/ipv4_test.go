@@ -607,3 +607,97 @@ func TestARPHoldDropsAreTyped(t *testing.T) {
 		t.Fatalf("ip4-no-route = %d, want 1", n)
 	}
 }
+
+// lingerRounds checks the solicits a dead neighbor drew in 60 seconds
+// of traffic: rounds of exactly tries, each starting at least the
+// reject linger after the last solicit of the round before.  Resolution
+// takes a few seconds and the linger 20, so 60 seconds hold three
+// rounds.
+func lingerRounds(t *testing.T, at []time.Time, tries int, linger time.Duration) {
+	t.Helper()
+	if len(at) != 3*tries {
+		t.Fatalf("%d solicits in 60 s, want %d (three rounds of %d)", len(at), 3*tries, tries)
+	}
+	for i := tries; i < len(at); i += tries {
+		if gap := at[i].Sub(at[i-1]); gap < linger {
+			t.Fatalf("solicit %d came %v after the round before, within the %v linger", i+1, gap, linger)
+		}
+	}
+}
+
+// TestNeighborRejectLingersARP sends to a dead neighbor twice a second
+// for 60 virtual seconds, ticking SlowTimo as the stack does.  A
+// rejected entry broadcasts nothing until its linger runs out and a
+// datagram resolves it afresh.
+func TestNeighborRejectLingersARP(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(1_000_000, 0))
+	hub := netif.NewHub()
+	var asks []time.Time
+	hub.Capture = func(fr netif.Frame) {
+		if fr.EtherType == EtherTypeARP {
+			asks = append(asks, clk.Now())
+		}
+	}
+	a := newNode("a")
+	onClock(clk, a)
+	a.join(hub, macA, addrA, 24, 1500)
+	ghost := inet.IP4{10, 0, 0, 77}
+	for i := 0; i < 120; i++ {
+		if err := a.l.Output(mbuf.Get(32), addrA, ghost, proto.UDP, OutputOpts{}); err != nil && err != ErrReject {
+			t.Fatal(err)
+		}
+		a.l.SlowTimo(clk.Now())
+		clk.Advance(500 * time.Millisecond)
+	}
+	lingerRounds(t, asks, arpMaxTries, arpRejectLife)
+}
+
+// TestNeighborResolvesAfterLingerARP fails a resolution, then brings
+// the neighbor up without a word: sends are refused while the reject
+// lingers, and the first datagram after it reaches the neighbor.
+func TestNeighborResolvesAfterLingerARP(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(1_000_000, 0))
+	hub := netif.NewHub()
+	a, b := newNode("a"), newNode("b")
+	onClock(clk, a, b)
+	a.join(hub, macA, addrA, 24, 1500)
+	send := func(seq byte) error {
+		pkt := mbuf.Get(1)
+		pkt.Bytes()[0] = seq
+		return a.l.Output(pkt, addrA, addrB, proto.UDP, OutputOpts{})
+	}
+	if err := send(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= arpMaxTries; i++ {
+		clk.Advance(arpRetry)
+		a.l.SlowTimo(clk.Now())
+	}
+	rt, ok := a.rt.Get(inet.AFInet, addrB[:], 32)
+	if !ok || rt.Flags&route.FlagReject == 0 {
+		t.Fatalf("failed resolution not rejected: %+v", rt)
+	}
+	expire := rt.Expire
+
+	b.join(hub, macB, addrB, 24, 1500)
+	var got []byte
+	b.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ proto.Meta) {
+		got = append(got, pkt.Bytes()[0])
+		pkt.Free()
+	}, nil)
+	for seq := byte(1); ; seq++ {
+		clk.Advance(500 * time.Millisecond)
+		a.l.SlowTimo(clk.Now())
+		err := send(seq)
+		if clk.Now().Before(expire) {
+			if err != ErrReject || len(got) != 0 {
+				t.Fatalf("send %d inside the linger: err %v, %d delivered; want ErrReject, none", seq, err, len(got))
+			}
+			continue
+		}
+		if err != nil || len(got) != 1 || got[0] != seq {
+			t.Fatalf("first send after the linger (%d): err %v, delivered %v", seq, err, got)
+		}
+		return
+	}
+}
