@@ -22,7 +22,7 @@ func TestCloseWithQueuedInput(t *testing.T) {
 	hub := e.hub()
 	a := e.stack("a")
 	b := e.stack("b")
-	// c's netisr drains one frame per wakeup, so everything sent to c
+	// c's netisr dispatches one frame at a time, so everything sent to c
 	// queues behind the frame its netisr is held on.
 	c := core.NewUnbatchedStack("c", core.Options{Clock: e.clock})
 	t.Cleanup(c.Close)

@@ -162,8 +162,13 @@ func (s *Stack) ProtoStats() string {
 		fmt.Fprintf(&b, "sa spi=%#x %s %s alg=%s: in %d pkts/%d bytes, out %d pkts/%d bytes, replay drops %d, seq %d\n",
 			sa.SPI, sa.Proto, sa.Dst, alg, sa.InPkts, sa.InBytes, sa.OutPkts, sa.OutBytes, sa.ReplayDrops, sa.SeqOut)
 	}
-	fmt.Fprintf(&b, "netisr: burst %d, %d drops, queue depth %d\n",
-		snap.Netisr.Burst, snap.Netisr.Drops, snap.Netisr.Depth)
+	ni := snap.Netisr
+	perWake := 0.0
+	if ni.Wakeups > 0 {
+		perWake = float64(ni.Frames) / float64(ni.Wakeups)
+	}
+	fmt.Fprintf(&b, "netisr: burst %d, %d drops, queue depth %d, %d frames in %d wakeups (%.1f per wakeup)\n",
+		ni.Burst, ni.Drops, ni.Depth, ni.Frames, ni.Wakeups, perWake)
 	for _, t := range snap.Tunnels {
 		fmt.Fprintf(&b, "tunnel %s (%s): %s -> %s, mtu %d (+%d encap), %d encapped, %d decapped, %d in errs, %d pmtu updates\n",
 			t.Name, t.Mode, t.Local, t.Remote, t.MTU, t.Overhead,

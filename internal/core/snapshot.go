@@ -31,9 +31,11 @@ type TraceLine struct {
 
 // NetisrSnapshot captures the input-queue state.
 type NetisrSnapshot struct {
-	Burst int    `json:"burst"` // frames drained per wakeup
-	Drops uint64 `json:"drops"`
-	Depth int    `json:"depth"`
+	Burst   int    `json:"burst"` // frames dispatched per chunk
+	Drops   uint64 `json:"drops"`
+	Depth   int    `json:"depth"`
+	Wakeups uint64 `json:"wakeups"` // times the netisr was woken from park
+	Frames  uint64 `json:"frames"`  // frames the netisr dispatched
 }
 
 // LimitSnapshot describes one governance ceiling: the configured
@@ -139,9 +141,11 @@ func (s *Stack) Snapshot() Snapshot {
 		IPsec: stat.SnapshotCounters(&s.Sec.Stats),
 		Key:   stat.SnapshotCounters(&s.Keys.Stats),
 		Netisr: NetisrSnapshot{
-			Burst: s.burst,
-			Drops: s.InqDrops.Get(),
-			Depth: len(s.inq),
+			Burst:   s.burst,
+			Drops:   s.InqDrops.Get(),
+			Depth:   s.inqDepth(),
+			Wakeups: s.wakeups.Get(),
+			Frames:  s.frames.Get(),
 		},
 		Limits:  s.limitsSnapshot(),
 		Reasons: s.Drops.Reasons.Snapshot(),

@@ -47,7 +47,7 @@ func newHopBed(tb testing.TB) *hopBed {
 	})
 	testnet.WaitFor(tb, "quiescent line", func() bool { return nw.Pending() == 0 })
 
-	b := &hopBed{rmac: r1.Ports[0].HW, got: make(chan *mbuf.Mbuf, 1)}
+	b := &hopBed{rmac: r1.Ports[0].HW, got: make(chan *mbuf.Mbuf, forwardWindow)}
 	first, second := nw.Links[0].Hub, nw.Links[1].Hub
 	first.Detach(n0.Ports[0])
 	b.in = netif.New("in0", n0.Ports[0].HW, 1500)
@@ -65,18 +65,49 @@ func newHopBed(tb testing.TB) *hopBed {
 	return b
 }
 
-// hop sends the packet across the router and waits for it at the sink.
-func (b *hopBed) hop(tb testing.TB) {
-	b.pkt.Bytes()[7] = 64 // the router decremented the hop limit
-	if err := b.in.Output(b.rmac, netif.EtherTypeIPv6, b.pkt); err != nil {
+// send puts pkt on the first wire toward the router.
+func (b *hopBed) send(tb testing.TB, pkt *mbuf.Mbuf) {
+	pkt.Bytes()[7] = 64 // the router decremented the hop limit
+	if err := b.in.Output(b.rmac, netif.EtherTypeIPv6, pkt); err != nil {
 		tb.Fatal(err)
 	}
+}
+
+// hop sends the packet across the router and waits for it at the sink.
+func (b *hopBed) hop(tb testing.TB) {
+	b.send(tb, b.pkt)
 	b.pkt = <-b.got
+}
+
+// forwardWindow is how many frames BenchmarkForwardWindow keeps in
+// flight across the router.
+const forwardWindow = 64
+
+// open puts forwardWindow copies of the packet in flight; each turn
+// then sends on the frame that reached the sink, so the window stays
+// full.
+func (b *hopBed) open(tb testing.TB) {
+	for i := 0; i < forwardWindow; i++ {
+		b.send(tb, b.pkt.Copy())
+	}
+}
+
+// turn waits for the next frame at the sink and sends it again.
+func (b *hopBed) turn(tb testing.TB) { b.send(tb, <-b.got) }
+
+// close waits for the window's frames and frees them.
+func (b *hopBed) close() {
+	for i := 0; i < forwardWindow; i++ {
+		(<-b.got).Free()
+	}
 }
 
 // BenchmarkForwardHop times one warm IPv6 router hop: hub, netisr
 // hand-off, forward (held route and held gateway route, neighbor
 // fast path) and the next hub.
+//
+// With one frame in flight it mostly times the wakeup of the router's
+// netisr; BenchmarkForwardWindow times the hop with the pipeline full.
 func BenchmarkForwardHop(b *testing.B) {
 	bed := newHopBed(b)
 	bed.hop(b)
@@ -85,4 +116,20 @@ func BenchmarkForwardHop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bed.hop(b)
 	}
+}
+
+// BenchmarkForwardWindow times the same hop with forwardWindow frames
+// in flight, as a windowed sender keeps it: the router's netisr then
+// takes several frames per wakeup, and an iteration is the cost of a
+// hop under load rather than of a wakeup.
+func BenchmarkForwardWindow(b *testing.B) {
+	bed := newHopBed(b)
+	bed.open(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bed.turn(b)
+	}
+	b.StopTimer()
+	bed.close()
 }

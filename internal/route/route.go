@@ -560,6 +560,16 @@ func (t *Table) GatewayRoute(rt *Entry, gw []byte) (*Entry, bool) {
 	return t.LookupCached(rt.Family, gw, &rt.gwRoute)
 }
 
+// HeldGatewayRoute is GatewayRoute's hit path alone: the neighbor
+// route rt holds for its gateway gw when it is still current, else
+// nil.  It takes no lock, so a send may call it inside View and read
+// the held route's link-layer state in the same shared read; on nil
+// it calls GatewayRoute after the View.
+func (t *Table) HeldGatewayRoute(rt *Entry, gw []byte) *Entry {
+	e, _ := rt.gwRoute.get(t, rt.Family, gw)
+	return e
+}
+
 // Gen returns the table's structural generation. It changes whenever a
 // route is added, deleted, changed, cloned, or expired, so a cached
 // (entry, gen) pair is valid exactly while Gen is unchanged.
