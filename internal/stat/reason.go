@@ -110,6 +110,11 @@ const (
 	RTunMartian    // inner source is loopback/multicast/unspecified
 	RTunAFMismatch // outer address family does not match the tunnel mode
 
+	// Neighbor resolution: packets held for a neighbor that never
+	// answered, freed when its entry is rejected.
+	RArpResolveFailed // ARP resolution used up its requests
+	RNDResolveFailed  // Neighbor Discovery used up its solicitations
+
 	reasonCount // sentinel: number of reasons, keep last
 )
 
@@ -183,6 +188,9 @@ var reasonNames = [reasonCount]string{
 	RTunNestLimit:  "tunnel-nest-limit",
 	RTunMartian:    "tunnel-martian",
 	RTunAFMismatch: "tunnel-af-mismatch",
+
+	RArpResolveFailed: "arp-resolve-failed",
+	RNDResolveFailed:  "nd-resolve-failed",
 }
 
 // String returns the reason's stable snapshot key.
