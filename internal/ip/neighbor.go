@@ -24,8 +24,7 @@ const MaxHold = 8
 // NeighborState is a neighbor's reachability state.
 type NeighborState int
 
-// The neighbor states.  ARP entries are only ever incomplete or
-// reachable: they do not age.
+// The neighbor states.
 const (
 	Incomplete NeighborState = iota // resolution in progress
 	Reachable                       // confirmed recently
@@ -283,11 +282,12 @@ func (l *Layer[A]) NeighborState(dst A) (st NeighborState, ok bool) {
 func (l *Layer[A]) NeighborTimer(now time.Time) int {
 	nt := &l.fam.Neighbor
 	// Collect the entries this tick may change, so that a settled
-	// cache (all ARP entries resolved, say) costs no allocation.
+	// cache (every entry reachable and confirmed within Reachable, or
+	// stale) costs no allocation.
 	var entries []*route.Entry
 	l.routes.Walk(l.fam.AF, func(rt *route.Entry) bool {
 		n, ok := rt.LLInfo.(*Neighbor)
-		if ok && rt.Flags&route.FlagReject == 0 && n.state != Stale && (n.state != Reachable || nt.Reachable > 0) {
+		if ok && rt.Flags&route.FlagReject == 0 && n.state != Stale && (n.state != Reachable || aged(n, nt, now)) {
 			entries = append(entries, rt)
 		}
 		return true
@@ -312,7 +312,7 @@ func (l *Layer[A]) NeighborTimer(now time.Time) int {
 			}
 			switch n.state {
 			case Reachable:
-				if nt.Reachable > 0 && now.Sub(n.confirmed) > nt.Reachable {
+				if aged(n, nt, now) {
 					n.state = Stale
 				}
 				continue
@@ -353,6 +353,12 @@ func (l *Layer[A]) NeighborTimer(now time.Time) int {
 		}
 	}
 	return len(fails)
+}
+
+// aged reports whether n's last confirmation has outlived the
+// family's Reachable time at now.  The caller holds the table lock.
+func aged(n *Neighbor, nt *NeighborTiming, now time.Time) bool {
+	return nt.Reachable > 0 && now.Sub(n.confirmed) > nt.Reachable
 }
 
 // entryAddr is the address a host route is for.

@@ -28,7 +28,8 @@ var neighborFamilies = []struct {
 	rig  func(tb testing.TB) nbrRig
 }{
 	{"ARP", func(tb testing.TB) nbrRig {
-		nt := NeighborTiming{Retrans: time.Second, MaxMulticast: 5, RejectLinger: 20 * time.Second}
+		nt := NeighborTiming{Retrans: time.Second, MaxMulticast: 5, MaxUnicast: 2,
+			Reachable: 20 * time.Minute, RejectLinger: 20 * time.Second}
 		return newRig(tb, inet.AFInet, nt, stat.RArpResolveFailed, 500*time.Millisecond, inet.IP4{10, 0, 0, 2})
 	}},
 	{"ND", func(tb testing.TB) nbrRig {
@@ -180,9 +181,6 @@ func (r *rig[A]) failResolution(t *testing.T) {
 func stale(t *testing.T, r nbrRig) {
 	t.Helper()
 	g := r.log()
-	if g.nt.Reachable == 0 {
-		t.Skip("entries of this family never go stale")
-	}
 	r.learn(true)
 	g.clk.Advance(g.nt.Reachable)
 	r.tick()
@@ -265,12 +263,8 @@ var neighborCases = []struct {
 				len(g.sent), len(g.solicits), r.state())
 		}
 		r.tick()
-		want := Stale
-		if g.nt.Reachable == 0 {
-			want = Reachable // ARP entries do not age
-		}
-		if st := r.state(); st != want {
-			t.Fatalf("state %v after the tick, want %v", st, want)
+		if st := r.state(); st != Stale {
+			t.Fatalf("state %v after the tick, want stale", st)
 		}
 	}},
 	{"StaleProbesOnFirstUse", func(t *testing.T, r nbrRig) {
@@ -309,10 +303,8 @@ var neighborCases = []struct {
 			t.Fatalf("confirmation completed a resolution: state %v", st)
 		}
 		r.learn(true)
-		if g.nt.Reachable > 0 {
-			g.clk.Advance(g.nt.Reachable)
-			r.tick()
-		}
+		g.clk.Advance(g.nt.Reachable)
+		r.tick()
 		r.confirm()
 		r.send(2)
 		if st := r.state(); st != Reachable || len(g.solicits) != 1 || !bytes.Equal(g.sent, []byte{1, 2}) {

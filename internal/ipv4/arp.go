@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"bsd6/internal/inet"
+	"bsd6/internal/ip"
 	"bsd6/internal/mbuf"
 	"bsd6/internal/netif"
 	"bsd6/internal/route"
@@ -24,13 +25,21 @@ const (
 )
 
 // ARP's neighbor-cache timing.  A reject comes at the first tick after
-// the last try (no RejectWait), and entries never go stale (no
-// Reachable).
+// the last try (no RejectWait).  A resolved entry goes stale after
+// 4.4BSD's arpt_keep; its next use polls the neighbor at its cached
+// address, as RFC 1122 §2.3.2.1's unicast poll does, and a neighbor
+// that answers none of arpMaxProbes polls is rejected like one that
+// never resolved.
 const (
 	arpMaxTries   = 5
+	arpMaxProbes  = 2 // RFC 1122's typical MAX_RETRIES
 	arpRetry      = time.Second
+	arpKeep       = 20 * time.Minute
 	arpRejectLife = 20 * time.Second
 )
+
+var arpTiming = ip.NeighborTiming{Retrans: arpRetry, MaxMulticast: arpMaxTries, MaxUnicast: arpMaxProbes,
+	Reachable: arpKeep, RejectLinger: arpRejectLife}
 
 // arpMarshal builds an ARP packet for IPv4-over-Ethernet.
 func arpMarshal(op uint16, sha inet.LinkAddr, spa inet.IP4, tha inet.LinkAddr, tpa inet.IP4) []byte {
@@ -46,15 +55,26 @@ func arpMarshal(op uint16, sha inet.LinkAddr, spa inet.IP4, tha inet.LinkAddr, t
 	return b
 }
 
-// arpSolicit broadcasts a who-has request for target.  ARP has no
-// unicast probe: its entries never go stale.
-func (l *Layer) arpSolicit(ifp *netif.Interface, target inet.IP4, _ bool) {
+// arpSolicit sends a who-has request for target: broadcast, or, to
+// poll a stale entry, unicast to the address the entry holds.
+func (l *Layer) arpSolicit(ifp *netif.Interface, target inet.IP4, unicast bool) {
 	src, ok := srcAddrOn(ifp)
 	if !ok {
 		return
 	}
+	dst := netif.Broadcast
+	if unicast {
+		rt, found := l.Routes().Lookup(inet.AFInet, target[:])
+		if !found {
+			return
+		}
+		l.Routes().View(func() { dst, found = rt.Gateway.(inet.LinkAddr) })
+		if !found {
+			return
+		}
+	}
 	req := mbuf.New(arpMarshal(arpRequest, ifp.HW, src, inet.LinkAddr{}, target))
-	ifp.Output(netif.Broadcast, EtherTypeARP, req)
+	ifp.Output(dst, EtherTypeARP, req)
 	l.Stats.ArpRequests.Inc()
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -699,5 +700,62 @@ func TestNeighborResolvesAfterLingerARP(t *testing.T) {
 			t.Fatalf("first send after the linger (%d): err %v, delivered %v", seq, err, got)
 		}
 		return
+	}
+}
+
+// TestARPReresolvesChangedMAC moves the neighbor to a new link-layer
+// address after the keep time, with no gratuitous ARP: the stale entry
+// polls the old address, the polls go unanswered, and once the reject
+// lingers out a broadcast finds the new address.  An entry that never
+// aged would send to the old address for ever.
+func TestARPReresolvesChangedMAC(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(1_000_000, 0))
+	hub := netif.NewHub()
+	a, b, moved := newNode("a"), newNode("b"), newNode("b2")
+	onClock(clk, a, b, moved)
+	a.join(hub, macA, addrA, 24, 1500)
+	b.join(hub, macB, addrB, 24, 1500)
+	var got []byte
+	for _, n := range []*node{b, moved} {
+		n.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ proto.Meta) {
+			got = append(got, pkt.Bytes()[0])
+			pkt.Free()
+		}, nil)
+	}
+	send := func(seq byte) error {
+		pkt := mbuf.Get(1)
+		pkt.Bytes()[0] = seq
+		return a.l.Output(pkt, addrA, addrB, proto.UDP, OutputOpts{})
+	}
+	if err := send(0); err != nil || !bytes.Equal(got, []byte{0}) {
+		t.Fatalf("first send: err %v, delivered %v", err, got)
+	}
+
+	hub.Detach(b.ifps[0])
+	macC := inet.LinkAddr{2, 0, 0, 0, 0, 0xc}
+	moved.join(hub, macC, addrB, 24, 1500)
+	clk.Advance(arpKeep)
+	var asked []inet.LinkAddr // where a's ARP requests went
+	hub.Capture = func(fr netif.Frame) {
+		if fr.Src == macA && fr.EtherType == EtherTypeARP {
+			asked = append(asked, fr.Dst)
+		}
+	}
+	deadline := clk.Now().Add(arpMaxProbes*arpRetry + arpRejectLife + 2*time.Second)
+	for seq := byte(1); len(got) == 1; seq++ {
+		if clk.Now().After(deadline) {
+			t.Fatalf("neighbor not re-resolved %v after the keep time", arpMaxProbes*arpRetry+arpRejectLife)
+		}
+		clk.Advance(500 * time.Millisecond)
+		a.l.SlowTimo(clk.Now())
+		send(seq)
+	}
+	rt, _ := a.rt.Get(inet.AFInet, addrB[:], 32)
+	if rt.Gateway != macC {
+		t.Fatalf("entry at %v, want %v", rt.Gateway, macC)
+	}
+	want := []inet.LinkAddr{macB, macB, netif.Broadcast} // arpMaxProbes polls, then a broadcast
+	if !slices.Equal(asked, want) {
+		t.Fatalf("ARP requests to %v, want %v", asked, want)
 	}
 }

@@ -78,7 +78,7 @@ func NewLayer(rt *route.Table) *Layer {
 		},
 		LinkDst:             linkDst,
 		Solicit:             l.arpSolicit,
-		Neighbor:            ip.NeighborTiming{Retrans: arpRetry, MaxMulticast: arpMaxTries, RejectLinger: arpRejectLife},
+		Neighbor:            arpTiming,
 		Stats:               &l.Stats.Stats,
 		ReasmOverflowReason: stat.RV4ReasmOverflow,
 		ReasmTimeoutReason:  stat.RV4ReasmTimeout,

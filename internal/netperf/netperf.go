@@ -3,11 +3,12 @@
 // tests, plus the ttcp-style bulk test used for Table 5 — the paper
 // notes ttcp "was easily modified to use the security socket options",
 // which RunStream supports through its socket-configuration hook.
+// Testbed, the paper's grids and Measure (measure.go) put them
+// together into the tables' cells.
 package netperf
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -42,84 +43,92 @@ const ioTimeout = 10 * time.Second
 // NewEchoServer starts a request-response responder: every received
 // message is sent back whole (NetPerf's *_RR pattern).
 func NewEchoServer(s *core.Stack, tcp bool, port uint16, sockbuf int, tune SocketTuner) (*Server, error) {
-	typ := core.SockDgram
-	if tcp {
-		typ = core.SockStream
-	}
-	sock, err := s.NewSocket(inet.AFInet6, typ)
-	if err != nil {
-		return nil, err
-	}
-	if sockbuf > 0 {
-		sock.SetBuffers(sockbuf, sockbuf)
-	}
-	if tune != nil {
-		tune(sock)
-	}
-	if err := sock.Bind(core.Sockaddr6{Family: inet.AFInet6, Port: port}); err != nil {
-		return nil, err
-	}
-	sv := &Server{sock: sock, stop: make(chan struct{})}
-	if tcp {
-		if err := sock.Listen(4); err != nil {
-			return nil, err
-		}
-		go sv.tcpEchoLoop(sockbuf)
-	} else {
-		go sv.udpEchoLoop()
-	}
-	return sv, nil
-}
-
-func (sv *Server) tcpEchoLoop(sockbuf int) {
-	for {
-		conn, err := sv.sock.Accept(ioTimeout)
-		if err != nil {
-			select {
-			case <-sv.stop:
-				return
-			default:
-				continue
-			}
-		}
-		if sockbuf > 0 {
-			conn.SetBuffers(sockbuf, sockbuf)
-		}
-		go func() {
-			defer conn.Close()
-			for {
-				data, err := conn.Recv(64<<10, ioTimeout)
-				if err != nil {
-					return
-				}
-				sv.received.Add(int64(len(data)))
-				if _, err := conn.Send(data, ioTimeout); err != nil {
-					return
-				}
-			}
-		}()
-	}
-}
-
-func (sv *Server) udpEchoLoop() {
-	for {
-		data, from, err := sv.sock.RecvFrom(64<<10, ioTimeout)
-		if err != nil {
-			select {
-			case <-sv.stop:
-				return
-			default:
-				continue
-			}
-		}
-		sv.received.Add(int64(len(data)))
-		sv.sock.SendTo(data, from)
-	}
+	return newServer(s, tcp, port, sockbuf, tune, true)
 }
 
 // NewSinkServer starts a throughput sink: received bytes are counted
 // and discarded (NetPerf's *_STREAM pattern / ttcp -r).
 func NewSinkServer(s *core.Stack, tcp bool, port uint16, sockbuf int, tune SocketTuner) (*Server, error) {
+	return newServer(s, tcp, port, sockbuf, tune, false)
+}
+
+// newServer binds a PF_INET6 socket to port on every address, so that
+// IPv4 clients reach it v4-mapped, and serves it: a stream socket
+// listens and serves each connection it accepts, a datagram socket
+// serves its datagrams.  An echo server sends back what it reads.
+func newServer(s *core.Stack, tcp bool, port uint16, sockbuf int, tune SocketTuner, echo bool) (*Server, error) {
+	sock, err := socket(s, tcp, sockbuf, tune)
+	if err != nil {
+		return nil, err
+	}
+	sv := &Server{sock: sock, stop: make(chan struct{})}
+	if err := sock.Bind(core.Sockaddr6{Family: inet.AFInet6, Port: port}); err != nil {
+		sock.Close()
+		return nil, err
+	}
+	if !tcp {
+		go sv.serveDgrams(echo)
+		return sv, nil
+	}
+	if err := sock.Listen(4); err != nil {
+		sock.Close()
+		return nil, err
+	}
+	go func() {
+		for !sv.stopped() {
+			if conn, err := sv.sock.Accept(ioTimeout); err == nil {
+				if sockbuf > 0 {
+					conn.SetBuffers(sockbuf, sockbuf)
+				}
+				go sv.serveConn(conn, echo)
+			}
+		}
+	}()
+	return sv, nil
+}
+
+// stopped reports whether Close has been called.
+func (sv *Server) stopped() bool {
+	select {
+	case <-sv.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+func (sv *Server) serveConn(conn *core.Socket, echo bool) {
+	defer conn.Close()
+	buf := make([]byte, 64<<10)
+	for {
+		n, err := conn.ReadInto(buf, ioTimeout)
+		if err != nil {
+			return
+		}
+		sv.received.Add(int64(n))
+		if echo {
+			if _, err := conn.Send(buf[:n], ioTimeout); err != nil {
+				return
+			}
+		}
+	}
+}
+
+func (sv *Server) serveDgrams(echo bool) {
+	for !sv.stopped() {
+		data, from, err := sv.sock.RecvFrom(64<<10, ioTimeout)
+		if err != nil {
+			continue
+		}
+		sv.received.Add(int64(len(data)))
+		if echo {
+			sv.sock.SendTo(data, from)
+		}
+	}
+}
+
+// socket opens a PF_INET6 socket with the given buffers and options.
+func socket(s *core.Stack, tcp bool, sockbuf int, tune SocketTuner) (*core.Socket, error) {
 	typ := core.SockDgram
 	if tcp {
 		typ = core.SockStream
@@ -134,58 +143,20 @@ func NewSinkServer(s *core.Stack, tcp bool, port uint16, sockbuf int, tune Socke
 	if tune != nil {
 		tune(sock)
 	}
-	if err := sock.Bind(core.Sockaddr6{Family: inet.AFInet6, Port: port}); err != nil {
+	return sock, nil
+}
+
+// dial opens a client socket connected to dst.
+func dial(c *core.Stack, dst core.Sockaddr6, tcp bool, sockbuf int, tune SocketTuner) (*core.Socket, error) {
+	sock, err := socket(c, tcp, sockbuf, tune)
+	if err != nil {
 		return nil, err
 	}
-	sv := &Server{sock: sock, stop: make(chan struct{})}
-	if tcp {
-		if err := sock.Listen(4); err != nil {
-			return nil, err
-		}
-		go func() {
-			for {
-				conn, err := sv.sock.Accept(ioTimeout)
-				if err != nil {
-					select {
-					case <-sv.stop:
-						return
-					default:
-						continue
-					}
-				}
-				if sockbuf > 0 {
-					conn.SetBuffers(sockbuf, sockbuf)
-				}
-				go func() {
-					defer conn.Close()
-					buf := make([]byte, 64<<10)
-					for {
-						n, err := conn.ReadInto(buf, ioTimeout)
-						if err != nil {
-							return
-						}
-						sv.received.Add(int64(n))
-					}
-				}()
-			}
-		}()
-	} else {
-		go func() {
-			for {
-				data, _, err := sv.sock.RecvFrom(64<<10, ioTimeout)
-				if err != nil {
-					select {
-					case <-sv.stop:
-						return
-					default:
-						continue
-					}
-				}
-				sv.received.Add(int64(len(data)))
-			}
-		}()
+	if err := sock.Connect(dst, ioTimeout); err != nil {
+		sock.Close()
+		return nil, err
 	}
-	return sv, nil
+	return sock, nil
 }
 
 // RRResult is a request-response (latency) measurement.
@@ -195,63 +166,41 @@ type RRResult struct {
 	MeanRTT      time.Duration
 }
 
-func (r RRResult) String() string {
-	return fmt.Sprintf("%d transactions in %v (%.2fµs/RTT)", r.Transactions, r.Elapsed, float64(r.MeanRTT.Nanoseconds())/1e3)
-}
-
 // RunRR runs a request-response latency test of iters transactions of
 // msgSize bytes against an echo server at dst.
 func RunRR(c *core.Stack, dst core.Sockaddr6, tcp bool, msgSize, iters, sockbuf int, tune SocketTuner) (RRResult, error) {
-	typ := core.SockDgram
-	if tcp {
-		typ = core.SockStream
-	}
-	sock, err := c.NewSocket(inet.AFInet6, typ)
+	sock, err := dial(c, dst, tcp, sockbuf, tune)
 	if err != nil {
 		return RRResult{}, err
 	}
 	defer sock.Close()
-	if sockbuf > 0 {
-		sock.SetBuffers(sockbuf, sockbuf)
-	}
-	if tune != nil {
-		tune(sock)
-	}
-	if err := sock.Connect(dst, ioTimeout); err != nil {
-		return RRResult{}, err
-	}
 	msg := make([]byte, msgSize)
 	for i := range msg {
 		msg[i] = byte(i)
 	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		if tcp {
-			if _, err := sock.Send(msg, ioTimeout); err != nil {
-				return RRResult{}, err
-			}
-			got := 0
-			for got < msgSize {
-				data, err := sock.Recv(msgSize-got, ioTimeout)
-				if err != nil {
-					return RRResult{}, err
-				}
-				got += len(data)
-			}
-		} else {
-			// The socket is connected, so send on the PCB's cached peer
-			// and route. Going through SendTo here re-took the socket
-			// lock and re-stored the flow label, then re-derived the
-			// destination inside udp_output on every transaction —
-			// harness setup billed to the stack in Tables 1/2.
-			if _, err := sock.Send(msg, ioTimeout); err != nil {
-				return RRResult{}, err
-			}
+		// A connected datagram socket sends on the PCB's cached peer
+		// and route, as a stream does: SendTo would re-derive the
+		// destination on every transaction and bill harness work to
+		// the stack in Tables 1/2.
+		if _, err := sock.Send(msg, ioTimeout); err != nil {
+			return RRResult{}, err
+		}
+		if !tcp {
 			// One datagram out, one back; a lost reply would hang, so
 			// bound the wait (the benches run over a lossless hub).
 			if _, _, err := sock.RecvFrom(msgSize, ioTimeout); err != nil {
 				return RRResult{}, err
 			}
+			continue
+		}
+		for got := 0; got < msgSize; {
+			data, err := sock.Recv(msgSize-got, ioTimeout)
+			if err != nil {
+				return RRResult{}, err
+			}
+			got += len(data)
 		}
 	}
 	elapsed := time.Since(start)
@@ -266,44 +215,29 @@ type StreamResult struct {
 	KBps float64
 }
 
-func (r StreamResult) String() string {
-	return fmt.Sprintf("%d bytes in %v (%.0f KB/s)", r.Bytes, r.Elapsed, r.KBps)
-}
-
 // ErrStalled reports that a stream test stopped making progress.
 var ErrStalled = errors.New("netperf: stream stalled")
 
 // RunStream pushes total bytes of msgSize writes at a sink server and
 // reports the receiver-side throughput (NetPerf *_STREAM / ttcp -t).
 func RunStream(c *core.Stack, sv *Server, dst core.Sockaddr6, tcp bool, msgSize, sockbuf int, total int64, tune SocketTuner) (StreamResult, error) {
-	typ := core.SockDgram
-	if tcp {
-		typ = core.SockStream
-	}
-	sock, err := c.NewSocket(inet.AFInet6, typ)
+	sock, err := dial(c, dst, tcp, sockbuf, tune)
 	if err != nil {
 		return StreamResult{}, err
 	}
 	defer sock.Close()
-	if sockbuf > 0 {
-		sock.SetBuffers(sockbuf, sockbuf)
-	}
-	if tune != nil {
-		tune(sock)
-	}
-	if err := sock.Connect(dst, ioTimeout); err != nil {
-		return StreamResult{}, err
-	}
 	msg := make([]byte, msgSize)
 	if !tcp {
 		// Warm the path: the first datagram triggers neighbor
 		// discovery, and only a handful of packets queue behind an
 		// unresolved neighbor (as with ARP in BSD). One throwaway
 		// datagram plus a settle period keeps the measured stream
-		// from racing the resolution.
+		// from racing the resolution.  The server may have served
+		// earlier runs, so wait for this datagram, not for any.
+		before := sv.Received()
 		sock.Send(msg[:1], ioTimeout)
 		deadline := time.Now().Add(time.Second)
-		for sv.Received() == 0 && time.Now().Before(deadline) {
+		for sv.Received() == before && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	}

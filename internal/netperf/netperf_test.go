@@ -2,45 +2,24 @@ package netperf_test
 
 import (
 	"testing"
-	"time"
 
-	"bsd6/internal/core"
-	"bsd6/internal/inet"
-	"bsd6/internal/ipsec"
-	"bsd6/internal/key"
-	"bsd6/internal/netif"
 	"bsd6/internal/netperf"
-	"bsd6/internal/testnet"
 )
 
-type fixture struct {
-	cli, srv *core.Stack
-	dst6     inet.IP6
-	dst4     inet.IP4
-}
-
-func newFixture(t testing.TB) *fixture {
-	hub := netif.NewHub()
-	cli := core.NewStack("cli", core.Options{})
-	srv := core.NewStack("srv", core.Options{})
-	t.Cleanup(cli.Close)
-	t.Cleanup(srv.Close)
-	cIf := cli.AttachLink(hub, testnet.MacA, 1500)
-	sIf := srv.AttachLink(hub, testnet.MacB, 1500)
-	cli.ConfigureV4(cIf, inet.IP4{10, 0, 0, 1}, 24)
-	srv.ConfigureV4(sIf, inet.IP4{10, 0, 0, 2}, 24)
-	ll, _ := sIf.LinkLocal6(time.Now())
-	return &fixture{cli: cli, srv: srv, dst6: ll, dst4: inet.IP4{10, 0, 0, 2}}
+func newTestbed(t testing.TB) *netperf.Testbed {
+	tb := netperf.NewTestbed()
+	t.Cleanup(tb.Close)
+	return tb
 }
 
 func TestTCPRR(t *testing.T) {
-	f := newFixture(t)
-	sv, err := netperf.NewEchoServer(f.srv, true, 5001, 0, nil)
+	tb := newTestbed(t)
+	sv, err := netperf.NewEchoServer(tb.Srv, true, 5001, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	res, err := netperf.RunRR(f.cli, core.Addr6(f.dst6, 5001), true, 64, 50, 0, nil)
+	res, err := netperf.RunRR(tb.Cli, tb.Addr(true, 5001), true, 64, 50, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +29,13 @@ func TestTCPRR(t *testing.T) {
 }
 
 func TestUDPRR(t *testing.T) {
-	f := newFixture(t)
-	sv, err := netperf.NewEchoServer(f.srv, false, 5002, 0, nil)
+	tb := newTestbed(t)
+	sv, err := netperf.NewEchoServer(tb.Srv, false, 5002, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	res, err := netperf.RunRR(f.cli, core.Addr6(f.dst6, 5002), false, 256, 50, 0, nil)
+	res, err := netperf.RunRR(tb.Cli, tb.Addr(true, 5002), false, 256, 50, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,51 +45,48 @@ func TestUDPRR(t *testing.T) {
 }
 
 func TestRRoverIPv4(t *testing.T) {
-	f := newFixture(t)
-	sv, err := netperf.NewEchoServer(f.srv, false, 5003, 0, nil)
+	tb := newTestbed(t)
+	sv, err := netperf.NewEchoServer(tb.Srv, false, 5003, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	res, err := netperf.RunRR(f.cli, core.Addr4(f.dst4, 5003), false, 64, 20, 0, nil)
+	res, err := netperf.RunRR(tb.Cli, tb.Addr(false, 5003), false, 64, 20, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Transactions != 20 {
 		t.Fatalf("result: %+v", res)
 	}
-	if f.srv.UDP.Stats.InV4ToV6.Get() == 0 {
+	if tb.Srv.UDP.Stats.InV4ToV6.Get() == 0 {
 		t.Fatal("v4 RR did not cross to the v6 server socket")
 	}
 }
 
 func TestTCPStream(t *testing.T) {
-	f := newFixture(t)
-	sv, err := netperf.NewSinkServer(f.srv, true, 5004, 32768, nil)
+	tb := newTestbed(t)
+	sv, err := netperf.NewSinkServer(tb.Srv, true, 5004, 32768, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	res, err := netperf.RunStream(f.cli, sv, core.Addr6(f.dst6, 5004), true, 8192, 32768, 512<<10, nil)
+	res, err := netperf.RunStream(tb.Cli, sv, tb.Addr(true, 5004), true, 8192, 32768, 512<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bytes != 512<<10 {
-		t.Fatalf("received %d bytes", res.Bytes)
-	}
-	if res.KBps <= 0 {
-		t.Fatalf("throughput %f", res.KBps)
+	if res.Bytes != 512<<10 || res.KBps <= 0 {
+		t.Fatalf("received %d bytes at %f KB/s", res.Bytes, res.KBps)
 	}
 }
 
 func TestUDPStream(t *testing.T) {
-	f := newFixture(t)
-	sv, err := netperf.NewSinkServer(f.srv, false, 5005, 32767, nil)
+	tb := newTestbed(t)
+	sv, err := netperf.NewSinkServer(tb.Srv, false, 5005, 32767, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	res, err := netperf.RunStream(f.cli, sv, core.Addr6(f.dst6, 5005), false, 1024, 32767, 256<<10, nil)
+	res, err := netperf.RunStream(tb.Cli, sv, tb.Addr(true, 5005), false, 1024, 32767, 256<<10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,30 +98,25 @@ func TestUDPStream(t *testing.T) {
 }
 
 func TestSecuredStream(t *testing.T) {
-	// Table 5's shape in miniature: secured throughput < cleartext.
-	f := newFixture(t)
-	cliLL, _ := f.cli.Interfaces()[0].LinkLocal6(time.Now())
-	authKey := []byte("0123456789abcdef")
-	for _, s := range []*core.Stack{f.cli, f.srv} {
-		s.Keys.Add(&key.SA{SPI: 0x41, Src: cliLL, Dst: f.dst6, Proto: key.ProtoAH, AuthAlg: "keyed-md5", AuthKey: authKey})
-		s.Keys.Add(&key.SA{SPI: 0x42, Src: f.dst6, Dst: cliLL, Proto: key.ProtoAH, AuthAlg: "keyed-md5", AuthKey: authKey})
+	// Table 5's authenticated row in miniature.
+	tb := newTestbed(t)
+	if err := tb.SetSAs(netperf.Classic); err != nil {
+		t.Fatal(err)
 	}
-	secure := func(sock *core.Socket) {
-		sock.SetSecurity(core.SoSecurityAuthentication, ipsec.LevelRequire)
-	}
-	sv, err := netperf.NewSinkServer(f.srv, true, 5006, 0, secure)
+	auth := netperf.SecCases[1].Tune
+	sv, err := netperf.NewSinkServer(tb.Srv, true, 5006, 0, auth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	res, err := netperf.RunStream(f.cli, sv, core.Addr6(f.dst6, 5006), true, 8192, 0, 256<<10, secure)
+	res, err := netperf.RunStream(tb.Cli, sv, tb.Addr(true, 5006), true, 8192, 0, 256<<10, auth)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Bytes != 256<<10 {
 		t.Fatalf("received %d", res.Bytes)
 	}
-	if f.srv.Sec.Stats.InAuthOK.Get() == 0 {
+	if tb.Srv.Sec.Stats.InAuthOK.Get() == 0 {
 		t.Fatal("stream was not authenticated")
 	}
 }
