@@ -9,9 +9,12 @@
 // The whole world runs on a testnet.Sim virtual clock, so timeout
 // scenarios that span 30+ seconds of protocol time execute in
 // microseconds and every run is deterministic.  The scenarios double
-// as RFC 5722-style overlap-attack regression tests: this stack keeps
-// the first-arriving bytes and discards later overlaps, as 4.4 BSD's
-// ip_reass does, so an attacker cannot rewrite data already held.
+// as RFC 5722-style overlap-attack regression tests, and the two
+// families answer overlaps differently.  IPv4 keeps the first-arriving
+// bytes and discards later overlaps, as 4.4 BSD's ip_reass does.  IPv6
+// abandons a datagram whose fragments overlap, as RFC 5722 and RFC
+// 8200 §4.5 require, and drops an exact duplicate alone.  Either way
+// an attacker cannot rewrite data already held.
 package conformance
 
 import (

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"testing"
+	"time"
 
 	"bsd6/internal/ipv4"
 )
@@ -65,5 +66,28 @@ func TestV4TimeoutSilentWithoutFirst(t *testing.T) {
 	wantErrors(t, n.Errors4)
 	if got := n.B.V4.Stats.ReasmFails.Get(); got != 1 {
 		t.Fatalf("ReasmFails = %d, want 1", got)
+	}
+}
+
+func TestV4ProtoUnreachAfterReassembly(t *testing.T) {
+	// A reassembled datagram for a protocol nobody serves draws
+	// Protocol Unreachable whatever order its fragments came in: the
+	// error quotes the datagram's own header, fragment zero's, not the
+	// fragment that completed it.
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		n := NewNet()
+		d := Pattern(0x77, 32)
+		frags := []Frag4{
+			{Off: 0, More: true, ID: 25, Data: d[:16], Proto: 200},
+			{Off: 16, More: false, ID: 25, Data: d[16:], Proto: 200},
+		}
+		for _, i := range order {
+			n.Inject4(frags[i])
+		}
+		n.Run(time.Second)
+		wantErrors(t, n.Errors4, IcmpErr{ipv4.IcmpUnreach, ipv4.CodeProtoUnreach})
+		if got := n.B.V4.Stats.Reassembled.Get(); got != 1 {
+			t.Fatalf("order %v: Reassembled = %d, want 1", order, got)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bsd6/internal/icmp6"
+	"bsd6/internal/stat"
 )
 
 // want asserts the exact set of datagrams the receiver accepted.
@@ -53,10 +54,10 @@ func TestV6InOrderBaseline(t *testing.T) {
 func TestV6OverlapRewriteAttack(t *testing.T) {
 	// RFC 5722's motivating attack: after the real first fragment is
 	// queued, an overlapping fragment tries to rewrite bytes [8,24)
-	// while smuggling new data at [24,32).  First arrival wins, as
-	// 4.4 BSD's ip_reass trims: the original bytes survive untouched
-	// and only the non-overlapping tail of the attacker's fragment is
-	// kept.
+	// while smuggling new data at [24,32).  IPv6 abandons a datagram
+	// whose fragments overlap (RFC 5722, RFC 8200 §4.5), so neither
+	// the original bytes nor the attacker's are delivered, and the
+	// tail that arrives afterwards only opens a datagram that expires.
 	n := NewNet()
 	orig := Pattern(0x40, 24) // covers [0,24)
 	evil := Pattern(0xC0, 24) // covers [8,32)
@@ -65,11 +66,16 @@ func TestV6OverlapRewriteAttack(t *testing.T) {
 	n.Inject6(Frag6{Off: 8, More: true, ID: 2, Data: evil})
 	n.Inject6(Frag6{Off: 32, More: false, ID: 2, Data: tail})
 
-	want := append(append(append([]byte(nil), orig...), evil[16:24]...), tail...)
-	wantDelivered(t, n.Delivered6, want)
-	if got := n.B.V6.Stats.ReasmFails.Get(); got != 0 {
-		t.Fatalf("ReasmFails = %d, want 0", got)
+	wantDelivered(t, n.Delivered6)
+	if got := n.B.V6.Stats.ReasmFails.Get(); got != 1 {
+		t.Fatalf("ReasmFails = %d, want 1", got)
 	}
+	if got := n.B.Drops.Reasons.Get(stat.RV6ReasmOverlap); got != 1 {
+		t.Fatalf("%v drops = %d, want 1", stat.RV6ReasmOverlap, got)
+	}
+	n.ExpireReassembly()
+	wantDelivered(t, n.Delivered6)
+	wantErrors(t, n.Errors6) // the tail's datagram lacks fragment zero
 }
 
 func TestV6TinyFragmentsOutOfOrder(t *testing.T) {
@@ -99,6 +105,25 @@ func TestV6AtomicFragment(t *testing.T) {
 	wantDelivered(t, n.Delivered6, d)
 	n.ExpireReassembly()
 	wantErrors(t, n.Errors6)
+	if got := n.B.V6.Stats.ReasmFails.Get(); got != 0 {
+		t.Fatalf("ReasmFails = %d, want 0", got)
+	}
+}
+
+func TestV6AtomicFragmentBesideOpenDatagram(t *testing.T) {
+	// An atomic fragment that shares its ID with a datagram under
+	// reassembly is a datagram of its own (RFC 6946): it must not
+	// splice into the open datagram, which completes untouched.
+	n := NewNet()
+	open := Pattern(0x10, 24)
+	atomic := Pattern(0xA0, 40)
+	n.Inject6(Frag6{Off: 0, More: true, ID: 7, Data: open[:16]})
+	n.Inject6(Frag6{Off: 0, More: false, ID: 7, Data: atomic})
+	if got := n.B.V6.FragQueueLen(); got != 1 {
+		t.Fatalf("FragQueueLen = %d after the atomic fragment, want 1", got)
+	}
+	n.Inject6(Frag6{Off: 16, More: false, ID: 7, Data: open[16:]})
+	wantDelivered(t, n.Delivered6, atomic, open)
 	if got := n.B.V6.Stats.ReasmFails.Get(); got != 0 {
 		t.Fatalf("ReasmFails = %d, want 0", got)
 	}

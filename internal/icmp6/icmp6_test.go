@@ -2,6 +2,7 @@ package icmp6
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -1068,5 +1069,67 @@ func TestNeighborResolvesAfterLingerND(t *testing.T) {
 			t.Fatalf("first send after the linger (%d): err %v, delivered %v", seq, err, got)
 		}
 		return
+	}
+}
+
+// TestNDReresolvesChangedMAC is ARP's TestARPReresolvesChangedMAC for
+// Neighbor Discovery: the neighbor moves to a new link-layer address
+// while its entry ages, the stale entry's unicast probes go
+// unanswered, the entry is deleted (RFC 4861 §7.3.3), and the next
+// datagram's multicast solicit finds the new address one retransmit
+// after the last probe.
+func TestNDReresolvesChangedMAC(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(1_000_000, 0))
+	hub := netif.NewHub()
+	a, b, moved := newNode("a"), newNode("b"), newNode("b2")
+	virtualize(clk, a, b, moved)
+	a.join(hub, macA, 1500)
+	b.join(hub, macB, 1500)
+	bll := b.linkLocal(0)
+	var got []byte
+	for _, n := range []*node{b, moved} {
+		n.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ proto.Meta) {
+			got = append(got, pkt.Bytes()[0])
+			pkt.Free()
+		}, nil)
+	}
+	send := func(seq byte) error {
+		pkt := mbuf.Get(1)
+		pkt.Bytes()[0] = seq
+		return a.l.Output(pkt, inet.IP6{}, bll, proto.UDP, ipv6.OutputOpts{})
+	}
+	if err := send(0); err != nil || len(got) != 1 {
+		t.Fatalf("first send: err %v, delivered %v", err, got)
+	}
+
+	hub.Detach(b.ifps[0])
+	macC := inet.LinkAddr{2, 0, 0, 0, 0, 0xc}
+	ifc := moved.join(hub, macC, 1500)
+	ifc.AddAddr6(netif.Addr6{Addr: bll, Plen: 64})
+	moved.l.JoinGroup(ifc.Name, inet.SolicitedNode(bll))
+	clk.Advance(ipv6.NDReachable)
+	var asked []inet.LinkAddr // where a's solicits went
+	hub.Capture = func(fr netif.Frame) {
+		b := fr.Payload.Bytes()
+		if fr.Src == macA && len(b) > ipv6.HeaderLen && b[6] == proto.ICMPv6 && b[ipv6.HeaderLen] == TypeNeighborSolicit {
+			asked = append(asked, fr.Dst)
+		}
+	}
+	deadline := clk.Now().Add(ipv6.NDMaxUnicast*ipv6.NDRetrans + ipv6.NDRetrans)
+	for seq := byte(1); len(got) == 1; seq++ {
+		if clk.Now().After(deadline) {
+			t.Fatalf("neighbor not re-resolved %v after the reachable time", ipv6.NDMaxUnicast*ipv6.NDRetrans+ipv6.NDRetrans)
+		}
+		clk.Advance(ipv6.NDRetrans)
+		a.m.FastTimo(clk.Now())
+		send(seq)
+	}
+	rt, _ := a.rt.Get(inet.AFInet6, bll[:], 128)
+	if rt.Gateway != macC {
+		t.Fatalf("entry at %v, want %v", rt.Gateway, macC)
+	}
+	want := []inet.LinkAddr{macB, macB, macB, inet.EthernetMulticast(inet.SolicitedNode(bll))}
+	if !slices.Equal(asked, want) {
+		t.Fatalf("solicits to %v, want %v", asked, want)
 	}
 }

@@ -1,11 +1,12 @@
 // Package ip is the half of the BSD IP layer that does not depend on
 // the protocol family: the interface registry, loopback and protocol
 // switch, the local-address set, path MTU, the forwarding lookup,
-// transmit, the output fragment loop, the reassembly quotas and the
-// neighbor cache that ARP and Neighbor Discovery share.  ipv4.Layer
-// and ipv6.Layer each embed a Layer and keep what differs by protocol:
+// transmit, the output fragment loop, reassembly and the neighbor
+// cache that ARP and Neighbor Discovery share.  ipv4.Layer and
+// ipv6.Layer each embed a Layer and keep what differs by protocol:
 // header codecs, options and extension headers, Output's header build,
-// ICMP errors, the reassembly input arm, the ARP or ND wire codec and
+// ICMP errors, the fragment header's parse and the rewrite of a
+// reassembled datagram's headers, the ARP or ND wire codec and
 // solicit, and what a router does with an oversized packet (§2.1-2.2).
 // It carries the paper's §5 thesis, one transport for both families,
 // one layer down.
@@ -20,7 +21,6 @@ import (
 	"bsd6/internal/mbuf"
 	"bsd6/internal/netif"
 	"bsd6/internal/proto"
-	"bsd6/internal/reasm"
 	"bsd6/internal/route"
 	"bsd6/internal/stat"
 )
@@ -51,12 +51,26 @@ type Family[A Addr] struct {
 	Solicit func(ifp *netif.Interface, target A, unicast bool)
 	// Neighbor is the neighbor cache's timing for the family.
 	Neighbor NeighborTiming
+	// AbandonOverlap is the family's overlap policy: IPv6 abandons a
+	// datagram two of whose fragments overlap, unless one is an exact
+	// duplicate of the other (RFC 5722, RFC 8200 §4.5); IPv4 keeps the
+	// bytes that arrived first, as 4.4 BSD's ip_reass trims.
+	AbandonOverlap bool
+	// MaxDatagram bounds a fragment's headers plus the offset its data
+	// ends at: the longest datagram the family's length field
+	// expresses, as fragment zero's headers arrive.
+	MaxDatagram int
 
 	// The family's counters and drop reasons the shared paths charge:
-	// a packet to a neighbor that lingers rejected is NoRouteReason, one
-	// over a full hold queue HoldFullReason, and one held for a neighbor
-	// whose resolution failed ResolveFailReason.
+	// a fragment reassembly refuses is ReasmFailReason, or
+	// ReasmOverlapReason under AbandonOverlap, a datagram a quota
+	// evicts ReasmOverflowReason and one that times out
+	// ReasmTimeoutReason; a packet to a neighbor that lingers rejected
+	// is NoRouteReason, one over a full hold queue HoldFullReason, and
+	// one held for a neighbor whose resolution failed
+	// ResolveFailReason.
 	Stats                                            *Stats
+	ReasmFailReason, ReasmOverlapReason              stat.Reason
 	ReasmOverflowReason, ReasmTimeoutReason          stat.Reason
 	NoRouteReason, HoldFullReason, ResolveFailReason stat.Reason
 }
@@ -87,23 +101,19 @@ type FragKey[A Addr] struct {
 	Proto    uint8
 }
 
-// Reassembly quota defaults: a datagram ceiling (BSD's
-// ip_maxfragpackets descendant) and a per-source share of it, so one
-// spoofed source cannot own the whole queue.
-const (
-	DefaultReasmMaxDatagrams = 256
-	DefaultReasmMaxPerSource = 16
-)
-
 // Layer is the family-independent state and paths of one IP layer.
 type Layer[A Addr] struct {
 	fam    Family[A]
 	mu     sync.Mutex
 	routes *route.Table
-	frags  *reasm.Queue[FragKey[A]]
 	ident  uint32
 	local  atomic.Pointer[localSet[A]]
 	fwd    route.ShardedCache // the forwarding path's held routes
+
+	// Datagrams under reassembly, oldest first, and the quotas on
+	// them (0: none), under mu.
+	frags                    []*reass[A]
+	reasmMax, reasmPerSource int
 
 	// The interface registry and the protocol switch are read per
 	// packet and written at configuration time.  The registry is
@@ -138,19 +148,12 @@ type protoSlot struct {
 // table.
 func NewLayer[A Addr](rt *route.Table, fam Family[A]) *Layer[A] {
 	l := &Layer[A]{
-		fam:    fam,
-		routes: rt,
-		frags:  reasm.NewQueue[FragKey[A]](30 * time.Second),
+		fam:            fam,
+		routes:         rt,
+		reasmMax:       DefaultReasmMaxDatagrams,
+		reasmPerSource: DefaultReasmMaxPerSource,
 	}
 	l.ifnet.Store(&ifnetSet{byName: map[string]*netif.Interface{}})
-	l.frags.MaxDatagrams = DefaultReasmMaxDatagrams
-	l.frags.MaxPerSource = DefaultReasmMaxPerSource
-	l.frags.SourceOf = func(k FragKey[A]) any { return k.Src }
-	l.frags.OnEvict = func(k FragKey[A], _ *reasm.Buffer) {
-		fam.Stats.ReasmOverflow.Inc()
-		fam.Stats.ReasmFails.Inc()
-		l.Drops.DropNote(fam.ReasmOverflowReason, k.Src.String()+">"+k.Dst.String())
-	}
 	return l
 }
 
@@ -506,64 +509,4 @@ func (l *Layer[A]) Fragment(pkt *mbuf.Mbuf, chunk int, send func(fm *mbuf.Mbuf, 
 		}
 	}
 	return nil
-}
-
-// SetReasmLimits tunes the reassembly quotas (0 leaves a value
-// unchanged; negative disables that quota).
-func (l *Layer[A]) SetReasmLimits(maxDatagrams, maxPerSource int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if maxDatagrams != 0 {
-		l.frags.MaxDatagrams = max(maxDatagrams, 0)
-	}
-	if maxPerSource != 0 {
-		l.frags.MaxPerSource = max(maxPerSource, 0)
-	}
-}
-
-// ReasmLimits reports the effective reassembly quotas.
-func (l *Layer[A]) ReasmLimits() (maxDatagrams, maxPerSource int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.frags.MaxDatagrams, l.frags.MaxPerSource
-}
-
-// FragQueueLen returns the number of in-progress reassemblies.
-func (l *Layer[A]) FragQueueLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.frags.Len()
-}
-
-// Reassemble adds the data of a fragment at byte offset off to its
-// datagram, and returns the datagram once complete.  The first
-// fragment of a datagram still incomplete keeps quote() and rcvIf for
-// the Time Exceeded error a reassembly timeout sends.
-func (l *Layer[A]) Reassemble(k FragKey[A], off int, more bool, data []byte, quote func() []byte, rcvIf string) ([]byte, bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	whole, done, err := l.frags.Add(k, l.routes.Now(), off, more, data)
-	if err == nil && !done && off == 0 {
-		if buf := l.frags.Get(k); buf != nil && buf.Ctx == nil {
-			buf.Ctx, buf.CtxIf = quote(), rcvIf
-		}
-	}
-	return whole, done, err
-}
-
-// ExpireReasm drops the reassemblies timed out by now and returns
-// those whose first fragment arrived, which a Time Exceeded error
-// quotes.
-func (l *Layer[A]) ExpireReasm(now time.Time) []*reasm.Buffer {
-	var quoted []*reasm.Buffer
-	l.mu.Lock()
-	n := l.frags.ExpireFunc(now, func(k FragKey[A], b *reasm.Buffer) {
-		l.Drops.DropNote(l.fam.ReasmTimeoutReason, k.Src.String()+">"+k.Dst.String())
-		if b.HasFirst() && b.Ctx != nil {
-			quoted = append(quoted, b)
-		}
-	})
-	l.mu.Unlock()
-	l.fam.Stats.ReasmFails.Add(uint64(n))
-	return quoted
 }

@@ -50,11 +50,11 @@ func (s NeighborState) String() string {
 // NeighborTiming is a family's neighbor-cache clock.
 type NeighborTiming struct {
 	Retrans      time.Duration // between two solicits
-	RejectWait   time.Duration // from the last solicit to the reject
+	RejectWait   time.Duration // from the last solicit to the reject or delete
 	MaxMulticast int           // multicast (broadcast) solicits before the reject
-	MaxUnicast   int           // unicast probes before the reject
+	MaxUnicast   int           // unicast probes before the delete
 	Reachable    time.Duration // how long a confirmation lasts; 0: for ever
-	RejectLinger time.Duration // how long a failed neighbor stays rejected
+	RejectLinger time.Duration // how long a neighbor that never resolved stays rejected
 }
 
 // Neighbor is the LLInfo of a neighbor host route: BSD's llinfo_arp
@@ -273,12 +273,15 @@ func (l *Layer[A]) NeighborState(dst A) (st NeighborState, ok bool) {
 
 // NeighborTimer is the neighbor cache's clock (arptimer, nd6_timer),
 // run from the family's tick: it ages reachable entries to stale,
-// re-solicits pending ones, and rejects those that used up their
-// tries, dropping what they held under the family's
-// ResolveFailReason.  A rejected entry is not solicited again until
-// its linger runs out and a packet needs it, so a dead neighbor costs
-// MaxMulticast solicits per linger, not one a second.
-// It returns how many resolutions failed.
+// re-solicits pending ones, rejects those that used up their
+// multicast tries, dropping what they held under the family's
+// ResolveFailReason, and deletes those whose unicast probes went
+// unanswered.  A rejected entry is not solicited again until its
+// linger runs out and a packet needs it, so a dead neighbor costs
+// MaxMulticast solicits per linger, not one a second; a deleted one
+// is solicited afresh by the next packet, so a neighbor that changed
+// its link-layer address is found again at once.
+// It returns how many resolutions and probes failed.
 func (l *Layer[A]) NeighborTimer(now time.Time) int {
 	nt := &l.fam.Neighbor
 	// Collect the entries this tick may change, so that a settled
@@ -325,6 +328,12 @@ func (l *Layer[A]) NeighborTimer(now time.Time) int {
 			}
 			since := now.Sub(n.lastSent)
 			switch {
+			case n.tries >= limit && since >= nt.RejectWait && n.state == Probe:
+				// Unanswered probes delete the neighbor (RFC 4861
+				// §7.3.3, RFC 1122's unicast poll): the next packet
+				// resolves it afresh, as it would a new one.
+				rt.Gateway, rt.LLInfo = nil, nil
+				fails = append(fails, failure{rt, 0})
 			case n.tries >= limit && since >= nt.RejectWait:
 				rt.Flags |= route.FlagReject
 				rt.Expire = now.Add(nt.RejectLinger)

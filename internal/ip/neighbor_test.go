@@ -64,6 +64,7 @@ type nbrRig interface {
 	confirm()             // an upper layer confirms the neighbor
 	state() NeighborState // the neighbor's state
 	rejected() bool       // the reject rule refuses the neighbor now
+	known() bool          // the route holds a neighbor entry
 	addNeighbor()         // a second neighbor route is added
 	resolveFast()         // the resolver's reachable path, for benchmarks
 	failResolution(t *testing.T)
@@ -143,6 +144,11 @@ func (r *rig[A]) timer() { r.failed += r.l.NeighborTimer(r.clk.Now()) }
 func (r *rig[A]) learn(confirm bool) { r.l.Learn(r.ifp, r.rt, nbrMAC, confirm) }
 func (r *rig[A]) confirm()           { r.l.Confirm(r.nbr) }
 func (r *rig[A]) rejected() bool     { return r.l.Rejected(r.rt) }
+
+func (r *rig[A]) known() bool {
+	_, ok := r.l.NeighborState(r.nbr)
+	return ok
+}
 
 func (r *rig[A]) state() NeighborState {
 	st, ok := r.l.NeighborState(r.nbr)
@@ -277,11 +283,11 @@ var neighborCases = []struct {
 				g.sent, g.solicits, r.state())
 		}
 	}},
-	{"ProbeFailureRejects", func(t *testing.T, r nbrRig) {
+	{"ProbeFailureDeletes", func(t *testing.T, r nbrRig) {
 		g := r.log()
 		stale(t, r)
 		r.send(1)
-		for i := 0; !r.rejected(); i++ {
+		for i := 0; r.known(); i++ {
 			if i == 100 {
 				t.Fatal("probe never failed")
 			}
@@ -291,8 +297,18 @@ var neighborCases = []struct {
 		if len(g.solicits) != g.nt.MaxUnicast || slices.Contains(g.solicits, false) {
 			t.Fatalf("solicits %v, want %d unicast", g.solicits, g.nt.MaxUnicast)
 		}
-		if st := r.state(); st != Incomplete || g.failed != 1 {
-			t.Fatalf("state %v, %d failed; want incomplete, 1", st, g.failed)
+		if r.rejected() || g.failed != 1 {
+			t.Fatalf("rejected %v, %d failed; want deleted, not rejected, 1", r.rejected(), g.failed)
+		}
+		// The next datagram resolves the neighbor afresh by multicast
+		// (ARP: broadcast), and its answer sends it.
+		r.send(2)
+		if r.state() != Incomplete || len(g.solicits) != g.nt.MaxUnicast+1 || g.solicits[g.nt.MaxUnicast] {
+			t.Fatalf("state %v, solicits %v; want incomplete and a multicast solicit", r.state(), g.solicits)
+		}
+		r.learn(true)
+		if !bytes.Equal(g.sent, []byte{1, 2}) {
+			t.Fatalf("sent %v, want the probed datagram and the one held after", g.sent)
 		}
 	}},
 	{"Confirm", func(t *testing.T, r nbrRig) {

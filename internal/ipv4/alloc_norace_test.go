@@ -53,3 +53,42 @@ func TestV4ForwardAllocatesOnlyItsMbuf(t *testing.T) {
 		}
 	}
 }
+
+// TestV4ReassemblyAllocatesOnlyMbufs pins a router-fragmented datagram
+// at its mbufs and one reassembly record: a 1000-byte datagram from A
+// crosses R onto B's 576-byte link in two fragments, and B links the
+// second fragment's mbuf behind the first's and delivers the datagram
+// with no payload byte copied.  The four allocations are the sender's
+// Mbuf, the router's two fragments and the record.  Built without the
+// race detector, whose instrumentation allocates.
+func TestV4ReassemblyAllocatesOnlyMbufs(t *testing.T) {
+	a, r, b := threeNodeNet(t, 576)
+	p := &pinger{}
+	p.hook(a.ic)
+	if err := a.ic.SendEcho(addrB2, 1, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "warm-up echo reply", func() bool { return p.count() >= 1 })
+	delivered := 0
+	b.l.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ proto.Meta) {
+		if pkt.Len() == 1000 {
+			delivered++
+		}
+		pkt.Free()
+	}, nil)
+	send := func() {
+		if err := a.l.Output(mbuf.Get(1000), addrA, addrB2, proto.UDP, OutputOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	frags := r.l.Stats.FragsCreated.Get()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, send)
+	if got := r.l.Stats.FragsCreated.Get() - frags; got != 2*(runs+1) || delivered != runs+2 {
+		t.Fatalf("router cut %d fragments, B delivered %d datagrams; want %d, %d", got, delivered, 2*(runs+1), runs+2)
+	}
+	if allocs != 4 {
+		t.Fatalf("%v allocations per reassembled datagram, want 4", allocs)
+	}
+}

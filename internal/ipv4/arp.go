@@ -28,8 +28,8 @@ const (
 // the last try (no RejectWait).  A resolved entry goes stale after
 // 4.4BSD's arpt_keep; its next use polls the neighbor at its cached
 // address, as RFC 1122 §2.3.2.1's unicast poll does, and a neighbor
-// that answers none of arpMaxProbes polls is rejected like one that
-// never resolved.
+// that answers none of arpMaxProbes polls is deleted, so the next
+// packet broadcasts for it afresh.
 const (
 	arpMaxTries   = 5
 	arpMaxProbes  = 2 // RFC 1122's typical MAX_RETRIES

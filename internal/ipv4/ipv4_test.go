@@ -705,9 +705,11 @@ func TestNeighborResolvesAfterLingerARP(t *testing.T) {
 
 // TestARPReresolvesChangedMAC moves the neighbor to a new link-layer
 // address after the keep time, with no gratuitous ARP: the stale entry
-// polls the old address, the polls go unanswered, and once the reject
-// lingers out a broadcast finds the new address.  An entry that never
-// aged would send to the old address for ever.
+// polls the old address, the polls go unanswered, the entry is
+// deleted, and the next datagram's broadcast finds the new address
+// one retry after the last poll.  An entry that never aged would send
+// to the old address for ever, and one rejected after its polls would
+// refuse the neighbor for the whole reject linger.
 func TestARPReresolvesChangedMAC(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(1_000_000, 0))
 	hub := netif.NewHub()
@@ -741,10 +743,10 @@ func TestARPReresolvesChangedMAC(t *testing.T) {
 			asked = append(asked, fr.Dst)
 		}
 	}
-	deadline := clk.Now().Add(arpMaxProbes*arpRetry + arpRejectLife + 2*time.Second)
+	deadline := clk.Now().Add(arpMaxProbes*arpRetry + arpRetry)
 	for seq := byte(1); len(got) == 1; seq++ {
 		if clk.Now().After(deadline) {
-			t.Fatalf("neighbor not re-resolved %v after the keep time", arpMaxProbes*arpRetry+arpRejectLife)
+			t.Fatalf("neighbor not re-resolved %v after the keep time", arpMaxProbes*arpRetry+arpRetry)
 		}
 		clk.Advance(500 * time.Millisecond)
 		a.l.SlowTimo(clk.Now())

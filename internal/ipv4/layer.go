@@ -79,7 +79,9 @@ func NewLayer(rt *route.Table) *Layer {
 		LinkDst:             linkDst,
 		Solicit:             l.arpSolicit,
 		Neighbor:            arpTiming,
+		MaxDatagram:         65535,
 		Stats:               &l.Stats.Stats,
+		ReasmFailReason:     stat.RV4ReasmFail,
 		ReasmOverflowReason: stat.RV4ReasmOverflow,
 		ReasmTimeoutReason:  stat.RV4ReasmTimeout,
 		NoRouteReason:       stat.RV4NoRoute,
@@ -235,58 +237,27 @@ func (l *Layer) Input(ifp *netif.Interface, pkt *mbuf.Mbuf) {
 // header on, that an ICMP error about it carries (and the flight
 // recorder keeps).  Only error paths call it: a delivered or forwarded
 // packet copies nothing.
-func quote(h *Header, pkt *mbuf.Mbuf) []byte {
-	return pkt.CopyRange(0, min(pkt.Len(), h.HdrLen()+icmpQuote))
+func quote(pkt *mbuf.Mbuf) []byte {
+	hl := int(pkt.PullUp(HeaderLen)[0]&0xf) * 4
+	return pkt.CopyRange(0, min(pkt.Len(), hl+icmpQuote))
 }
 
-// deliverLocal strips the IP header, reassembles fragments, and runs
-// the protocol switch.
+// deliverLocal reassembles fragments and runs the protocol switch.  A
+// reassembled datagram carries fragment zero's header, rewritten for
+// the whole datagram, so an error about it quotes that header.
 func (l *Layer) deliverLocal(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 	if h.MF || h.FragOff != 0 {
 		l.Stats.FragsReceived.Inc()
-		// Keep the leading bytes for ICMP errors before consuming.
-		errCtx := quote(h, pkt)
-		pkt.Adj(h.HdrLen())
 		key := ip.FragKey[inet.IP4]{Src: h.Src, Dst: h.Dst, ID: uint32(h.ID), Proto: h.Proto}
-		// The first fragment's leading bytes let a reassembly timeout
-		// send Time Exceeded code 1 (RFC 792).
-		data, done, err := l.Reassemble(key, h.FragOff, h.MF, pkt.CopyBytes(), func() []byte { return errCtx }, ifp.Name)
-		if err != nil {
-			l.Stats.ReasmFails.Inc()
-			l.Drops.DropPkt(stat.RV4ReasmFail, errCtx)
-			pkt.Free()
+		var hl int
+		if pkt, hl = l.Reassemble(ifp, key, pkt, h.HdrLen(), h.FragOff, h.MF); pkt == nil {
 			return
 		}
-		if !done {
-			// CopyBytes put the fragment into the reassembly buffer;
-			// this path is the packet's terminal consumer.
-			pkt.Free()
-			return
-		}
-		l.Stats.Reassembled.Inc()
-		flags := pkt.Hdr().Flags
-		pkt.Free() // rebuilt datagram owns fresh bytes
-		pkt = mbuf.NewNoCopy(data)
-		pkt.Hdr().Flags = flags &^ mbuf.MFrag
-		pkt.Hdr().RcvIf = ifp.Name
-		// The protocol switch below sees the datagram from its
-		// transport header on; a failure there quotes the first
-		// fragment's header, as the reassembled header is gone.
-		l.dispatch(ifp, h, pkt, errCtx)
-		return
+		*h = reassembled(pkt, hl)
 	}
-	l.dispatch(ifp, h, pkt, nil)
-}
-
-// dispatch runs the protocol switch.  errCtx is the quote an ICMP
-// error about the packet carries, or nil when pkt still begins with
-// its IP header, which is then stripped here.
-func (l *Layer) dispatch(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, errCtx []byte) {
 	in := l.Proto(h.Proto)
 	if in == nil {
-		if errCtx == nil {
-			errCtx = quote(h, pkt)
-		}
+		errCtx := quote(pkt)
 		l.Stats.InUnknownProt.Inc()
 		l.Drops.DropPkt(stat.RV4UnknownProt, errCtx)
 		if !h.Dst.IsMulticast() && !h.Dst.IsBroadcast() {
@@ -295,9 +266,7 @@ func (l *Layer) dispatch(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, errCtx
 		pkt.Free()
 		return
 	}
-	if errCtx == nil {
-		pkt.Adj(h.HdrLen())
-	}
+	pkt.Adj(h.HdrLen())
 	l.Stats.InDelivers.Inc()
 	in(pkt, proto.Meta{
 		Family: inet.AFInet,
@@ -306,12 +275,27 @@ func (l *Layer) dispatch(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, errCtx
 	})
 }
 
+// reassembled rewrites fragment zero's header, the first hl bytes of
+// a reassembled datagram, for the whole datagram, as ip_reass does:
+// the total length covers it, MF is clear and the checksum is new.
+func reassembled(pkt *mbuf.Mbuf, hl int) Header {
+	b := pkt.PullUp(hl)
+	b[2], b[3] = byte(pkt.Len()>>8), byte(pkt.Len())
+	b[6] &^= flagMF >> 8
+	b[10], b[11] = 0, 0
+	ck := inet.Checksum(b)
+	b[10], b[11] = byte(ck>>8), byte(ck)
+	pkt.Hdr().Flags &^= mbuf.MFrag
+	h, _, _ := Parse(b)
+	return h
+}
+
 // forward implements the router path: TTL decrement, re-checksum,
 // fragmentation if needed (IPv4 routers fragment; §2.1 counts this
 // among the work IPv6 routers shed).
 func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
 	if h.TTL <= 1 {
-		errCtx := quote(h, pkt)
+		errCtx := quote(pkt)
 		l.Drops.DropPkt(stat.RV4TTLExceeded, errCtx)
 		l.SendError(IcmpTimeExceeded, 0, 0, errCtx)
 		pkt.Free()
@@ -319,7 +303,7 @@ func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
 	}
 	hop := l.ForwardRoute(h.Dst[:])
 	if hop.Ifp == nil {
-		errCtx := quote(h, pkt)
+		errCtx := quote(pkt)
 		l.Stats.OutNoRoute.Inc()
 		l.Drops.DropPkt(stat.RV4NoRoute, errCtx)
 		if hop.Route == nil {
@@ -334,7 +318,7 @@ func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
 	mtu := hop.PathMTU()
 	if pkt.Len() > mtu { // pkt still carries the IP header here
 		if h.DF {
-			l.SendError(IcmpUnreach, CodeFragNeeded, mtu, quote(h, pkt))
+			l.SendError(IcmpUnreach, CodeFragNeeded, mtu, quote(pkt))
 			pkt.Free()
 			return
 		}
@@ -362,10 +346,10 @@ func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
 // SlowTimo drives timeouts: reassembly expiry and ARP retries. The
 // stack calls it every 500ms, as BSD's pr_slowtimo runs. Expired
 // reassemblies whose first fragment arrived elicit Time Exceeded code
-// 1, as ip_freef's caller does in BSD.
+// 1, as ip_freef's caller does in BSD, quoting that fragment.
 func (l *Layer) SlowTimo(now time.Time) {
-	for _, b := range l.ExpireReasm(now) {
-		l.SendError(IcmpTimeExceeded, 1, 0, b.Ctx)
-	}
+	l.ExpireReasm(now, func(first *mbuf.Mbuf) {
+		l.SendError(IcmpTimeExceeded, 1, 0, quote(first))
+	})
 	l.NeighborTimer(now)
 }

@@ -205,7 +205,11 @@ func NewLayer(rt *route.Table) *Layer {
 			Reachable:    NDReachable,
 			RejectLinger: NDRejectLinger,
 		},
+		AbandonOverlap:      true,
+		MaxDatagram:         HeaderLen + 65535 + FragHeaderLen,
 		Stats:               &l.Stats.Stats,
+		ReasmFailReason:     stat.RV6ReasmFail,
+		ReasmOverlapReason:  stat.RV6ReasmOverlap,
 		ReasmOverflowReason: stat.RV6ReasmOverflow,
 		ReasmTimeoutReason:  stat.RV6ReasmTimeout,
 		NoRouteReason:       stat.RV6NoRoute,
@@ -745,13 +749,7 @@ func (l *Layer) process(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, depth i
 			}
 			_ = cont
 		case proto.Fragment:
-			// The header before the fragment header holds the
-			// next-header byte the reassembled datagram rewrites.
-			nhOff := 6
-			if i > 0 {
-				nhOff = ext[i-1].Offset
-			}
-			l.processFragment(ifp, h, pkt, rec, nhOff, depth)
+			l.processFragment(ifp, h, pkt, rec, depth)
 			return
 		case proto.AH:
 			if l.SecIn == nil {
@@ -913,10 +911,10 @@ func (l *Layer) processRouting(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, 
 	return true, false
 }
 
-// processFragment feeds the reassembly queue; a completed datagram is
-// rebuilt and reprocessed.  nhOff is the offset of the next-header
-// byte that points at the fragment header.
-func (l *Layer) processFragment(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, rec HeaderRec, nhOff, depth int) {
+// processFragment hands a fragment to reassembly and reprocesses the
+// datagram it completes, or the atomic fragment that is a datagram of
+// its own (RFC 6946).
+func (l *Layer) processFragment(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, rec HeaderRec, depth int) {
 	l.Stats.FragsReceived.Inc()
 	b := pkt.Bytes()
 	fh, err := ParseFrag(b[rec.Offset : rec.Offset+rec.Len])
@@ -927,34 +925,31 @@ func (l *Layer) processFragment(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf,
 		return
 	}
 	key := ip.FragKey[inet.IP6]{Src: h.Src, Dst: h.Dst, ID: fh.ID}
-	// The first fragment's leading bytes let a reassembly timeout
-	// quote it in the Time Exceeded error (RFC 2460 §4.5).
-	quote := func() []byte { return append([]byte(nil), b[:min(len(b), MinMTU)]...) }
-	data, done, err := l.Reassemble(key, fh.Off, fh.More, b[rec.Offset+FragHeaderLen:], quote, ifp.Name)
-	if err != nil {
-		l.Stats.ReasmFails.Inc()
-		l.Drops.DropPkt(stat.RV6ReasmFail, b)
-		pkt.Free()
-		return
+	if pkt, hdr := l.Reassemble(ifp, key, pkt, rec.Offset+FragHeaderLen, fh.Off, fh.More); pkt != nil {
+		l.input(ifp, unfragment(pkt, hdr), depth+1)
 	}
-	if !done {
-		// The fragment's bytes were copied into the reassembly buffer;
-		// this path is the packet's terminal consumer.
-		pkt.Free()
-		return
+}
+
+// unfragment takes out the fragment header that ends hdr bytes into a
+// reassembled datagram, in place, as KAME's frag6_input does: the
+// unfragmentable headers before it move up over it, the next-header
+// byte that pointed at it takes its next header, and the payload
+// length covers the datagram (RFC 8200 §4.5).
+func unfragment(pkt *mbuf.Mbuf, hdr int) *mbuf.Mbuf {
+	b := pkt.PullUp(hdr)
+	frag := hdr - FragHeaderLen
+	nh := 6
+	for off := HeaderLen; off < frag; {
+		nh, off = off, off+extHeaderLen(b[nh], b[off:])
 	}
-	l.Stats.Reassembled.Inc()
-	// Rebuild: headers up to (not including) the fragment header, the
-	// preceding next-header pointer patched, then the assembled data.
-	prefix := append([]byte(nil), b[:rec.Offset]...)
-	prefix[nhOff] = fh.NextHdr
-	plen := len(prefix) - HeaderLen + len(data)
-	prefix[4], prefix[5] = byte(plen>>8), byte(plen)
-	whole := mbuf.NewNoCopy(append(prefix, data...))
-	whole.Hdr().Flags = pkt.Hdr().Flags &^ mbuf.MFrag
-	whole.Hdr().RcvIf = ifp.Name
-	pkt.Free() // rebuilt datagram owns fresh bytes
-	l.input(ifp, whole, depth+1)
+	b[nh] = b[frag]
+	copy(b[FragHeaderLen:], b[:frag])
+	pkt.Adj(FragHeaderLen)
+	b = b[FragHeaderLen:]
+	plen := pkt.Len() - HeaderLen
+	b[4], b[5] = byte(plen>>8), byte(plen)
+	pkt.Hdr().Flags &^= mbuf.MFrag
+	return pkt
 }
 
 // forward is the router path: hop-limit decrement and retransmission.
@@ -1018,13 +1013,14 @@ func (l *Layer) sendErr(kind int, code uint8, param uint32, orig *mbuf.Mbuf, rcv
 
 // SlowTimo drives periodic work (reassembly expiry). The paper's
 // footnote said no Time Exceeded could be sent for reassembly timeouts
-// because the offending packet was gone; we keep the first fragment on
-// the buffer, so the error goes out with code 1 (fragment reassembly
-// time exceeded) exactly when fragment zero arrived, per RFC 2460
-// §4.5. Timeouts where the first fragment never showed stay silent —
-// the error must quote the offender's header, which we never saw.
+// because the offending packet was gone; reassembly holds fragment
+// zero as it arrived, so the error goes out with code 1 (fragment
+// reassembly time exceeded) quoting it exactly when it arrived, per
+// RFC 2460 §4.5. Timeouts where the first fragment never showed stay
+// silent — the error must quote the offender's header, which we never
+// saw.
 func (l *Layer) SlowTimo(now time.Time) {
-	for _, b := range l.ExpireReasm(now) {
-		l.sendErr(ErrTimeExceeded, 1, 0, mbuf.New(b.Ctx), b.CtxIf)
-	}
+	l.ExpireReasm(now, func(first *mbuf.Mbuf) {
+		l.sendErr(ErrTimeExceeded, 1, 0, first, first.Hdr().RcvIf)
+	})
 }

@@ -115,6 +115,10 @@ const (
 	RArpResolveFailed // ARP resolution used up its requests
 	RNDResolveFailed  // Neighbor Discovery used up its solicitations
 
+	// IPv6 reassembly policy (RFC 5722): fragments that overlap
+	// abandon their datagram.
+	RV6ReasmOverlap // overlapping fragments abandoned an IPv6 datagram
+
 	reasonCount // sentinel: number of reasons, keep last
 )
 
@@ -191,6 +195,8 @@ var reasonNames = [reasonCount]string{
 
 	RArpResolveFailed: "arp-resolve-failed",
 	RNDResolveFailed:  "nd-resolve-failed",
+
+	RV6ReasmOverlap: "ip6-reasm-overlap",
 }
 
 // String returns the reason's stable snapshot key.
