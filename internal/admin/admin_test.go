@@ -5,15 +5,19 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"bsd6/internal/core"
 	"bsd6/internal/inet"
 	"bsd6/internal/netif"
+	"bsd6/internal/vclock"
 )
 
 func testStack(t *testing.T) *core.Stack {
 	t.Helper()
-	s := core.NewStack("a1", core.Options{NoTimers: true})
+	// A virtual clock that is never advanced: the stack's timers
+	// never fire, so every answer reads the configured state.
+	s := core.NewStack("a1", core.Options{Clock: vclock.NewVirtual(time.Unix(1_000_000, 0))})
 	t.Cleanup(s.Close)
 	hub := netif.NewHub()
 	ifp := s.AttachLink(hub, inet.LinkAddr{2, 0, 0, 0, 0, 1}, 1500)

@@ -18,8 +18,10 @@
 package conformance
 
 import (
+	"encoding/binary"
 	"time"
 
+	"bsd6/internal/icmp6"
 	"bsd6/internal/inet"
 	"bsd6/internal/ipv4"
 	"bsd6/internal/ipv6"
@@ -57,6 +59,10 @@ type Net struct {
 	// exact type/code transmitted).
 	Errors6 []IcmpErr
 	Errors4 []IcmpErr
+	// Params6 records the parameter field (a Parameter Problem's
+	// pointer) of each ICMPv6 error the receiver put on the wire,
+	// sniffed on the hub.
+	Params6 []uint32
 
 	llA, llB inet.IP6
 	v4A, v4B inet.IP4
@@ -87,6 +93,15 @@ func NewNet() *Net {
 		n.Errors6 = append(n.Errors6, IcmpErr{typ, code})
 	}
 	n.Hub.Capture = func(fr netif.Frame) {
+		if fr.EtherType == netif.EtherTypeIPv6 {
+			b := fr.Payload.Bytes()
+			h, err := ipv6.Parse(b)
+			if err == nil && h.Src == n.llB && h.NextHdr == proto.ICMPv6 &&
+				len(b) >= ipv6.HeaderLen+8 && icmp6.IsError(b[ipv6.HeaderLen]) {
+				n.Params6 = append(n.Params6, binary.BigEndian.Uint32(b[ipv6.HeaderLen+4:]))
+			}
+			return
+		}
 		if fr.EtherType != netif.EtherTypeIPv4 {
 			return
 		}

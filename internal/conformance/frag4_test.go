@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bsd6/internal/ipv4"
+	"bsd6/internal/stat"
 )
 
 func TestV4OverlapFirstArrivalWins(t *testing.T) {
@@ -90,4 +91,24 @@ func TestV4ProtoUnreachAfterReassembly(t *testing.T) {
 			t.Fatalf("order %v: Reassembled = %d, want 1", order, got)
 		}
 	}
+}
+
+func TestV4UnalignedFragment(t *testing.T) {
+	// A fragment that is not the last must be a multiple of 8 bytes
+	// long: a 12-byte first fragment is discarded at once, as
+	// FreeBSD's ip_reass does, so no Time Exceeded quotes it later;
+	// the tail opens a datagram that expires silently.
+	n := NewNet()
+	d := Pattern(0x61, 24)
+	n.Inject4(Frag4{Off: 0, More: true, ID: 25, Data: d[0:12]})
+	n.Inject4(Frag4{Off: 16, More: false, ID: 25, Data: d[16:24]})
+	if got := n.B.Drops.Reasons.Get(stat.RV4FragUnaligned); got != 1 {
+		t.Fatalf("%v drops = %d, want 1", stat.RV4FragUnaligned, got)
+	}
+	if got := n.B.V4.FragQueueLen(); got != 1 {
+		t.Fatalf("FragQueueLen = %d, want 1 (the tail alone)", got)
+	}
+	n.ExpireReassembly()
+	wantDelivered(t, n.Delivered4)
+	wantErrors(t, n.Errors4)
 }

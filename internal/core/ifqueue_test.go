@@ -42,8 +42,8 @@ func queueFrame(producer byte, seq uint32) netif.Frame {
 	return netif.Frame{EtherType: netif.EtherTypeIPv6, Payload: mbuf.New(b)}
 }
 
-// waitUntil polls cond on the wall clock; the stack here runs no
-// timers, so nothing needs the virtual clock to move.
+// waitUntil polls cond on the wall clock; the stack's timers wait on
+// a virtual clock nobody advances, so nothing needs it to move.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -65,7 +65,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func TestNetisrQueueHandoff(t *testing.T) {
 	base := mbuf.Outstanding()
 	clk := &countingClock{Virtual: vclock.NewVirtual(time.Unix(1_000_000, 0))}
-	s := NewStack("q", Options{Clock: clk, NoTimers: true})
+	s := NewStack("q", Options{Clock: clk})
 	defer s.Close()
 
 	const producers, perProducer, window = 4, 3000, 64

@@ -184,11 +184,7 @@ func (s *Stack) ProtoStats() string {
 		{"nd-cache", lim.NDCache}, {"syn-backlog", lim.SynBacklog},
 		{"time-wait", lim.TimeWait}, {"mbuf-queue", lim.MbufQueue},
 	} {
-		max := fmt.Sprint(l.ls.Max)
-		if l.ls.Max == 0 {
-			max = "inf"
-		}
-		fmt.Fprintf(&b, " %s=%d/%s(%d)", l.name, l.ls.Cur, max, l.ls.Drops)
+		fmt.Fprintf(&b, " %s=%d/%d(%d)", l.name, l.ls.Cur, l.ls.Max, l.ls.Drops)
 	}
 	fmt.Fprintf(&b, " pool-outstanding=%dB\n", lim.PoolOutstanding)
 	if len(snap.Reasons) > 0 {

@@ -8,8 +8,11 @@ import (
 
 	"bsd6/internal/dump"
 	"bsd6/internal/inet"
+	"bsd6/internal/ip"
 	"bsd6/internal/mbuf"
+	"bsd6/internal/route"
 	"bsd6/internal/stat"
+	"bsd6/internal/tcp"
 	"bsd6/internal/tunnel"
 )
 
@@ -38,9 +41,10 @@ type NetisrSnapshot struct {
 	Frames  uint64 `json:"frames"`  // frames the netisr dispatched
 }
 
-// LimitSnapshot describes one governance ceiling: the configured
-// maximum (0 = unlimited), the current occupancy, how many discards
-// the limit has induced, and the taxonomy name those discards carry.
+// LimitSnapshot describes one governance ceiling: its constant
+// maximum, the current occupancy, how many discards the limit has
+// induced, and the taxonomy name those discards carry (both empty for
+// a ceiling that discards nothing).
 type LimitSnapshot struct {
 	Max    int    `json:"max"`
 	Cur    int    `json:"cur"`
@@ -49,10 +53,10 @@ type LimitSnapshot struct {
 }
 
 // LimitsSnapshot is the stack's resource-governance surface: every
-// tunable ceiling from Options with its live occupancy and induced
-// drops, so an operator (or a flood-soak test) can read "how close to
-// the edge" without groping through per-protocol counters.  MbufQueue
-// is measured in bytes; the others in entries.
+// ceiling with its live occupancy and induced drops, so an operator
+// (or a flood-soak test) can read "how close to the edge" without
+// groping through per-protocol counters.  MbufQueue is measured in
+// bytes; the others in entries.
 type LimitsSnapshot struct {
 	Reasm6     LimitSnapshot `json:"reasm6"`
 	Reasm4     LimitSnapshot `json:"reasm4"`
@@ -213,42 +217,38 @@ func (s *Stack) Snapshot() Snapshot {
 // reads take the per-subsystem locks briefly; like the counters, the
 // result is per-limit consistent, not a cross-limit atomic view.
 func (s *Stack) limitsSnapshot() LimitsSnapshot {
-	max6, _ := s.V6.ReasmLimits()
-	max4, _ := s.V4.ReasmLimits()
 	return LimitsSnapshot{
 		Reasm6: LimitSnapshot{
-			Max:    max6,
+			Max:    ip.DefaultReasmMaxDatagrams,
 			Cur:    s.V6.FragQueueLen(),
 			Drops:  s.V6.Stats.ReasmOverflow.Get(),
 			Reason: stat.RV6ReasmOverflow.String(),
 		},
 		Reasm4: LimitSnapshot{
-			Max:    max4,
+			Max:    ip.DefaultReasmMaxDatagrams,
 			Cur:    s.V4.FragQueueLen(),
 			Drops:  s.V4.Stats.ReasmOverflow.Get(),
 			Reason: stat.RV4ReasmOverflow.String(),
 		},
 		NDCache: LimitSnapshot{
-			Max: s.RT.MaxNeighbors,
+			Max: route.DefaultNDCacheMax,
 			Cur: s.RT.NeighborCount(inet.AFInet6) +
 				s.RT.NeighborCount(inet.AFInet),
 			Drops:  s.RT.NbrEvictions.Get(),
 			Reason: stat.RNbrCacheEvicted.String(),
 		},
 		SynBacklog: LimitSnapshot{
-			Max:    s.TCP.SynBacklogLimit(),
-			Cur:    s.TCP.SynBacklogLen(),
-			Drops:  s.TCP.Stats.SynDrops.Get(),
-			Reason: stat.RTCPSynOverflow.String(),
+			Max: tcp.DefaultSynBacklog,
+			Cur: s.TCP.SynBacklogLen(),
 		},
 		TimeWait: LimitSnapshot{
-			Max:    s.TCP.TimeWaitLimit(),
+			Max:    tcp.DefaultTimeWaitMax,
 			Cur:    s.TCP.TimeWaitCount(),
 			Drops:  s.TCP.Stats.TimeWaitOverflow.Get(),
 			Reason: stat.RTCPTimeWaitOverflow.String(),
 		},
 		MbufQueue: LimitSnapshot{
-			Max:    s.mbufLimit,
+			Max:    DefaultMbufLimit,
 			Cur:    int(s.inqBytes.Load()),
 			Drops:  s.MbufDrops.Get(),
 			Reason: stat.RMbufLimit.String(),

@@ -54,6 +54,7 @@ type Sockaddr6 struct {
 	Addr     inet.IP6
 }
 
+// String formats the address as "[addr]:port".
 func (sa Sockaddr6) String() string {
 	return fmt.Sprintf("[%s]:%d", sa.Addr, sa.Port)
 }

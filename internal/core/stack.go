@@ -68,10 +68,9 @@ type Stack struct {
 	wakeups, frames stat.Counter
 
 	// MbufDrops counts frames refused by the queued-byte ceiling
-	// (Options.MbufLimit) — the backpressure that keeps a flood from
+	// (DefaultMbufLimit) — the backpressure that keeps a flood from
 	// ballooning mbuf memory behind a slow netisr.
 	MbufDrops stat.Counter
-	mbufLimit int          // bytes of payload the input queue may hold
 	inqBytes  atomic.Int64 // payload bytes currently queued
 
 	// Batched datapath state: burst is the netisr's dispatch chunk;
@@ -118,58 +117,21 @@ type ifqueue struct {
 	wake   chan struct{} // one slot: at most one wakeup is owed
 }
 
-// Options configures stack construction.
+// Options configures stack construction.  Every resource ceiling is
+// a constant in the module that enforces it, as 4.4BSD fixes
+// ifqmaxlen and somaxconn in code; only the time source is chosen.
 type Options struct {
-	// NoTimers disables the periodic protocol timers; tests and
-	// benchmarks then drive Tick themselves.
-	NoTimers bool
 	// Clock is the stack's time source. Default: the real clock. Tests
 	// pass a vclock.Virtual to run protocol timers, socket deadlines
 	// and route/key expiry on simulated time.
 	Clock vclock.Clock
-
-	// Resource-governance ceilings.  Each follows the same convention:
-	// 0 selects the default, negative disables the limit entirely.
-	// Every induced discard carries a typed drop reason (see DESIGN.md
-	// "Limits & overload control" for the full table).
-
-	// ReasmMaxDatagrams caps in-progress reassemblies per IP layer
-	// (default ip.DefaultReasmMaxDatagrams); overflow evicts the
-	// oldest datagram with ip6-reasm-overflow / ip4-reasm-overflow.
-	ReasmMaxDatagrams int
-	// ReasmMaxPerSource caps in-progress reassemblies per source
-	// address (default ip.DefaultReasmMaxPerSource).
-	ReasmMaxPerSource int
-	// NDCacheMax caps dynamic neighbor host routes per family
-	// (default DefaultNDCacheMax); overflow evicts unreachable-first
-	// then LRU with nd-cache-evicted, never a Router Discovery router.
-	NDCacheMax int
-	// SynBacklogMax caps embryonic TCP connections per listener
-	// (default tcp.DefaultSynBacklog); overflow drops the oldest with
-	// tcp-syn-overflow.
-	SynBacklogMax int
-	// SynCookies makes listeners go stateless once the SYN backlog is
-	// full: SYNs beyond the cap are answered with a cookie SYN-ACK
-	// (the ISN encodes the hashed tuple, coarse time and MSS class)
-	// and the connection is rebuilt from the completing ACK.
-	SynCookies bool
-	// TimeWaitMax caps the compressed TIME_WAIT table (default
-	// tcp.DefaultTimeWaitMax); overflow evicts the record closest to
-	// expiry with tcp-time-wait-overflow.
-	TimeWaitMax int
-	// MbufLimit caps the payload bytes held in the netisr input
-	// queue (default DefaultMbufLimit); past it, input frames are
-	// refused with mbuf-limit and freed back to the pool instead of
-	// accumulating unboundedly behind a slow consumer.
-	MbufLimit int
 }
 
-// Defaults for the governance ceilings whose home is the stack
-// assembly rather than a protocol package.
 const (
-	// DefaultNDCacheMax bounds each family's dynamic neighbor cache.
-	DefaultNDCacheMax = 512
-	// DefaultMbufLimit bounds netisr-queued payload bytes (4 MiB).
+	// DefaultMbufLimit bounds the payload bytes held in the netisr
+	// input queue (4 MiB); past it, input frames are refused with
+	// mbuf-limit and freed back to the pool instead of accumulating
+	// behind a slow netisr.
 	DefaultMbufLimit = 4 << 20
 	// burstSize is the frames the netisr dispatches per chunk, the
 	// unit of its GRO flush and its queue-accounting settle.
@@ -179,19 +141,6 @@ const (
 	// ifqmaxlen, rather than the queue growing behind a slow netisr.
 	inputQueueLen = 512
 )
-
-// limitOpt resolves a governance tunable: positive is taken as-is,
-// 0 selects the default, negative disables (returns 0, which every
-// enforcement site reads as "unlimited").
-func limitOpt(v, def int) int {
-	switch {
-	case v > 0:
-		return v
-	case v < 0:
-		return 0
-	}
-	return def
-}
 
 // NewStack builds and starts a stack.
 func NewStack(name string, opts Options) *Stack {
@@ -218,14 +167,10 @@ func newStack(name string, opts Options, unbatched bool) *Stack {
 	s.Drops = stat.NewRecorder(traceRingSize)
 	s.Drops.Now = s.clock.Now
 	rt.Drops = s.Drops
-	rt.MaxNeighbors = limitOpt(opts.NDCacheMax, DefaultNDCacheMax)
-	s.mbufLimit = limitOpt(opts.MbufLimit, DefaultMbufLimit)
 	s.V4 = ipv4.NewLayer(rt)
 	s.V6 = ipv6.NewLayer(rt)
 	s.V4.Drops = s.Drops
 	s.V6.Drops = s.Drops
-	s.V4.SetReasmLimits(opts.ReasmMaxDatagrams, opts.ReasmMaxPerSource)
-	s.V6.SetReasmLimits(opts.ReasmMaxDatagrams, opts.ReasmMaxPerSource)
 	s.ICMP4 = ipv4.AttachICMP(s.V4)
 	s.ICMP6 = icmp6.Attach(s.V6)
 	s.Keys = key.NewEngine()
@@ -237,9 +182,6 @@ func newStack(name string, opts Options, unbatched bool) *Stack {
 	s.TCP = tcp.New(s.V4, s.V6)
 	s.UDP.Drops = s.Drops
 	s.TCP.Drops = s.Drops
-	s.TCP.SynBacklogMax = opts.SynBacklogMax
-	s.TCP.SynCookies = opts.SynCookies
-	s.TCP.TimeWaitMax = opts.TimeWaitMax
 
 	// Wire the cross-module relationships the paper describes.
 	s.UDP.InputPolicy = s.Sec.InputPolicy
@@ -271,7 +213,7 @@ func newStack(name string, opts Options, unbatched bool) *Stack {
 	if unbatched {
 		s.burst = 1
 	} else {
-		s.gro = s.TCP.NewGRO(tcp.DefaultGROMax)
+		s.gro = s.TCP.NewGRO()
 	}
 
 	// Loopback.
@@ -284,9 +226,7 @@ func newStack(name string, opts Options, unbatched bool) *Stack {
 	s.wg.Add(1)
 	go s.netisr()
 
-	if !opts.NoTimers {
-		s.startTimers()
-	}
+	s.startTimers()
 	return s
 }
 
@@ -349,7 +289,7 @@ func (s *Stack) enqueue(ifp *netif.Interface, fr netif.Frame) {
 		return
 	}
 	n := fr.Payload.Len()
-	if s.mbufLimit > 0 && s.inqBytes.Load()+int64(n) > int64(s.mbufLimit) {
+	if s.inqBytes.Load()+int64(n) > DefaultMbufLimit {
 		s.MbufDrops.Inc()
 		s.Drops.DropNote(stat.RMbufLimit, ifp.Name)
 		fr.Payload.Free()
@@ -571,17 +511,6 @@ func (s *Stack) every(d time.Duration, fn func(now time.Time)) {
 	}
 	s.ttimer[idx] = s.clock.AfterFunc(d, arm)
 	s.tmu.Unlock()
-}
-
-// Tick drives every timer once with the given time; for tests and
-// benchmarks running with NoTimers.
-func (s *Stack) Tick(now time.Time) {
-	s.TCP.FastTimo()
-	s.TCP.SlowTimo()
-	s.V4.SlowTimo(now)
-	s.V6.SlowTimo(now)
-	s.ICMP6.FastTimo(now)
-	s.Keys.SlowTimo()
 }
 
 //

@@ -33,6 +33,10 @@ var lintedPackages = []string{
 	"../ipsec",
 	"../key",
 	"../ip",
+	"../core",
+	"../route",
+	"../icmp6",
+	"../tcp",
 }
 
 func TestExportedIdentifiersAreDocumented(t *testing.T) {

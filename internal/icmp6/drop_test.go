@@ -96,32 +96,34 @@ func TestSendErrorRateLimited(t *testing.T) {
 	rec := stat.NewRecorder(256)
 	rec.Now = clk.Now
 	a.l.Drops = rec
-	a.m.ErrPPS = 5
 	all, bll := a.linkLocal(0), b.linkLocal(0)
 
-	// Storm: 20 offending packets at the same virtual instant.
+	// Storm: 1.5 s worth of offending packets at the same virtual
+	// instant.
+	const storm = DefaultErrPPS * 3 / 2
+	const limited = storm - DefaultErrPPS
 	orig := forgeInner(bll, all, proto.UDP, 8)
 	out0 := a.m.Stats.OutErrors.Get()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < storm; i++ {
 		a.m.SendError(TypeDstUnreach, UnreachPort, 0, mbuf.New(orig), aif.Name)
 	}
-	if got := a.m.Stats.OutErrors.Get() - out0; got != 5 {
-		t.Fatalf("errors sent during storm = %d, want 5 (ErrPPS)", got)
+	if got := a.m.Stats.OutErrors.Get() - out0; got != DefaultErrPPS {
+		t.Fatalf("errors sent during storm = %d, want %d (DefaultErrPPS)", got, DefaultErrPPS)
 	}
-	if got := a.m.Stats.RateLimited.Get(); got != 15 {
-		t.Fatalf("RateLimited = %d, want 15", got)
+	if got := a.m.Stats.RateLimited.Get(); got != limited {
+		t.Fatalf("RateLimited = %d, want %d", got, limited)
 	}
-	if got := rec.Reasons.Get(stat.RICMP6RateLimited); got != 15 {
-		t.Fatalf("icmp6-rate-limited reason = %d, want 15", got)
+	if got := rec.Reasons.Get(stat.RICMP6RateLimited); got != limited {
+		t.Fatalf("icmp6-rate-limited reason = %d, want %d", got, limited)
 	}
 
 	// A virtual second later the bucket has refilled.
 	clk.Advance(time.Second)
 	a.m.SendError(TypeDstUnreach, UnreachPort, 0, mbuf.New(orig), aif.Name)
-	if got := a.m.Stats.OutErrors.Get() - out0; got != 6 {
-		t.Fatalf("error after refill not sent: total %d, want 6", got)
+	if got := a.m.Stats.OutErrors.Get() - out0; got != DefaultErrPPS+1 {
+		t.Fatalf("error after refill not sent: total %d, want %d", got, DefaultErrPPS+1)
 	}
-	if got := a.m.Stats.RateLimited.Get(); got != 15 {
+	if got := a.m.Stats.RateLimited.Get(); got != limited {
 		t.Fatalf("RateLimited moved after refill: %d", got)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestNeighborCacheCapSkipsRouters floods a host's neighbor cache past
-// its cap and asserts the governance contract: the count never exceeds
+// route.DefaultNDCacheMax and asserts the governance contract: the count never exceeds
 // the cap, every induced eviction carries the nd-cache-evicted reason,
 // and the Router-Discovery-learned router is never the victim — losing
 // the default router to a cache spray would sever all off-link
@@ -22,7 +22,6 @@ func TestNeighborCacheCapSkipsRouters(t *testing.T) {
 	a, r := newNode("a"), newNode("r")
 	drops := stat.NewRecorder(64)
 	a.rt.Drops = drops
-	a.rt.MaxNeighbors = 3
 	aIf := a.join(hub, macA, 1500)
 	rIf := r.join(hub, macR, 1500)
 
@@ -41,40 +40,44 @@ func TestNeighborCacheCapSkipsRouters(t *testing.T) {
 		t.Fatalf("neighbor count after RA = %d, want 1", n)
 	}
 
-	// Cache spray: 8 distinct on-link sources announce themselves via
-	// the NS learning path. The cap must hold throughout and the
-	// router must survive every eviction round.
+	// Cache spray: distinct on-link sources announce themselves via
+	// the NS learning path, past the cap. The cap must hold
+	// throughout and the router must survive every eviction round.
+	const limit, sprayed = route.DefaultNDCacheMax, route.DefaultNDCacheMax + 8
 	sprayAddr := func(i int) inet.IP6 { return ip6(t, fmt.Sprintf("fe80::bad:%x", i)) }
-	for i := 1; i <= 8; i++ {
-		a.m.learnNeighbor(aIf, sprayAddr(i), inet.LinkAddr{2, 0, 0, 0, 1, byte(i)}, false)
-		if n := a.rt.NeighborCount(inet.AFInet6); n > 3 {
-			t.Fatalf("spray %d: neighbor count %d exceeds cap 3", i, n)
+	sprayMAC := func(i int) inet.LinkAddr { return inet.LinkAddr{2, 0, 0, 0, byte(i >> 8), byte(i)} }
+	for i := 1; i <= sprayed; i++ {
+		a.m.learnNeighbor(aIf, sprayAddr(i), sprayMAC(i), false)
+		if n := a.rt.NeighborCount(inet.AFInet6); n > limit {
+			t.Fatalf("spray %d: neighbor count %d exceeds cap %d", i, n, limit)
 		}
 		if _, ok := a.m.NeighborState(rLL); !ok {
 			t.Fatalf("spray %d evicted the pinned router", i)
 		}
 	}
-	// Cap 3, one pinned router, 8 sprayed: 6 must have been evicted.
-	if got := a.rt.NbrEvictions.Get(); got != 6 {
-		t.Fatalf("NbrEvictions = %d, want 6", got)
+	// One pinned router and the sprayed hosts share the cap: the
+	// oldest sprayed hosts were evicted, one each.
+	const evicted = 1 + sprayed - limit
+	if got := a.rt.NbrEvictions.Get(); got != evicted {
+		t.Fatalf("NbrEvictions = %d, want %d", got, evicted)
 	}
-	if got := drops.Reasons.Snapshot()[stat.RNbrCacheEvicted.String()]; got != 6 {
-		t.Fatalf("%s drops = %d, want 6", stat.RNbrCacheEvicted, got)
+	if got := drops.Reasons.Snapshot()[stat.RNbrCacheEvicted.String()]; got != evicted {
+		t.Fatalf("%s drops = %d, want %d", stat.RNbrCacheEvicted, got, evicted)
 	}
 
 	// Unreachable-first policy: mark the most recently used survivor
 	// RTF_REJECT; the next admission must pick it over the LRU victim.
-	a7, a8 := sprayAddr(7), sprayAddr(8)
-	rt8, ok := a.rt.Get(inet.AFInet6, a8[:], 128)
+	lru, mru := sprayAddr(evicted+1), sprayAddr(sprayed)
+	rtMRU, ok := a.rt.Get(inet.AFInet6, mru[:], 128)
 	if !ok {
-		t.Fatal("survivor fe80::bad:8 missing")
+		t.Fatalf("survivor %s missing", mru)
 	}
-	a.rt.Mutate(func() { rt8.Flags |= route.FlagReject })
-	a.m.learnNeighbor(aIf, sprayAddr(9), inet.LinkAddr{2, 0, 0, 0, 1, 9}, false)
-	if _, still := a.rt.Get(inet.AFInet6, a8[:], 128); still {
+	a.rt.Mutate(func() { rtMRU.Flags |= route.FlagReject })
+	a.m.learnNeighbor(aIf, sprayAddr(sprayed+1), sprayMAC(sprayed+1), false)
+	if _, still := a.rt.Get(inet.AFInet6, mru[:], 128); still {
 		t.Fatal("RTF_REJECT entry survived eviction round")
 	}
-	if _, still := a.rt.Get(inet.AFInet6, a7[:], 128); !still {
+	if _, still := a.rt.Get(inet.AFInet6, lru[:], 128); !still {
 		t.Fatal("reachable LRU entry evicted despite an unreachable candidate")
 	}
 }

@@ -117,22 +117,14 @@ type Module struct {
 	// Router-side multicast membership cache (learned from Reports).
 	members map[groupKey]time.Time
 
-	// MinPMTU clamps Packet Too Big updates.  It defaults to the IPv6
-	// minimum link MTU (RFC 1981/2460: no conforming path is smaller),
-	// so a forged PTB cannot shrink a path — and TCP's derived MSS —
-	// below 1280.
-	MinPMTU int
-
-	// ErrPPS bounds outbound error messages per second (RFC 1885
-	// §2.4(f): a node SHOULD limit the rate of error messages it
-	// originates, or a corruption storm is amplified 1:1).  Zero means
-	// DefaultErrPPS; negative disables limiting.
-	ErrPPS    int
+	// The outbound-error token bucket (see DefaultErrPPS).
 	errTokens float64
 	errLast   time.Time
 }
 
-// DefaultErrPPS is the default outbound error-message budget.
+// DefaultErrPPS bounds outbound error messages per second (RFC 1885
+// §2.4(f): a node SHOULD limit the rate of error messages it
+// originates, or a corruption storm is amplified 1:1).
 const DefaultErrPPS = 100
 
 // Attach creates the module, registers it in the IPv6 protocol switch,
@@ -144,7 +136,6 @@ func Attach(l *ipv6.Layer) *Module {
 		raAt:    make(map[string]time.Time),
 		dad:     make(map[inet.IP6]*dadState),
 		routers: make(map[inet.IP6]time.Time),
-		MinPMTU: ipv6.MinMTU,
 	}
 	l.Register(proto.ICMPv6, m.input, nil)
 	l.Error = m.LayerError
@@ -253,13 +244,11 @@ func (m *Module) LayerError(kind int, code uint8, param uint32, orig *mbuf.Mbuf,
 }
 
 // SendPTB emits a Packet Too Big about orig advertising the given
-// MTU, clamped at the module's minimum (MinPMTU) so no sender — the
+// MTU, clamped at the IPv6 minimum link MTU so no sender — the
 // tunnel nested-PMTU translator included — can advertise a path below
 // what every IPv6 link guarantees.
 func (m *Module) SendPTB(mtu int, orig *mbuf.Mbuf, rcvIf string) {
-	if mtu < m.MinPMTU {
-		mtu = m.MinPMTU
-	}
+	mtu = max(mtu, ipv6.MinMTU)
 	m.SendError(TypePacketTooBig, 0, uint32(mtu), orig, rcvIf)
 }
 
@@ -310,25 +299,16 @@ func (m *Module) SendError(typ, code uint8, param uint32, orig *mbuf.Mbuf, rcvIf
 }
 
 // errAllow takes one token from the outbound-error bucket, refilled at
-// ErrPPS tokens per second off the stack's (virtual) clock.
+// DefaultErrPPS tokens per second off the stack's (virtual) clock.
 func (m *Module) errAllow() bool {
-	rate := m.ErrPPS
-	if rate < 0 {
-		return true
-	}
-	if rate == 0 {
-		rate = DefaultErrPPS
-	}
+	const rate = float64(DefaultErrPPS)
 	now := m.l.Routes().Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.errLast.IsZero() {
-		m.errTokens = float64(rate) // full bucket on first use
+		m.errTokens = rate // full bucket on first use
 	} else {
-		m.errTokens += now.Sub(m.errLast).Seconds() * float64(rate)
-		if m.errTokens > float64(rate) {
-			m.errTokens = float64(rate)
-		}
+		m.errTokens = min(m.errTokens+now.Sub(m.errLast).Seconds()*rate, rate)
 	}
 	m.errLast = now
 	if m.errTokens < 1 {
@@ -461,11 +441,13 @@ func (m *Module) ctlDispatch(typ, code uint8, body []byte, meta *proto.Meta) {
 	case TypePacketTooBig:
 		kind = proto.CtlMsgSize
 		mtu = int(param)
-		if mtu < m.MinPMTU {
+		if mtu < ipv6.MinMTU {
 			// No conforming IPv6 path is narrower than the minimum
-			// link MTU: a smaller value is a forged (or broken) PTB.
+			// link MTU: a smaller value is a forged (or broken) PTB,
+			// and must not shrink a path — and TCP's derived MSS —
+			// below it.
 			m.l.Drops.DropNote(stat.RICMP6PTBClamped, ih.Dst.String())
-			mtu = m.MinPMTU
+			mtu = ipv6.MinMTU
 		}
 		m.l.Drops.Ctl("ptb " + ih.Dst.String() + " mtu=" + strconv.Itoa(mtu))
 		m.updatePMTU(ih.Dst, mtu)

@@ -110,10 +110,8 @@ type Layer[A Addr] struct {
 	local  atomic.Pointer[localSet[A]]
 	fwd    route.ShardedCache // the forwarding path's held routes
 
-	// Datagrams under reassembly, oldest first, and the quotas on
-	// them (0: none), under mu.
-	frags                    []*reass[A]
-	reasmMax, reasmPerSource int
+	// Datagrams under reassembly, oldest first, under mu.
+	frags []*reass[A]
 
 	// The interface registry and the protocol switch are read per
 	// packet and written at configuration time.  The registry is
@@ -147,12 +145,7 @@ type protoSlot struct {
 // NewLayer builds the shared layer of family fam over the routing
 // table.
 func NewLayer[A Addr](rt *route.Table, fam Family[A]) *Layer[A] {
-	l := &Layer[A]{
-		fam:            fam,
-		routes:         rt,
-		reasmMax:       DefaultReasmMaxDatagrams,
-		reasmPerSource: DefaultReasmMaxPerSource,
-	}
+	l := &Layer[A]{fam: fam, routes: rt}
 	l.ifnet.Store(&ifnetSet{byName: map[string]*netif.Interface{}})
 	return l
 }

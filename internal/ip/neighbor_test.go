@@ -65,7 +65,7 @@ type nbrRig interface {
 	state() NeighborState // the neighbor's state
 	rejected() bool       // the reject rule refuses the neighbor now
 	known() bool          // the route holds a neighbor entry
-	addNeighbor()         // a second neighbor route is added
+	addNeighbors(n int)   // n more neighbor routes are added
 	resolveFast()         // the resolver's reachable path, for benchmarks
 	failResolution(t *testing.T)
 }
@@ -158,10 +158,14 @@ func (r *rig[A]) state() NeighborState {
 	return st
 }
 
-func (r *rig[A]) addNeighbor() {
-	other := r.nbr
-	addrBytes(&other)[1]++
-	r.addRoute(other)
+func (r *rig[A]) addNeighbors(n int) {
+	for i := 1; i <= n; i++ {
+		other := r.nbr
+		b := addrBytes(&other)
+		b[1] ^= 0xff
+		b[2], b[3] = byte(i>>8), byte(i)
+		r.addRoute(other)
+	}
 }
 
 func (r *rig[A]) resolveFast() {
@@ -344,7 +348,6 @@ var neighborCases = []struct {
 	}},
 	{"EvictionFreesHeld", func(t *testing.T, r nbrRig) {
 		g := r.log()
-		g.tab.MaxNeighbors = 1
 		base := mbuf.Outstanding()
 		for seq := byte(0); seq < 3; seq++ {
 			r.send(seq)
@@ -352,7 +355,7 @@ var neighborCases = []struct {
 		if mbuf.Outstanding() == base {
 			t.Fatal("nothing held")
 		}
-		r.addNeighbor()
+		r.addNeighbors(route.DefaultNDCacheMax) // the last one evicts the oldest
 		if g.tab.NbrEvictions.Get() != 1 || mbuf.Outstanding() != base {
 			t.Fatalf("%d evictions, %d bytes still held; want 1, 0",
 				g.tab.NbrEvictions.Get(), mbuf.Outstanding()-base)

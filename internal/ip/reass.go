@@ -25,9 +25,9 @@ const (
 	maxReasmFrags = 512              // fragments one datagram may hold
 )
 
-// Reassembly quota defaults: a datagram ceiling (BSD's
-// ip_maxfragpackets descendant) and a per-source share of it, so one
-// spoofed source cannot own the whole queue.
+// Reassembly quotas: a datagram ceiling (BSD's ip_maxfragpackets
+// descendant) and a per-source share of it, so one spoofed source
+// cannot own the whole queue.
 const (
 	DefaultReasmMaxDatagrams = 256
 	DefaultReasmMaxPerSource = 16
@@ -206,20 +206,18 @@ func (l *Layer[A]) reass(k FragKey[A]) *reass[A] {
 			return r
 		}
 	}
-	if l.reasmPerSource > 0 {
-		n, oldest := 0, -1
-		for i, r := range l.frags {
-			if r.key.Src == k.Src {
-				if n++; oldest < 0 {
-					oldest = i
-				}
+	n, oldest := 0, -1
+	for i, r := range l.frags {
+		if r.key.Src == k.Src {
+			if n++; oldest < 0 {
+				oldest = i
 			}
 		}
-		if n >= l.reasmPerSource {
-			l.evict(l.frags[oldest])
-		}
 	}
-	if l.reasmMax > 0 && len(l.frags) >= l.reasmMax {
+	if n >= DefaultReasmMaxPerSource {
+		l.evict(l.frags[oldest])
+	}
+	if len(l.frags) >= DefaultReasmMaxDatagrams {
 		l.evict(l.frags[0])
 	}
 	r := &reass[A]{key: k, created: l.routes.Now(), total: -1}
@@ -271,26 +269,6 @@ func (l *Layer[A]) ExpireReasm(now time.Time, timeExceeded func(first *mbuf.Mbuf
 		}
 		r.free()
 	}
-}
-
-// SetReasmLimits tunes the reassembly quotas (0 leaves a value
-// unchanged; negative disables that quota).
-func (l *Layer[A]) SetReasmLimits(maxDatagrams, maxPerSource int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if maxDatagrams != 0 {
-		l.reasmMax = max(maxDatagrams, 0)
-	}
-	if maxPerSource != 0 {
-		l.reasmPerSource = max(maxPerSource, 0)
-	}
-}
-
-// ReasmLimits reports the effective reassembly quotas.
-func (l *Layer[A]) ReasmLimits() (maxDatagrams, maxPerSource int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.reasmMax, l.reasmPerSource
 }
 
 // FragQueueLen returns the number of in-progress reassemblies.

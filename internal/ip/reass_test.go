@@ -2,6 +2,7 @@ package ip
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -423,32 +424,54 @@ func TestReasmDuplicateFinalFragments(t *testing.T) {
 	}
 }
 
+// openReasm opens datagram id from src with a first fragment whose
+// data is the id, so an expiry's quote names the datagram.
+func (r *reasmRig[A]) openReasm(src A, id uint32) {
+	data := binary.BigEndian.AppendUint32(nil, id)
+	r.send(FragKey[A]{Src: src, Dst: r.dst, ID: id}, 0xff, 0, true, append(data, "pad!"...))
+	r.now = r.now.Add(time.Millisecond)
+}
+
+// survivors expires every open datagram and returns their ids, oldest
+// first.
+func (r *reasmRig[A]) survivors() []uint32 {
+	r.quoted = nil
+	r.expire(time.Minute)
+	var ids []uint32
+	for _, q := range r.quoted {
+		ids = append(ids, binary.BigEndian.Uint32(q[reasmHdr:]))
+	}
+	return ids
+}
+
+// seq returns the ids from through to.
+func seq(from, to uint32) []uint32 {
+	var ids []uint32
+	for id := from; id <= to; id++ {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 // TestReasmQuotaEvictsOldestPerSource drives the per-source quota:
 // when one source holds its share of datagrams, its oldest is the
 // victim, and other sources are untouched.
 func TestReasmQuotaEvictsOldestPerSource(t *testing.T) {
 	r := v4Rig(t)
-	r.l.SetReasmLimits(0, 2)
 	attacker, victim := inet.IP4{10, 6, 6, 6}, inet.IP4{10, 0, 0, 9}
-	frag := func(src inet.IP4, id uint32) {
-		r.send(FragKey[inet.IP4]{Src: src, Dst: r.dst, ID: id}, byte(id), 0, true, []byte("12345678"))
-		r.now = r.now.Add(time.Millisecond)
+	const share = DefaultReasmMaxPerSource
+	for id := uint32(1); id <= share; id++ {
+		r.openReasm(attacker, id)
 	}
-	frag(attacker, 1)
-	frag(victim, 10)
-	frag(attacker, 2)
+	r.openReasm(victim, 1000)
 	if r.stats.ReasmOverflow.Get() != 0 {
 		t.Fatal("eviction before the quota was reached")
 	}
-	frag(attacker, 3) // evicts the attacker's 1
-	frag(attacker, 4) // and then its 2
-	r.expire(time.Minute)
-	var marks []byte
-	for _, q := range r.quoted {
-		marks = append(marks, q[0])
-	}
-	if !bytes.Equal(marks, []byte{10, 3, 4}) || r.stats.ReasmOverflow.Get() != 2 {
-		t.Fatalf("survivors %v after %d evictions, want [10 3 4] after 2", marks, r.stats.ReasmOverflow.Get())
+	r.openReasm(attacker, share+1) // evicts the attacker's 1
+	r.openReasm(attacker, share+2) // and then its 2
+	want := append(seq(3, share), 1000, share+1, share+2)
+	if got := r.survivors(); !slices.Equal(got, want) || r.stats.ReasmOverflow.Get() != 2 {
+		t.Fatalf("survivors %v after %d evictions, want %v after 2", got, r.stats.ReasmOverflow.Get(), want)
 	}
 	if got := r.drops.Reasons.Get(stat.RV4ReasmOverflow); got != 2 {
 		t.Fatalf("%d overflow drops noted, want 2", got)
@@ -457,25 +480,27 @@ func TestReasmQuotaEvictsOldestPerSource(t *testing.T) {
 
 // TestReasmQuotaEvictsGlobalOldest drives the global quota: the victim
 // is the oldest datagram whatever its source, and a completion frees a
-// place without an eviction.
+// place without an eviction.  The datagrams come from enough sources
+// that none reaches its per-source share.
 func TestReasmQuotaEvictsGlobalOldest(t *testing.T) {
 	r := v4Rig(t)
-	r.l.SetReasmLimits(3, -1)
-	for id := uint32(1); id <= 4; id++ {
-		r.send(r.key(id), byte(id), 0, true, []byte{0xaa})
-		r.now = r.now.Add(time.Millisecond)
+	const full = DefaultReasmMaxDatagrams
+	const sources = full/DefaultReasmMaxPerSource + 1
+	src := func(id uint32) inet.IP4 { return inet.IP4{10, 1, 0, byte(id % sources)} }
+	for id := uint32(1); id <= full+1; id++ {
+		r.openReasm(src(id), id)
 	}
-	if _, done := r.frag(2, 1, false, "b"); !done {
+	if got := r.stats.ReasmOverflow.Get(); got != 1 {
+		t.Fatalf("%d evictions opening %d datagrams, want 1", got, full+1)
+	}
+	if _, done := r.send(FragKey[inet.IP4]{Src: src(2), Dst: r.dst, ID: 2}, 0xff, 8, false, []byte("b")); !done {
 		t.Fatal("datagram 2 did not complete")
 	}
-	r.send(r.key(5), 5, 0, true, []byte{0xaa})
-	r.expire(time.Minute)
-	var marks []byte
-	for _, q := range r.quoted {
-		marks = append(marks, q[0])
-	}
-	if !bytes.Equal(marks, []byte{3, 4, 5}) || r.stats.ReasmOverflow.Get() != 1 {
-		t.Fatalf("survivors %v after %d evictions, want [3 4 5] after 1", marks, r.stats.ReasmOverflow.Get())
+	r.openReasm(src(full+2), full+2)
+	want := seq(3, full+2)
+	if got := r.survivors(); !slices.Equal(got, want) || r.stats.ReasmOverflow.Get() != 1 {
+		t.Fatalf("%d survivors %v... after %d evictions, want %d from 3 after 1",
+			len(got), got[:min(len(got), 4)], r.stats.ReasmOverflow.Get(), len(want))
 	}
 }
 
@@ -509,10 +534,20 @@ func TestReasmLeavesNoMbufs(t *testing.T) {
 			r4.frag(2, 16, false, "moved")
 		}},
 		{"quota", func() {
-			r4.l.SetReasmLimits(1, 0)
-			defer r4.l.SetReasmLimits(DefaultReasmMaxDatagrams, 0)
-			r4.frag(3, 0, true, "head")
-			r4.frag(4, 0, true, "head")
+			// Past the global quota, from sources each within its
+			// share, then past one source's share.
+			const sources = DefaultReasmMaxDatagrams/DefaultReasmMaxPerSource + 1
+			id := uint32(100)
+			for ; id < 100+sources*DefaultReasmMaxPerSource; id++ {
+				r4.openReasm(inet.IP4{10, 1, 0, byte(id % sources)}, id)
+			}
+			for range DefaultReasmMaxPerSource + 1 {
+				r4.openReasm(r4.src, id)
+				id++
+			}
+			if r4.stats.ReasmOverflow.Get() == 0 {
+				t.Error("quota: no eviction")
+			}
 			r4.expire(time.Minute)
 		}},
 		{"timeout", func() {

@@ -552,26 +552,28 @@ func TestNotForwardingDropsTransit(t *testing.T) {
 // entry the cap evicts must hand its held packet back to the pool, so
 // only the packets of the entries still in the cache stay outstanding.
 func TestARPEvictionFreesHeldPackets(t *testing.T) {
-	a, _ := twoNodes(t)
-	a.rt.MaxNeighbors = 2
+	a := newNode("a")
+	a.join(netif.NewHub(), macA, addrA, 16, 1500) // room for the cap's worth of hosts
 	probe := mbuf.Get(100)
 	base := mbuf.Outstanding()
 	probe.Free()
 	per := base - mbuf.Outstanding()
 
+	const over = 4
 	before := mbuf.Outstanding()
-	for i := 0; i < 6; i++ {
+	for i := 0; i < route.DefaultNDCacheMax+over; i++ {
 		pkt := mbuf.Get(100)
-		dst := inet.IP4{10, 0, 0, byte(100 + i)}
+		dst := inet.IP4{10, 0, byte(1 + i>>8), byte(i)}
 		if err := a.l.Output(pkt, inet.IP4{}, dst, proto.UDP, OutputOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := a.rt.NbrEvictions.Get(); got != 4 {
-		t.Fatalf("%d neighbor evictions, want 4", got)
+	if got := a.rt.NbrEvictions.Get(); got != over {
+		t.Fatalf("%d neighbor evictions, want %d", got, over)
 	}
-	if leak := mbuf.Outstanding() - before; leak != 2*per {
-		t.Fatalf("%d bytes outstanding after the evictions, want %d (the 2 packets still held)", leak, 2*per)
+	if leak := mbuf.Outstanding() - before; leak != route.DefaultNDCacheMax*per {
+		t.Fatalf("%d bytes outstanding after the evictions, want %d (the %d packets still held)",
+			leak, route.DefaultNDCacheMax*per, route.DefaultNDCacheMax)
 	}
 }
 

@@ -248,6 +248,15 @@ func quote(pkt *mbuf.Mbuf) []byte {
 func (l *Layer) deliverLocal(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 	if h.MF || h.FragOff != 0 {
 		l.Stats.FragsReceived.Inc()
+		if h.MF && (pkt.Len()-h.HdrLen())%8 != 0 {
+			// A fragment that is not the last must be a multiple of 8
+			// bytes long, or its successor's offset cannot meet its
+			// end: discarded, as FreeBSD's ip_reass does.
+			l.Stats.ReasmFails.Inc()
+			l.Drops.DropPkt(stat.RV4FragUnaligned, pkt.Bytes())
+			pkt.Free()
+			return
+		}
 		key := ip.FragKey[inet.IP4]{Src: h.Src, Dst: h.Dst, ID: uint32(h.ID), Proto: h.Proto}
 		var hl int
 		if pkt, hl = l.Reassemble(ifp, key, pkt, h.HdrLen(), h.FragOff, h.MF); pkt == nil {

@@ -145,6 +145,8 @@ func (e *Entry) dstString() string {
 	return fmt.Sprintf("%x/%d", e.Dst, e.Plen)
 }
 
+// String formats the entry as one netstat -r row: destination,
+// gateway, flags and interface.
 func (e *Entry) String() string {
 	gw := ""
 	switch g := e.Gateway.(type) {
@@ -173,6 +175,7 @@ const (
 	MsgResolve                    // host route cloned from a cloning route
 )
 
+// String returns the message type's BSD name, such as "RTM_ADD".
 func (m MsgType) String() string {
 	switch m {
 	case MsgAdd:
@@ -212,19 +215,8 @@ type Table struct {
 	// Now is the clock; tests may replace it.
 	Now func() time.Time
 
-	// MaxNeighbors bounds the dynamic neighbor (link-layer) host
-	// routes kept per address family — BSD's ARP/ND cache, which a
-	// remote peer can grow one entry per spoofed on-link source.
-	// 0 means unlimited.  When a new neighbor entry would exceed the
-	// cap, an existing one is evicted: unreachable (RTF_REJECT)
-	// entries first, then the least recently used; entries whose
-	// LLInfo is pinned (NeighborPin — default routers) are never
-	// evicted, so the cap can be exceeded by the number of routers
-	// but by nothing else.
-	MaxNeighbors int
-
 	// Drops receives a typed nd-cache-evicted event for each entry
-	// the cap evicts; nil disables recording.
+	// the DefaultNDCacheMax cap evicts; nil disables recording.
 	Drops *stat.Recorder
 
 	// NbrEvictions counts cap-induced neighbor evictions.
@@ -310,13 +302,23 @@ func (t *Table) evictNeighborLocked(f inet.Family) bool {
 // neighbor entry and charges the family count.  t.mu held.
 func (t *Table) admitNeighborLocked(f inet.Family) {
 	n := t.nbrCount(f)
-	for t.MaxNeighbors > 0 && *n >= t.MaxNeighbors {
+	for *n >= DefaultNDCacheMax {
 		if !t.evictNeighborLocked(f) {
 			break // all pinned: admit over-cap
 		}
 	}
 	*n++
 }
+
+// DefaultNDCacheMax bounds the dynamic neighbor (link-layer) host
+// routes kept per address family — BSD's ARP/ND cache, which a remote
+// peer can grow one entry per spoofed on-link source.  When a new
+// neighbor entry would exceed it, an existing one is evicted:
+// unreachable (RTF_REJECT) entries first, then the least recently
+// used; entries whose LLInfo is pinned (NeighborPin — default
+// routers) are never evicted, so the cap can be exceeded by the
+// number of routers but by nothing else.
+const DefaultNDCacheMax = 512
 
 // NewTable returns an empty routing table.
 func NewTable() *Table {

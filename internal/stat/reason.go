@@ -96,7 +96,6 @@ const (
 	RNbrCacheEvicted // neighbor-cache cap evicted a dynamic host route
 	RNDQueueFull     // per-neighbor pending-packet queue overflowed
 	RArpQueueFull    // per-ARP-entry pending-packet queue overflowed
-	RTCPSynOverflow  // listener SYN backlog dropped an embryonic connection
 	RMbufLimit       // netisr queued-byte ceiling refused an input frame
 
 	// Connection-demux governance (SYN cookies and the TIME_WAIT table).
@@ -118,6 +117,14 @@ const (
 	// IPv6 reassembly policy (RFC 5722): fragments that overlap
 	// abandon their datagram.
 	RV6ReasmOverlap // overlapping fragments abandoned an IPv6 datagram
+
+	// Fragments refused before reassembly: a non-final fragment whose
+	// length is not a multiple of 8 (RFC 8200 §4.5, FreeBSD's
+	// ip_reass), and a first fragment that does not carry the whole
+	// header chain (RFC 7112).
+	RV6FragUnaligned   // non-final IPv6 fragment not a multiple of 8 bytes
+	RV4FragUnaligned   // non-final IPv4 fragment not a multiple of 8 bytes
+	RV6FragHeaderChain // first IPv6 fragment without the whole header chain
 
 	reasonCount // sentinel: number of reasons, keep last
 )
@@ -181,7 +188,6 @@ var reasonNames = [reasonCount]string{
 	RNbrCacheEvicted:  "nd-cache-evicted",
 	RNDQueueFull:      "nd-queue-overflow",
 	RArpQueueFull:     "arp-queue-overflow",
-	RTCPSynOverflow:   "tcp-syn-overflow",
 	RMbufLimit:        "mbuf-limit",
 
 	RTCPSynCookieFailed:  "tcp-syn-cookie-failed",
@@ -197,6 +203,10 @@ var reasonNames = [reasonCount]string{
 	RNDResolveFailed:  "nd-resolve-failed",
 
 	RV6ReasmOverlap: "ip6-reasm-overlap",
+
+	RV6FragUnaligned:   "ip6-frag-unaligned",
+	RV4FragUnaligned:   "ip4-frag-unaligned",
+	RV6FragHeaderChain: "ip6-frag-header-chain",
 }
 
 // String returns the reason's stable snapshot key.

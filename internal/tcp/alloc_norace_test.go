@@ -175,7 +175,7 @@ func TestGROTrainAllocatesOnlyItsFrames(t *testing.T) {
 	ifp.SetInput(func(_ *netif.Interface, fr netif.Frame) {
 		queue = append(queue, fr.Payload)
 	})
-	g := b.tcp.NewGRO(0)
+	g := b.tcp.NewGRO()
 	input := func(pkt *mbuf.Mbuf) {
 		if pkt != nil {
 			b.V6.Input(ifp, pkt)

@@ -1,9 +1,9 @@
 package tcp_test
 
-// SYN-cookie flood soak: with SynCookies enabled a listener keeps
-// accepting while a spoofed SYN flood exceeds SynBacklogMax 100× —
-// zero per-SYN state beyond the cap, a legitimate handshake completes
-// through the stateless path, and every forged completing ACK is
+// SYN-cookie flood soak: a listener keeps accepting while a spoofed
+// SYN flood exceeds DefaultSynBacklog tenfold — zero per-SYN state
+// beyond the cap, a legitimate handshake completes through the
+// stateless path, and every forged completing ACK is reset and
 // charged to the tcp-syn-cookie-failed typed reason.
 
 import (
@@ -19,6 +19,14 @@ import (
 	"bsd6/internal/testnet"
 )
 
+// injectSYN crafts a raw SYN from src — a nonexistent on-link host, so
+// the SYN/ACK can never be answered and the embryonic child stays in
+// SYN_RCVD — and feeds it straight into the server's IPv6 input, the
+// way a spoofed-source SYN flood arrives.
+func injectSYN(b *tnode, src inet.IP6, sport, dport uint16) {
+	injectSeg(b, src, &tcp.Header{SPort: sport, DPort: dport, Seq: 1000, Flags: tcp.FlagSYN, Wnd: 65535})
+}
+
 // injectSeg feeds an arbitrary raw TCP segment from src into b's IPv6
 // input, the spoofed-source way.
 func injectSeg(b *tnode, src inet.IP6, h *tcp.Header) {
@@ -33,8 +41,8 @@ func injectSeg(b *tnode, src inet.IP6, h *tcp.Header) {
 }
 
 func TestSynCookieFloodSoak(t *testing.T) {
-	const backlogMax = 4
-	const floodFactor = 100
+	const backlogMax = tcp.DefaultSynBacklog
+	const floodFactor = 10
 
 	s := newSim(t)
 	hub := s.NewHub()
@@ -42,32 +50,26 @@ func TestSynCookieFloodSoak(t *testing.T) {
 	a.Join(hub, testnet.MacA, 1500, inet.IP4{}, 0)
 	b.Join(hub, testnet.MacB, 1500, inet.IP4{}, 0)
 	b.tcp.Drops = b.Drops
-	b.tcp.SynBacklogMax = backlogMax
-	b.tcp.SynCookies = true
 
 	l := b.tcp.Attach(inet.AFInet6, nil)
 	l.Bind(inet.IP6{}, 9400)
 	l.Listen(4)
 
-	// The flood: 100× the backlog cap, every SYN from a different
+	// The flood: 10× the backlog cap, every SYN from a different
 	// spoofed on-link source that will never answer.
 	src := func(i int) inet.IP6 { return testnet.IP6(t, fmt.Sprintf("fe80::bad:%x", i)) }
 	for i := 1; i <= backlogMax*floodFactor; i++ {
 		injectSYN(b, src(i), uint16(30000+i), 9400)
 	}
-	// Beyond the cap the listener went stateless: the backlog never
-	// grew, and each excess SYN was answered with a cookie.
-	if n := b.tcp.SynBacklogLen(); n > backlogMax {
+	// Beyond the cap the listener went stateless: the backlog filled
+	// and stopped, and each excess SYN was answered with a cookie, so
+	// none was discarded.
+	if n := b.tcp.SynBacklogLen(); n != backlogMax {
 		t.Fatalf("backlog = %d, cap %d", n, backlogMax)
 	}
 	wantCookies := uint64(backlogMax*floodFactor - backlogMax)
 	if got := b.tcp.Stats.SynCookiesSent.Get(); got != wantCookies {
 		t.Fatalf("SynCookiesSent = %d, want %d", got, wantCookies)
-	}
-	// No flood SYN was silently discarded: beyond-cap SYNs all got
-	// cookies, so the backlog-overflow eviction path never ran.
-	if got := b.tcp.Stats.SynDrops.Get(); got != 0 {
-		t.Fatalf("SynDrops = %d with cookies enabled", got)
 	}
 
 	// A legitimate client connects THROUGH the ongoing flood: its SYN
@@ -95,8 +97,10 @@ func TestSynCookieFloodSoak(t *testing.T) {
 	}
 
 	// Forged completing ACKs — cookies the server never minted — are
-	// rejected, reset, and each one is attributed to the typed reason.
+	// rejected, each answered with one RST (RFC 793: an ACK in LISTEN
+	// is reset) and attributed to the typed reason.
 	const forged = 32
+	rst0 := b.tcp.Stats.RstOut.Get()
 	for i := 1; i <= forged; i++ {
 		h := &tcp.Header{
 			SPort: uint16(20000 + i), DPort: 9400,
@@ -106,6 +110,9 @@ func TestSynCookieFloodSoak(t *testing.T) {
 	}
 	if got := b.tcp.Stats.SynCookiesFailed.Get(); got != forged {
 		t.Fatalf("SynCookiesFailed = %d, want %d", got, forged)
+	}
+	if got := b.tcp.Stats.RstOut.Get() - rst0; got != forged {
+		t.Fatalf("RstOut grew by %d, want %d", got, forged)
 	}
 	if got := b.Drops.Reasons.Snapshot()[stat.RTCPSynCookieFailed.String()]; got != forged {
 		t.Fatalf("%s = %d, want %d", stat.RTCPSynCookieFailed, got, forged)

@@ -57,8 +57,7 @@ type groMeta struct {
 // GRO is a netisr's receive-coalescing engine. Not safe for
 // concurrent use; the netisr goroutine owns it.
 type GRO struct {
-	t   *TCP
-	max int // coalesced payload ceiling
+	t *TCP
 
 	// Pending super-segment, nil when none.
 	pkt     *mbuf.Mbuf
@@ -76,13 +75,9 @@ type GRO struct {
 	rec groMeta
 }
 
-// NewGRO creates a coalescing engine for a stack's netisr.  max
-// bounds the coalesced payload bytes (0 selects DefaultGROMax).
-func (t *TCP) NewGRO(max int) *GRO {
-	if max <= 0 {
-		max = DefaultGROMax
-	}
-	return &GRO{t: t, max: max}
+// NewGRO creates a coalescing engine for a stack's netisr.
+func (t *TCP) NewGRO() *GRO {
+	return &GRO{t: t}
 }
 
 // groCand is the shallow parse of a coalescing candidate.
@@ -190,7 +185,7 @@ func (g *GRO) parse(pkt *mbuf.Mbuf, v4 bool) (c groCand, ok bool) {
 	if v4 {
 		iplen = 20
 	}
-	if pkt.Len() <= iplen+HeaderLen || pkt.Len() > iplen+HeaderLen+g.max {
+	if pkt.Len() <= iplen+HeaderLen || pkt.Len() > iplen+HeaderLen+DefaultGROMax {
 		return c, false
 	}
 	b := pkt.PullUp(pkt.Len())
@@ -253,7 +248,7 @@ func (g *GRO) parse(pkt *mbuf.Mbuf, v4 bool) (c groCand, ok bool) {
 // ID and header checksum), same ports and window, contiguous
 // sequence, monotone acknowledgment, and room under the ceiling.
 func (g *GRO) matches(c *groCand, v4 bool) bool {
-	if v4 != g.v4 || g.dataLen+c.tlen > g.max {
+	if v4 != g.v4 || g.dataLen+c.tlen > DefaultGROMax {
 		return false
 	}
 	p, n := g.hb, c.b

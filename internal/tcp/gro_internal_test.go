@@ -56,7 +56,7 @@ func newGROWorld(tb testing.TB, v4 bool) *groWorld {
 	// In-flight bytes so replayed programs can exercise ACK advances.
 	c.sndBuf = make([]byte, 2000)
 	c.sndNxt, c.sndMax = 7000, 7000
-	return &groWorld{t: t, c: c, g: t.NewGRO(0)}
+	return &groWorld{t: t, c: c, g: t.NewGRO()}
 }
 
 // groSpec describes one inbound frame for the builders.
@@ -308,16 +308,19 @@ func TestGROFlushBoundaries(t *testing.T) {
 
 func TestGROCeilingFlushes(t *testing.T) {
 	w := newGROWorld(t, false)
-	w.g = w.t.NewGRO(900) // two 500-byte segments exceed it
-	if fl, pass := w.g.Push(groData(1000, 500, 1).frame6(), false); fl != nil || pass != nil {
+	half := DefaultGROMax/2 + 1 // two such segments exceed the ceiling
+	if fl, pass := w.g.Push(groData(1000, half, 1).frame6(), false); fl != nil || pass != nil {
 		t.Fatal("head not held")
 	}
-	flushed, pass := w.g.Push(groData(1500, 500, 2).frame6(), false)
+	flushed, pass := w.g.Push(groData(uint32(1000+half), half, 2).frame6(), false)
 	if flushed == nil || pass != nil {
 		t.Fatal("ceiling must flush the train and hold the new segment")
 	}
-	if w.g.Flush() == nil {
+	flushed.Free()
+	if tail := w.g.Flush(); tail == nil {
 		t.Fatal("second segment lost")
+	} else {
+		tail.Free()
 	}
 }
 

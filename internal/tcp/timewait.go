@@ -7,8 +7,8 @@ import (
 	"bsd6/internal/stat"
 )
 
-// DefaultTimeWaitMax caps the compressed TIME_WAIT table when the
-// stack does not override it (Options.TimeWaitMax).
+// DefaultTimeWaitMax caps the compressed TIME_WAIT table; overflow
+// evicts the record closest to expiry (tcp-time-wait-overflow).
 const DefaultTimeWaitMax = 4096
 
 // twSlots sizes the 2MSL timing wheel: one slot per slow tick across
@@ -82,22 +82,6 @@ func (w *timeWait) restart(e *twEntry) {
 	w.wheel[e.slot] = append(w.wheel[e.slot], e)
 }
 
-// timeWaitMax resolves the effective TIME_WAIT table cap: 0 selects
-// the default, negative removes the cap.
-func (t *TCP) timeWaitMax() int {
-	switch {
-	case t.TimeWaitMax > 0:
-		return t.TimeWaitMax
-	case t.TimeWaitMax < 0:
-		return 0
-	}
-	return DefaultTimeWaitMax
-}
-
-// TimeWaitLimit reports the effective cap (0 when uncapped), for the
-// stack's limits snapshot.
-func (t *TCP) TimeWaitLimit() int { return t.timeWaitMax() }
-
 // TimeWaitCount returns the live 2MSL record count — the occupancy
 // half of the time-wait limit surface.
 func (t *TCP) TimeWaitCount() int {
@@ -134,7 +118,7 @@ func (t *TCP) twInsert(e *twEntry) {
 	if old := w.entries[e.key]; old != nil {
 		w.removeEntry(old)
 	}
-	if max := t.timeWaitMax(); max > 0 && w.count >= max {
+	if w.count >= DefaultTimeWaitMax {
 		t.twEvictOldest()
 	}
 	e.slot = (w.cursor + 2*msl) % twSlots

@@ -6,6 +6,7 @@ package tcp
 // RFC 6191 recycling on a new SYN, and eviction at the table cap.
 
 import (
+	"slices"
 	"testing"
 
 	"bsd6/internal/stat"
@@ -121,17 +122,20 @@ func TestTimeWaitRSTReleasesRecord(t *testing.T) {
 func TestTimeWaitEvictionAtCap(t *testing.T) {
 	tc := New(nil, nil)
 	tc.Drops = stat.NewRecorder(8)
-	tc.TimeWaitMax = 2
-	a, b, c := newTW(4000), newTW(4001), newTW(4002)
+	a := newTW(1)
 	tc.twInsert(a)
-	tc.twTick() // b is now one tick younger than a
-	tc.twInsert(b)
-	tc.twInsert(c)
-	if tc.tw.count != 2 {
-		t.Fatalf("count = %d at cap 2", tc.tw.count)
+	tc.twTick() // the rest are one tick younger than a
+	rest := make([]*twEntry, 0, DefaultTimeWaitMax)
+	for fport := uint16(2); fport <= DefaultTimeWaitMax+1; fport++ {
+		e := newTW(fport)
+		tc.twInsert(e)
+		rest = append(rest, e)
+	}
+	if tc.tw.count != DefaultTimeWaitMax {
+		t.Fatalf("count = %d at cap %d", tc.tw.count, DefaultTimeWaitMax)
 	}
 	// The victim is the record closest to expiry: a.
-	if !a.dead || b.dead || c.dead {
+	if !a.dead || slices.ContainsFunc(rest, func(e *twEntry) bool { return e.dead }) {
 		t.Fatal("eviction chose the wrong victim")
 	}
 	if tc.Stats.TimeWaitOverflow.Get() != 1 {
@@ -141,26 +145,12 @@ func TestTimeWaitEvictionAtCap(t *testing.T) {
 		t.Fatalf("typed reason count = %d", got)
 	}
 	// Same-tuple reinsertion replaces rather than evicts.
-	b2 := newTW(4001)
+	b, b2 := rest[0], newTW(rest[0].key.fport)
 	tc.twInsert(b2)
-	if tc.tw.count != 2 || !b.dead || tc.tw.get(b2.key) != b2 {
+	if tc.tw.count != DefaultTimeWaitMax || !b.dead || tc.tw.get(b2.key) != b2 {
 		t.Fatal("same-tuple reinsert did not replace")
 	}
 	if tc.Stats.TimeWaitOverflow.Get() != 1 {
 		t.Fatal("replacement charged an overflow")
-	}
-}
-
-func TestTimeWaitUncappedWhenNegative(t *testing.T) {
-	tc := New(nil, nil)
-	tc.TimeWaitMax = -1
-	if tc.TimeWaitLimit() != 0 {
-		t.Fatalf("limit = %d, want 0 (uncapped)", tc.TimeWaitLimit())
-	}
-	for i := 0; i < 3*DefaultTimeWaitMax/2; i++ {
-		tc.twInsert(newTW(uint16(i)))
-	}
-	if tc.Stats.TimeWaitOverflow.Get() != 0 {
-		t.Fatal("uncapped table evicted")
 	}
 }

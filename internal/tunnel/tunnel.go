@@ -93,12 +93,10 @@ func (m Mode) innerProto() uint8 {
 
 // DefaultNestLimit bounds how many encapsulations (and, symmetrically,
 // decapsulations) one packet may traverse on this node, in the spirit
-// of RFC 2473's Tunnel Encapsulation Limit option.
+// of RFC 2473's Tunnel Encapsulation Limit option; encapsulation
+// recurses through the output path, so an encapsulation loop ends
+// here rather than exhausting the goroutine stack.
 const DefaultNestLimit = 4
-
-// maxNestLimit is the hard ceiling: encapsulation recurses through the
-// output path, so a truly unlimited setting could exhaust the stack.
-const maxNestLimit = 255
 
 // DefaultLinkMTU is the assumed underlying path MTU when a tunnel is
 // configured without one (the classic Ethernet default).
@@ -172,10 +170,6 @@ type Module struct {
 	// nothing.
 	Drops *stat.Recorder
 
-	// NestLimit bounds tunnel nesting (see DefaultNestLimit); Attach
-	// sets the default, SetNestLimit adjusts it.
-	NestLimit int
-
 	mu   sync.Mutex
 	tuns []*Tunnel
 }
@@ -186,24 +180,11 @@ type Module struct {
 // both the input (decapsulation) and ctlinput (nested PMTU
 // translation) entries.
 func Attach(v4 *ipv4.Layer, v6 *ipv6.Layer, ic6 *icmp6.Module) *Module {
-	m := &Module{v4: v4, v6: v6, ic6: ic6, NestLimit: DefaultNestLimit}
+	m := &Module{v4: v4, v6: v6, ic6: ic6}
 	v4.Register(proto.IPv6, m.decapInput, m.ctlInput4)
 	v6.Register(proto.IPv4, m.decapInput, m.ctlInput6)
 	v6.Register(proto.IPv6, m.decapInput, m.ctlInput6)
 	return m
-}
-
-// SetNestLimit sets the tunnel nesting limit: 0 restores the default,
-// negative means "unlimited" (clamped to the hard recursion ceiling).
-func (m *Module) SetNestLimit(n int) {
-	switch {
-	case n == 0:
-		m.NestLimit = DefaultNestLimit
-	case n < 0 || n > maxNestLimit:
-		m.NestLimit = maxNestLimit
-	default:
-		m.NestLimit = n
-	}
 }
 
 // Add configures a tunnel and creates its device.  The device comes up
@@ -279,7 +260,7 @@ func (t *Tunnel) encap(fr netif.Frame) error {
 		pkt.Free()
 		return nil
 	}
-	if int(hdr.Encap) >= m.nestLimit() {
+	if int(hdr.Encap) >= DefaultNestLimit {
 		m.Drops.DropPkt(stat.RTunNestLimit, pkt.Bytes())
 		pkt.Free()
 		return nil
@@ -298,17 +279,6 @@ func (t *Tunnel) encap(fr netif.Frame) error {
 		return m.v4.Output(pkt, t.cfg.Local4, t.cfg.Remote4, t.Mode.innerProto(), ipv4.OutputOpts{DF: true})
 	}
 	return m.v6.Output(pkt, t.cfg.Local6, t.cfg.Remote6, t.Mode.innerProto(), ipv6.OutputOpts{SecCache: &t.sec})
-}
-
-func (m *Module) nestLimit() int {
-	n := m.NestLimit
-	switch {
-	case n == 0:
-		return DefaultNestLimit
-	case n < 0 || n > maxNestLimit:
-		return maxNestLimit
-	}
-	return n
 }
 
 //
@@ -362,7 +332,7 @@ func (m *Module) decapInput(pkt *mbuf.Mbuf, meta proto.Meta) {
 		return
 	}
 	hdr := pkt.Hdr()
-	if int(hdr.Encap) >= m.nestLimit() {
+	if int(hdr.Encap) >= DefaultNestLimit {
 		t.inError()
 		m.Drops.DropPkt(stat.RTunNestLimit, pkt.Bytes())
 		pkt.Free()

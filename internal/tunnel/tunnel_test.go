@@ -241,7 +241,9 @@ func TestDecapValidation(t *testing.T) {
 }
 
 // TestDecapNestLimit proves a crafted matryoshka packet terminates at
-// the nesting limit instead of cycling through the input path.
+// the nesting limit instead of cycling through the input path: a
+// packet nested DefaultNestLimit deep is opened to its core, one
+// nested a level deeper charges the limit.
 func TestDecapNestLimit(t *testing.T) {
 	sim := testnet.NewSim()
 	hub := sim.NewHub()
@@ -257,15 +259,28 @@ func TestDecapNestLimit(t *testing.T) {
 		Local4: v4Local, Remote4: v4Peer})
 	b.AddTunnel(t, tunnel.Config{Name: "gif2", Mode: tunnel.Mode6in6,
 		Local6: local6, Remote6: peer66})
-	b.Tun.SetNestLimit(1)
+	var delivered int
+	b.V6.Register(proto.UDP, func(pkt *mbuf.Mbuf, _ proto.Meta) {
+		delivered++
+		pkt.Free()
+	}, nil)
 
-	// v4[ v6(peer66->us, nh 41)[ v6(island->us) ] ]: the first decap is
-	// within the limit of 1; the nested one must charge the limit.
-	nested := inner6(peer66, local6, proto.IPv6,
-		inner6(testnet.IP6(t, "2001:db8::9"), local6, proto.UDP, []byte("x")))
-	b.V4.Input(eth, outer4(v4Peer, v4Local, proto.IPv6, nested))
-	if got := b.Drops.Reasons.Get(stat.RTunNestLimit); got != 1 {
-		t.Fatalf("nested decap: RTunNestLimit = %d, want 1", got)
+	// matryoshka(n) is v4[ v6(peer66->us, nh 41)[ ... v6(island->us,
+	// UDP) ] ], which takes n decapsulations to open, the v4 one first.
+	matryoshka := func(decaps int) *mbuf.Mbuf {
+		p := inner6(testnet.IP6(t, "2001:db8::9"), local6, proto.UDP, []byte("x"))
+		for range decaps - 1 {
+			p = inner6(peer66, local6, proto.IPv6, p)
+		}
+		return outer4(v4Peer, v4Local, proto.IPv6, p)
+	}
+	b.V4.Input(eth, matryoshka(tunnel.DefaultNestLimit))
+	if got := b.Drops.Reasons.Get(stat.RTunNestLimit); got != 0 || delivered != 1 {
+		t.Fatalf("decap at the limit: RTunNestLimit = %d, %d delivered; want 0, 1", got, delivered)
+	}
+	b.V4.Input(eth, matryoshka(tunnel.DefaultNestLimit+1))
+	if got := b.Drops.Reasons.Get(stat.RTunNestLimit); got != 1 || delivered != 1 {
+		t.Fatalf("decap past the limit: RTunNestLimit = %d, %d delivered; want 1, 1", got, delivered)
 	}
 }
 
