@@ -36,8 +36,12 @@ func newCookieSeed() [2]uint32 {
 	return [2]uint32{0x6996c53a ^ s, 0x7b64e48d ^ (s * 0x85ebca6b)}
 }
 
+// cookieUnit is the coarse cookie time, before cookieCount folds it
+// to the eight bits a cookie embeds.
+func (t *TCP) cookieUnit() uint32 { return t.cookieTick >> cookieTickShift }
+
 // cookieCount is the coarse time the cookie embeds.
-func (t *TCP) cookieCount() uint32 { return (t.cookieTick >> cookieTickShift) & 0xff }
+func (t *TCP) cookieCount() uint32 { return t.cookieUnit() & 0xff }
 
 // cookieHash is FNV-1a over (secret, tuple, count), folded into the
 // cookie arithmetic.
@@ -110,6 +114,7 @@ func (c *Conn) sendSynCookie(th *Header, meta *proto.Meta, src, dst inet.IP6) {
 	}
 	k := twTuple{laddr: dst, faddr: src, lport: c.pcb.LPort, fport: th.SPort}
 	t.Stats.SynCookiesSent.Inc()
+	c.cookieSent, c.cookieUnit = true, t.cookieUnit()
 	hdr := &Header{
 		SPort: c.pcb.LPort, DPort: th.SPort,
 		Seq: t.cookieISN(k, th.Seq, idx), Ack: th.Seq + 1,
@@ -117,6 +122,16 @@ func (c *Conn) sendSynCookie(th *Header, meta *proto.Meta, src, dst inet.IP6) {
 	}
 	v6 := meta.Family == inet.AFInet6
 	t.outbox = append(t.outbox, outSeg{v6: v6, src: dst, dst: src, pkt: ctlSegment(hdr, dst, src, v6), flow: c.pcb.FlowInfo, sock: c.pcb.Socket})
+}
+
+// cookiesRecent reports whether the listener sent a SYN cookie that
+// cookieCheck could still accept: in this cookie time unit or the one
+// before.  Only then is an ACK at the listener checked as a cookie, as
+// FreeBSD's sch_last_overflow and Linux's tcp_synq_no_recent_overflow
+// gate it; otherwise a host that guesses the secrets could open a
+// connection on a listener that never overflowed.  Caller holds t.mu.
+func (c *Conn) cookiesRecent() bool {
+	return c.cookieSent && c.t.cookieUnit()-c.cookieUnit <= 1
 }
 
 // cookieAccept tries to complete a stateless handshake from an ACK at
