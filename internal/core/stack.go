@@ -176,7 +176,7 @@ func newStack(name string, opts Options, unbatched bool) *Stack {
 	s.Keys = key.NewEngine()
 	s.Keys.Now = s.clock.Now
 	s.Sec = ipsec.Attach(s.V6, s.Keys)
-	s.Tun = tunnel.Attach(s.V4, s.V6, s.ICMP6)
+	s.Tun = tunnel.Attach(s.V4, s.V6)
 	s.Tun.Drops = s.Drops
 	s.UDP = udp.New(s.V4, s.V6)
 	s.TCP = tcp.New(s.V4, s.V6)

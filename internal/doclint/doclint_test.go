@@ -37,6 +37,10 @@ var lintedPackages = []string{
 	"../route",
 	"../icmp6",
 	"../tcp",
+	"../ipv4",
+	"../ipv6",
+	"../udp",
+	"../proto",
 }
 
 func TestExportedIdentifiersAreDocumented(t *testing.T) {

@@ -36,9 +36,11 @@ func forgePTB(mtu uint32, inner []byte, src, dst inet.IP6) []byte {
 }
 
 func TestHostilePTBClampedAtMinMTU(t *testing.T) {
-	// RFC 1981/2460: no conforming IPv6 path is narrower than 1280.
-	// A forged Packet Too Big claiming less must not shrink the host
-	// route's MTU (and therefore TCP's derived MSS) below the floor.
+	// RFC 1883 §5, the specification the paper implements: no
+	// conforming IPv6 link is narrower than 576 bytes (ipv6.MinMTU;
+	// RFC 2460 later raised the floor to 1280).  A forged Packet Too
+	// Big claiming less must not shrink the host route's MTU (and
+	// therefore TCP's derived MSS) below the floor.
 	hub := netif.NewHub()
 	a, b := newNode("a"), newNode("b")
 	a.join(hub, macA, 1500)

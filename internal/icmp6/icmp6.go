@@ -12,14 +12,15 @@
 package icmp6
 
 import (
+	"encoding/binary"
 	"strconv"
 	"sync"
 	"time"
 
 	"bsd6/internal/inet"
+	"bsd6/internal/ip"
 	"bsd6/internal/ipv6"
 	"bsd6/internal/mbuf"
-	"bsd6/internal/netif"
 	"bsd6/internal/proto"
 	"bsd6/internal/route"
 	"bsd6/internal/stat"
@@ -61,6 +62,7 @@ const (
 
 // Stats counts ICMPv6 events.
 type Stats struct {
+	ip.ICMPStats
 	InMsgs       stat.Counter
 	InErrors     stat.Counter
 	InEchos      stat.Counter
@@ -69,14 +71,11 @@ type Stats struct {
 	InRS, InRA   stat.Counter
 	InQueries    stat.Counter
 	InReports    stat.Counter
-	OutMsgs      stat.Counter
-	OutErrors    stat.Counter
 	OutEchoReps  stat.Counter
 	OutNS, OutNA stat.Counter
 	OutRS, OutRA stat.Counter
 	OutReports   stat.Counter
 	OutTerm      stat.Counter
-	RateLimited  stat.Counter
 	BadHopLimit  stat.Counter
 	DadStarted   stat.Counter
 	DadDuplicate stat.Counter
@@ -116,19 +115,11 @@ type Module struct {
 
 	// Router-side multicast membership cache (learned from Reports).
 	members map[groupKey]time.Time
-
-	// The outbound-error token bucket (see DefaultErrPPS).
-	errTokens float64
-	errLast   time.Time
 }
 
-// DefaultErrPPS bounds outbound error messages per second (RFC 1885
-// §2.4(f): a node SHOULD limit the rate of error messages it
-// originates, or a corruption storm is amplified 1:1).
-const DefaultErrPPS = 100
-
 // Attach creates the module, registers it in the IPv6 protocol switch,
-// and installs the layer's error sink and neighbor solicit.
+// and installs its counters for the layer's errors and its neighbor
+// solicit.
 func Attach(l *ipv6.Layer) *Module {
 	m := &Module{
 		l:       l,
@@ -138,7 +129,7 @@ func Attach(l *ipv6.Layer) *Module {
 		routers: make(map[inet.IP6]time.Time),
 	}
 	l.Register(proto.ICMPv6, m.input, nil)
-	l.Error = m.LayerError
+	l.ICMPStats = &m.Stats.ICMPStats
 	l.Solicit = m.solicit
 	l.OnGroupChange = m.groupChange
 	return m
@@ -147,66 +138,17 @@ func Attach(l *ipv6.Layer) *Module {
 // Layer returns the IPv6 layer the module is attached to.
 func (m *Module) Layer() *ipv6.Layer { return m.l }
 
-// marshal builds an ICMPv6 message with its pseudo-header checksum
-// (§4: ICMPv6, "like TCP and UDP, requires a pseudo-header to be
-// included in its checksum calculation").
-func marshal(typ, code uint8, body []byte, src, dst inet.IP6) []byte {
-	b := make([]byte, 4+len(body))
-	b[0], b[1] = typ, code
-	copy(b[4:], body)
-	ck := inet.TransportChecksum6(src, dst, proto.ICMPv6, b)
-	b[2], b[3] = byte(ck>>8), byte(ck)
-	return b
-}
-
-// buildMsg is marshal into a pooled wire buffer with the checksum
-// fused into the body copy (inet.SumCopy): the message body is
-// traversed once, and the IPv6 header will land in the slab's
-// headroom on output.  Byte-for-byte identical to mbuf.New(marshal(…))
-// — the differential tests hold it to that.
-func buildMsg(typ, code uint8, body []byte, src, dst inet.IP6) *mbuf.Mbuf {
-	tlen := 4 + len(body)
-	pkt := mbuf.Get(tlen)
-	b := pkt.Bytes()
-	b[0], b[1], b[2], b[3] = typ, code, 0, 0
-	sum := inet.PseudoHeader6(src, dst, uint32(tlen), proto.ICMPv6)
-	sum = inet.Sum(sum, b[:4])
-	sum = inet.SumCopy(sum, b[4:], body)
-	ck := inet.Fold(sum)
-	b[2], b[3] = byte(ck>>8), byte(ck)
-	return pkt
-}
-
-// send emits an ICMPv6 message. hops 0 means the layer default; ND
-// messages pass 255.
-func (m *Module) send(typ, code uint8, body []byte, src, dst inet.IP6, hops uint8, ifName string) error {
-	return m.sendOpt(typ, code, body, src, dst, hops, ifName, false)
-}
-
-// sendCtl emits a neighbor/router/group control message.  These bypass
-// the IP security output policy: they are the bootstrap path that
-// discovers the very neighbors secured traffic is sent to (the paper
-// notes ND *can* be secured when appropriate associations exist, §4 —
-// with manually keyed multicast associations; absent those, control
-// traffic must not deadlock behind a require-security policy).
+// sendCtl emits a neighbor/router/group control message, whose body
+// begins with the message's 32-bit word.  These bypass the IP security
+// output policy: they are the bootstrap path that discovers the very
+// neighbors secured traffic is sent to (the paper notes ND *can* be
+// secured when appropriate associations exist, §4 — with manually
+// keyed multicast associations; absent those, control traffic must not
+// deadlock behind a require-security policy).
 func (m *Module) sendCtl(typ, code uint8, body []byte, src, dst inet.IP6, hops uint8, ifName string) error {
-	return m.sendOpt(typ, code, body, src, dst, hops, ifName, true)
-}
-
-func (m *Module) sendOpt(typ, code uint8, body []byte, src, dst inet.IP6, hops uint8, ifName string, noSec bool) error {
-	if src.IsUnspecified() {
-		// The checksum needs the final source; select it now.
-		var ifp *netif.Interface
-		if ifName != "" {
-			ifp = m.l.Interface(ifName)
-		}
-		if s, ok := m.l.SourceFor(dst, ifp); ok {
-			src = s
-		}
-	}
 	m.Stats.OutMsgs.Inc()
-	pkt := buildMsg(typ, code, body, src, dst)
-	return m.l.Output(pkt, src, dst, proto.ICMPv6, ipv6.OutputOpts{HopLimit: hops, IfName: ifName, NoSecurity: noSec})
+	opts := ipv6.OutputOpts{HopLimit: hops, IfName: ifName, NoSecurity: true}
+	return m.l.SendICMP(typ, code, binary.BigEndian.Uint32(body), body[4:], src, dst, opts)
 }
 
 // SendEcho emits an echo request (ping6, §4.1).
@@ -217,105 +159,8 @@ func (m *Module) SendEcho(dst inet.IP6, id, seq uint16, payload []byte) error {
 // SendEchoHops emits an echo request with an explicit hop limit
 // (traceroute-style probing; 0 means the layer default).
 func (m *Module) SendEchoHops(dst inet.IP6, id, seq uint16, payload []byte, hops uint8) error {
-	body := make([]byte, 4+len(payload))
-	body[0], body[1] = byte(id>>8), byte(id)
-	body[2], body[3] = byte(seq>>8), byte(seq)
-	copy(body[4:], payload)
-	return m.send(TypeEchoRequest, 0, body, inet.IP6{}, dst, hops, "")
-}
-
-// LayerError is the ipv6.Layer error sink: it converts layer trigger
-// points into wire messages.
-func (m *Module) LayerError(kind int, code uint8, param uint32, orig *mbuf.Mbuf, rcvIf string) {
-	var typ uint8
-	switch kind {
-	case ipv6.ErrDstUnreach:
-		typ = TypeDstUnreach
-	case ipv6.ErrPacketTooBig:
-		typ = TypePacketTooBig
-	case ipv6.ErrTimeExceeded:
-		typ = TypeTimeExceeded
-	case ipv6.ErrParamProblem:
-		typ = TypeParamProblem
-	default:
-		return
-	}
-	m.SendError(typ, code, param, orig, rcvIf)
-}
-
-// SendPTB emits a Packet Too Big about orig advertising the given
-// MTU, clamped at the IPv6 minimum link MTU so no sender — the
-// tunnel nested-PMTU translator included — can advertise a path below
-// what every IPv6 link guarantees.
-func (m *Module) SendPTB(mtu int, orig *mbuf.Mbuf, rcvIf string) {
-	mtu = max(mtu, ipv6.MinMTU)
-	m.SendError(TypePacketTooBig, 0, uint32(mtu), orig, rcvIf)
-}
-
-// SendError emits an ICMPv6 error about the received packet orig,
-// applying the suppression rules: never about an ICMPv6 error, a
-// multicast-sourced or unspecified-sourced packet, or (except Packet
-// Too Big) a multicast-destined packet.
-func (m *Module) SendError(typ, code uint8, param uint32, orig *mbuf.Mbuf, rcvIf string) {
-	ob := orig.CopyBytes()
-	oh, err := ipv6.Parse(ob)
-	if err != nil {
-		return
-	}
-	if oh.Src.IsUnspecified() || oh.Src.IsMulticast() {
-		return
-	}
-	if oh.Dst.IsMulticast() && typ != TypePacketTooBig && !(typ == TypeParamProblem && code == ipv6.ParamUnknownOpt) {
-		return
-	}
-	// Never answer an ICMPv6 error with an error.
-	if info, perr := ipv6.Preparse(ob, false); perr == nil && info.Final == proto.ICMPv6 {
-		if info.FinalOff < len(ob) && IsError(ob[info.FinalOff]) {
-			return
-		}
-	}
-	// Rate-limit what survives the suppression rules (RFC 1885): under
-	// a corruption or loss storm the stack must not amplify every bad
-	// packet into an outbound error.
-	if !m.errAllow() {
-		m.Stats.RateLimited.Inc()
-		m.l.Drops.DropNote(stat.RICMP6RateLimited, oh.Src.String())
-		return
-	}
-	// Body: 4-byte parameter + as much of the offender as fits in the
-	// minimum MTU.
-	room := ipv6.MinMTU - ipv6.HeaderLen - 8
-	if len(ob) > room {
-		ob = ob[:room]
-	}
-	body := make([]byte, 4+len(ob))
-	body[0] = byte(param >> 24)
-	body[1] = byte(param >> 16)
-	body[2] = byte(param >> 8)
-	body[3] = byte(param)
-	copy(body[4:], ob)
-	m.Stats.OutErrors.Inc()
-	m.send(typ, code, body, inet.IP6{}, oh.Src, 0, rcvIf)
-}
-
-// errAllow takes one token from the outbound-error bucket, refilled at
-// DefaultErrPPS tokens per second off the stack's (virtual) clock.
-func (m *Module) errAllow() bool {
-	const rate = float64(DefaultErrPPS)
-	now := m.l.Routes().Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.errLast.IsZero() {
-		m.errTokens = rate // full bucket on first use
-	} else {
-		m.errTokens = min(m.errTokens+now.Sub(m.errLast).Seconds()*rate, rate)
-	}
-	m.errLast = now
-	if m.errTokens < 1 {
-		return false
-	}
-	m.errTokens--
-	return true
+	m.Stats.OutMsgs.Inc()
+	return m.l.SendICMP(TypeEchoRequest, 0, uint32(id)<<16|uint32(seq), payload, inet.IP6{}, dst, ipv6.OutputOpts{HopLimit: hops})
 }
 
 // input is the protocol-switch entry for ICMPv6. The packet begins at
@@ -351,11 +196,12 @@ func (m *Module) input(pkt *mbuf.Mbuf, meta proto.Meta) {
 			return
 		}
 		m.Stats.OutEchoReps.Inc()
+		m.Stats.OutMsgs.Inc()
 		src := meta.Dst6
 		if src.IsMulticast() {
 			src = inet.IP6{} // reply from a unicast address of ours
 		}
-		m.send(TypeEchoReply, 0, body, src, meta.Src6, 0, meta.RcvIf)
+		m.l.SendICMP(TypeEchoReply, 0, binary.BigEndian.Uint32(body), body[4:], src, meta.Src6, ipv6.OutputOpts{IfName: meta.RcvIf})
 	case TypeEchoReply:
 		m.Stats.InEchoReps.Inc()
 		if m.OnEcho != nil && len(body) >= 4 {

@@ -54,11 +54,9 @@ func (m *Module) solicit(ifp *netif.Interface, target inet.IP6, unicast bool) {
 // the unspecified address, destination the target's solicited-node
 // group.
 func (m *Module) sendDadNS(ifp *netif.Interface, target inet.IP6) error {
-	body := make([]byte, 4+16)
-	copy(body[4:], target[:])
 	m.Stats.OutNS.Inc()
-	pkt := buildMsg(TypeNeighborSolicit, 0, body, inet.IP6{}, inet.SolicitedNode(target))
-	return m.l.Output(pkt, inet.IP6{}, inet.SolicitedNode(target), proto.ICMPv6, ipv6.OutputOpts{HopLimit: 255, IfName: ifp.Name, NoSecurity: true, UnspecSource: true})
+	opts := ipv6.OutputOpts{HopLimit: 255, IfName: ifp.Name, NoSecurity: true, UnspecSource: true}
+	return m.l.SendICMP(TypeNeighborSolicit, 0, 0, target[:], inet.IP6{}, inet.SolicitedNode(target), opts)
 }
 
 // sendNA emits a Neighbor Advertisement for target to dst.

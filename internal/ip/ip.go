@@ -1,13 +1,15 @@
 // Package ip is the half of the BSD IP layer that does not depend on
 // the protocol family: the interface registry, loopback and protocol
 // switch, the local-address set, path MTU, the forwarding lookup,
-// transmit, the output fragment loop, reassembly and the neighbor
-// cache that ARP and Neighbor Discovery share.  ipv4.Layer and
+// transmit, the output fragment loop, reassembly, the neighbor cache
+// that ARP and Neighbor Discovery share, and ICMP error origination:
+// its suppression rules, rate limit and message build.  ipv4.Layer and
 // ipv6.Layer each embed a Layer and keep what differs by protocol:
 // header codecs, options and extension headers, Output's header build,
-// ICMP errors, the fragment header's parse and the rewrite of a
-// reassembled datagram's headers, the ARP or ND wire codec and
-// solicit, and what a router does with an oversized packet (§2.1-2.2).
+// the offender's parse and the checksum's pseudo-header, the fragment
+// header's parse and the rewrite of a reassembled datagram's headers,
+// the ARP or ND wire codec and solicit, and what a router does with an
+// oversized packet (§2.1-2.2).
 // It carries the paper's §5 thesis, one transport for both families,
 // one layer down.
 package ip
@@ -29,11 +31,13 @@ import (
 type Addr interface {
 	inet.IP4 | inet.IP6
 	IsLoopback() bool
+	IsMulticast() bool
+	IsUnspecified() bool
 	String() string
 }
 
 // Family is what a protocol family gives the shared layer when it is
-// built; nothing in it may be nil.
+// built; nothing in it may be nil but ICMP.GroupExempt.
 type Family[A Addr] struct {
 	AF         inet.Family
 	EtherType  uint16
@@ -73,6 +77,9 @@ type Family[A Addr] struct {
 	ReasmFailReason, ReasmOverlapReason              stat.Reason
 	ReasmOverflowReason, ReasmTimeoutReason          stat.Reason
 	NoRouteReason, HoldFullReason, ResolveFailReason stat.Reason
+
+	// ICMP is the family's half of ICMP error origination.
+	ICMP ICMPFamily[A]
 }
 
 // Stats are the counters both families keep (netstat's ipstat), each
@@ -127,6 +134,12 @@ type Layer[A Addr] struct {
 	// Drops is the stack-wide drop sink (reason counters and flight
 	// recorder) the stack assembly shares; nil counts nothing.
 	Drops *stat.Recorder
+	// ICMPStats are the counters of the family's ICMP module, which
+	// sets them when it attaches; Error charges its messages to them.
+	ICMPStats *ICMPStats
+	// The ICMP error bucket (see errAllow), under mu.
+	errTokens float64
+	errLast   time.Time
 }
 
 // ifnetSet is one version of the interface registry: the interfaces
@@ -181,6 +194,14 @@ func (l *Layer[A]) Interfaces() []*netif.Interface {
 		out = append(out, ifp)
 	}
 	return out
+}
+
+// EachInterface calls fn on each registered interface, with no copy
+// of the registry, as the per-packet source choice reads it.
+func (l *Layer[A]) EachInterface(fn func(*netif.Interface)) {
+	for _, ifp := range l.ifnet.Load().byName {
+		fn(ifp)
+	}
 }
 
 // Loopback returns the local-delivery interface, or nil.

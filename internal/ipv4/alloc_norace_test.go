@@ -92,3 +92,34 @@ func TestV4ReassemblyAllocatesOnlyMbufs(t *testing.T) {
 		t.Fatalf("%v allocations per reassembled datagram, want 4", allocs)
 	}
 }
+
+// TestEchoAllocatesOnlyItsMbufs pins an ICMP echo round trip at its
+// two messages' Mbufs: the request and the reply are each written by
+// ip.BuildICMP straight into a pooled slab, over a warm ARP entry.
+// TestEchoAllocatesOnlyItsMbufs in internal/icmp6 pins ICMPv6 at the
+// same count.  Built without the race detector, whose instrumentation
+// allocates.
+func TestEchoAllocatesOnlyItsMbufs(t *testing.T) {
+	a, b := twoNodes(t)
+	p := &pinger{}
+	p.hook(a.ic)
+	if err := a.ic.SendEcho(addrB, 1, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "warm-up echo reply", func() bool { return p.count() >= 1 })
+	a.ic.OnEcho = nil
+	payload := make([]byte, 56)
+	replies := a.ic.Stats.InEchoReps.Get()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := a.ic.SendEcho(addrB, 1, 2, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := a.ic.Stats.InEchoReps.Get() - replies; got != runs+1 || b.ic.Stats.InEchos.Get() != runs+2 {
+		t.Fatalf("%d replies over %d echos", got, runs+1)
+	}
+	if allocs != 2 {
+		t.Fatalf("%v allocations per echo round trip, want 2 (its Mbufs)", allocs)
+	}
+}

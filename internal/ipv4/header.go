@@ -120,6 +120,7 @@ func Parse(b []byte) (Header, int, error) {
 	return h, hl, nil
 }
 
+// String renders the header's fields for traces and debugging.
 func (h *Header) String() string {
 	return fmt.Sprintf("ipv4 %s > %s proto=%d len=%d ttl=%d id=%d off=%d df=%v mf=%v",
 		h.Src, h.Dst, h.Proto, h.TotalLen, h.TTL, h.ID, h.FragOff, h.DF, h.MF)

@@ -1,7 +1,10 @@
 package ipv4
 
 import (
+	"encoding/binary"
+
 	"bsd6/internal/inet"
+	"bsd6/internal/ip"
 	"bsd6/internal/mbuf"
 	"bsd6/internal/proto"
 	"bsd6/internal/stat"
@@ -24,17 +27,15 @@ const (
 
 // IcmpStats counts ICMPv4 events.
 type IcmpStats struct {
+	ip.ICMPStats
 	InMsgs      stat.Counter
 	InErrors    stat.Counter
 	InEchos     stat.Counter
 	InEchoReps  stat.Counter
-	OutMsgs     stat.Counter
 	OutEchoReps stat.Counter
-	OutErrors   stat.Counter
 }
 
-// EchoHandler receives echo replies (for ping); set by the raw socket
-// layer.
+// EchoHandler receives echo replies (for ping).
 type EchoHandler func(src inet.IP4, id, seq uint16, payload []byte)
 
 // AttachICMP registers the ICMPv4 protocol on the layer and returns a
@@ -42,65 +43,41 @@ type EchoHandler func(src inet.IP4, id, seq uint16, payload []byte)
 func AttachICMP(l *Layer) *ICMP {
 	ic := &ICMP{l: l}
 	l.Register(proto.ICMP, ic.input, nil)
-	l.icmp = ic
+	l.ICMPStats = &ic.Stats.ICMPStats
 	return ic
 }
 
 // ICMP is the ICMPv4 protocol instance.
 type ICMP struct {
-	l       *Layer
-	Stats   IcmpStats
-	OnEcho  EchoHandler
-	OnError func(kind proto.CtlType, dst inet.IP4) // observer for tests
-}
-
-func icmpMarshal(typ, code uint8, rest uint32, payload []byte) []byte {
-	b := make([]byte, 8+len(payload))
-	b[0], b[1] = typ, code
-	b[4] = byte(rest >> 24)
-	b[5] = byte(rest >> 16)
-	b[6] = byte(rest >> 8)
-	b[7] = byte(rest)
-	copy(b[8:], payload)
-	ck := inet.Checksum(b)
-	b[2], b[3] = byte(ck>>8), byte(ck)
-	return b
+	l      *Layer
+	Stats  IcmpStats
+	OnEcho EchoHandler
 }
 
 // SendEcho emits an echo request.
 func (ic *ICMP) SendEcho(dst inet.IP4, id, seq uint16, payload []byte) error {
 	ic.Stats.OutMsgs.Inc()
-	m := mbuf.New(icmpMarshal(IcmpEcho, 0, uint32(id)<<16|uint32(seq), payload))
-	return ic.l.Output(m, inet.IP4{}, dst, proto.ICMP, OutputOpts{})
+	return ic.l.sendICMP(IcmpEcho, 0, uint32(id)<<16|uint32(seq), payload, inet.IP4{}, dst)
 }
 
-// SendError emits an ICMP error about a received packet whose leading
-// bytes (IP header + 8) are in origCtx. mtu is the next-hop MTU for
-// frag-needed. Errors about errors, multicasts, and fragments other
-// than the first are suppressed per RFC 1122.
-func (l *Layer) SendError(typ, code uint8, mtu int, origCtx []byte) {
-	if len(origCtx) < HeaderLen {
-		return
+// sendICMP sends an ICMP message; Output picks an unspecified src.
+func (l *Layer) sendICMP(typ, code uint8, word uint32, data []byte, src, dst inet.IP4) error {
+	return l.Output(ip.BuildICMP(typ, code, word, data, 0), src, dst, proto.ICMP, OutputOpts{})
+}
+
+// offender is the IPv4 half of ip.Layer.Error's parse: no error
+// answers a fragment other than the first (RFC 1122 §3.2.2), and any
+// ICMP message but an echo or echo reply counts as an error.
+func offender(b []byte) (o ip.Offender[inet.IP4], ok bool) {
+	h, hl, err := Parse(b)
+	if err != nil || h.FragOff != 0 {
+		return o, false
 	}
-	oh, _, err := Parse(origCtx)
-	if err != nil || oh.Src.IsMulticast() || oh.Src.IsUnspecified() || oh.FragOff != 0 {
-		return
+	o.Src, o.Group, o.Quote = h.Src, h.Dst.IsMulticast() || h.Dst.IsBroadcast(), hl+icmpQuote
+	if h.Proto == proto.ICMP && len(b) > hl {
+		o.Error = b[hl] != IcmpEcho && b[hl] != IcmpEchoReply
 	}
-	if oh.Proto == proto.ICMP && len(origCtx) >= oh.HdrLen()+1 {
-		t := origCtx[oh.HdrLen()]
-		if t != IcmpEcho && t != IcmpEchoReply {
-			return // never answer an error with an error
-		}
-	}
-	var rest uint32
-	if typ == IcmpUnreach && code == CodeFragNeeded {
-		rest = uint32(mtu) & 0xffff
-	}
-	if l.icmp != nil {
-		l.icmp.Stats.OutErrors.Inc()
-	}
-	m := mbuf.New(icmpMarshal(typ, code, rest, origCtx))
-	l.Output(m, inet.IP4{}, oh.Src, proto.ICMP, OutputOpts{})
+	return o, true
 }
 
 // input is the ICMPv4 protocol-switch entry.  It is the packet's
@@ -119,9 +96,8 @@ func (ic *ICMP) input(pkt *mbuf.Mbuf, meta proto.Meta) {
 	case IcmpEcho:
 		ic.Stats.InEchos.Inc()
 		ic.Stats.OutEchoReps.Inc()
-		rest := uint32(b[4])<<24 | uint32(b[5])<<16 | uint32(b[6])<<8 | uint32(b[7])
-		m := mbuf.New(icmpMarshal(IcmpEchoReply, 0, rest, b[8:]))
-		ic.l.Output(m, meta.Dst4, meta.Src4, proto.ICMP, OutputOpts{})
+		ic.Stats.OutMsgs.Inc()
+		ic.l.sendICMP(IcmpEchoReply, 0, binary.BigEndian.Uint32(b[4:]), b[8:], meta.Dst4, meta.Src4)
 	case IcmpEchoReply:
 		ic.Stats.InEchoReps.Inc()
 		if ic.OnEcho != nil {
@@ -157,9 +133,6 @@ func (ic *ICMP) ctlDispatch(typ, code uint8, b []byte) {
 		kind = proto.CtlTimeExceed
 	default:
 		kind = proto.CtlParamProb
-	}
-	if ic.OnError != nil {
-		ic.OnError(kind, oh.Dst)
 	}
 	meta := &proto.Meta{Family: inet.AFInet, Src4: oh.Src, Dst4: oh.Dst, Proto: oh.Proto}
 	if ctl := ic.l.Ctl(oh.Proto); ctl != nil {

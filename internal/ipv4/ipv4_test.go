@@ -423,19 +423,13 @@ func TestRouterFragments(t *testing.T) {
 }
 
 func TestDFElicitsFragNeeded(t *testing.T) {
-	a, r, _ := threeNodeNet(t, 576)
+	a, _, _ := threeNodeNet(t, 576)
 	var gotKind proto.CtlType
-	var mu sync.Mutex
-	a.ic.OnError = func(kind proto.CtlType, dst inet.IP4) {
-		mu.Lock()
-		gotKind = kind
-		mu.Unlock()
-	}
-	// Register a fake transport so ctlinput can be delivered.
 	var ctlMTU int
+	var mu sync.Mutex
 	a.l.Register(proto.UDP, func(*mbuf.Mbuf, proto.Meta) {}, func(kind proto.CtlType, meta *proto.Meta, contents []byte, mtu int) {
 		mu.Lock()
-		ctlMTU = mtu
+		gotKind, ctlMTU = kind, mtu
 		mu.Unlock()
 	})
 	pkt := mbuf.New(make([]byte, 1200))
@@ -452,7 +446,6 @@ func TestDFElicitsFragNeeded(t *testing.T) {
 	if ctlMTU != 576 {
 		t.Fatalf("ctl MTU = %d", ctlMTU)
 	}
-	_ = r
 }
 
 func TestTTLExpiryElicitsTimeExceeded(t *testing.T) {
@@ -477,16 +470,16 @@ func TestTTLExpiryElicitsTimeExceeded(t *testing.T) {
 
 func TestUnknownProtocolElicitsUnreach(t *testing.T) {
 	a, b := twoNodes(t)
-	_ = b
+	const mystery = 200
 	var got proto.CtlType
 	var mu sync.Mutex
-	a.ic.OnError = func(kind proto.CtlType, dst inet.IP4) {
+	a.l.Register(mystery, nil, func(kind proto.CtlType, meta *proto.Meta, contents []byte, mtu int) {
 		mu.Lock()
 		got = kind
 		mu.Unlock()
-	}
+	})
 	pkt := mbuf.New([]byte("mystery"))
-	if err := a.l.Output(pkt, inet.IP4{}, addrB, 200, OutputOpts{}); err != nil {
+	if err := a.l.Output(pkt, inet.IP4{}, addrB, mystery, OutputOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "proto unreach", func() bool {

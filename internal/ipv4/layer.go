@@ -36,7 +36,11 @@ var (
 // Packet Too Big needs the full inner IP header (and ideally its
 // transport ports) from the quote.  RFC 1812 §4.3.2.3 allows quoting
 // as much as fits in 576 bytes; 128 covers outer + inner + transport.
-const icmpQuote = 128
+// maxHeaderLen is the longest header, options included, it follows.
+const (
+	icmpQuote    = 128
+	maxHeaderLen = 60
+)
 
 // OutputOpts carries the per-packet options of ip_output.
 type OutputOpts struct {
@@ -55,7 +59,6 @@ type base = ip.Layer[inet.IP4]
 // Layer is the IPv4 protocol instance of one stack.
 type Layer struct {
 	*base
-	icmp *ICMP
 
 	// DefaultTTL is used when OutputOpts.TTL is zero.
 	DefaultTTL uint8
@@ -87,6 +90,14 @@ func NewLayer(rt *route.Table) *Layer {
 		NoRouteReason:       stat.RV4NoRoute,
 		HoldFullReason:      stat.RArpQueueFull,
 		ResolveFailReason:   stat.RArpResolveFailed,
+		ICMP: ip.ICMPFamily[inet.IP4]{
+			Offender: offender,
+			MaxQuote: maxHeaderLen + icmpQuote,
+			Send: func(typ, code uint8, word uint32, data []byte, dst inet.IP4, _ string) {
+				l.sendICMP(typ, code, word, data, inet.IP4{}, dst)
+			},
+			RateLimitedReason: stat.RICMP4RateLimited,
+		},
 	})
 	return l
 }
@@ -233,15 +244,6 @@ func (l *Layer) Input(ifp *netif.Interface, pkt *mbuf.Mbuf) {
 	pkt.Free()
 }
 
-// quote copies the leading bytes of a received packet, from its IP
-// header on, that an ICMP error about it carries (and the flight
-// recorder keeps).  Only error paths call it: a delivered or forwarded
-// packet copies nothing.
-func quote(pkt *mbuf.Mbuf) []byte {
-	hl := int(pkt.PullUp(HeaderLen)[0]&0xf) * 4
-	return pkt.CopyRange(0, min(pkt.Len(), hl+icmpQuote))
-}
-
 // deliverLocal reassembles fragments and runs the protocol switch.  A
 // reassembled datagram carries fragment zero's header, rewritten for
 // the whole datagram, so an error about it quotes that header.
@@ -266,12 +268,9 @@ func (l *Layer) deliverLocal(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 	}
 	in := l.Proto(h.Proto)
 	if in == nil {
-		errCtx := quote(pkt)
 		l.Stats.InUnknownProt.Inc()
-		l.Drops.DropPkt(stat.RV4UnknownProt, errCtx)
-		if !h.Dst.IsMulticast() && !h.Dst.IsBroadcast() {
-			l.SendError(IcmpUnreach, CodeProtoUnreach, 0, errCtx)
-		}
+		l.Drops.DropPkt(stat.RV4UnknownProt, pkt.Bytes())
+		l.Error(IcmpUnreach, CodeProtoUnreach, 0, pkt, ifp.Name)
 		pkt.Free()
 		return
 	}
@@ -304,19 +303,17 @@ func reassembled(pkt *mbuf.Mbuf, hl int) Header {
 // among the work IPv6 routers shed).
 func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
 	if h.TTL <= 1 {
-		errCtx := quote(pkt)
-		l.Drops.DropPkt(stat.RV4TTLExceeded, errCtx)
-		l.SendError(IcmpTimeExceeded, 0, 0, errCtx)
+		l.Drops.DropPkt(stat.RV4TTLExceeded, pkt.Bytes())
+		l.Error(IcmpTimeExceeded, 0, 0, pkt, pkt.Hdr().RcvIf)
 		pkt.Free()
 		return
 	}
 	hop := l.ForwardRoute(h.Dst[:])
 	if hop.Ifp == nil {
-		errCtx := quote(pkt)
 		l.Stats.OutNoRoute.Inc()
-		l.Drops.DropPkt(stat.RV4NoRoute, errCtx)
+		l.Drops.DropPkt(stat.RV4NoRoute, pkt.Bytes())
 		if hop.Route == nil {
-			l.SendError(IcmpUnreach, CodeHostUnreach, 0, errCtx)
+			l.Error(IcmpUnreach, CodeHostUnreach, 0, pkt, pkt.Hdr().RcvIf)
 		}
 		pkt.Free()
 		return
@@ -327,7 +324,7 @@ func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
 	mtu := hop.PathMTU()
 	if pkt.Len() > mtu { // pkt still carries the IP header here
 		if h.DF {
-			l.SendError(IcmpUnreach, CodeFragNeeded, mtu, quote(pkt))
+			l.Error(IcmpUnreach, CodeFragNeeded, uint32(mtu), pkt, pkt.Hdr().RcvIf)
 			pkt.Free()
 			return
 		}
@@ -358,7 +355,7 @@ func (l *Layer) forward(h *Header, pkt *mbuf.Mbuf) {
 // 1, as ip_freef's caller does in BSD, quoting that fragment.
 func (l *Layer) SlowTimo(now time.Time) {
 	l.ExpireReasm(now, func(first *mbuf.Mbuf) {
-		l.SendError(IcmpTimeExceeded, 1, 0, quote(first))
+		l.Error(IcmpTimeExceeded, 1, 0, first, first.Hdr().RcvIf)
 	})
 	l.NeighborTimer(now)
 }

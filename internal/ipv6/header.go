@@ -82,6 +82,7 @@ func Parse(b []byte) (Header, error) {
 	return h, nil
 }
 
+// String renders the header's fields for traces and debugging.
 func (h *Header) String() string {
 	return fmt.Sprintf("ipv6 %s > %s nh=%d plen=%d hlim=%d flow=%#x",
 		h.Src, h.Dst, h.NextHdr, h.PayloadLen, h.HopLimit, h.FlowInfo)
@@ -138,14 +139,15 @@ func MarshalOptions(next uint8, opts []Option) []byte {
 	return body
 }
 
-// ParseOptions walks the TLVs of an options header body (after the
-// next/len bytes). It returns the options, or the byte offset (within
-// the body) of an offending option and an error describing the action.
+// OptionError is ParseOptions' error for an option it does not know
+// whose action bits say not to skip it: where the option is and what
+// to do with the packet.
 type OptionError struct {
 	Offset int  // offset of the option type byte within the ext header
 	Action byte // the discard action bits
 }
 
+// Error describes the error.
 func (e *OptionError) Error() string { return "ipv6: unrecognized option" }
 
 // ParseOptions decodes all options in body (the bytes after the 2-byte

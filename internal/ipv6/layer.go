@@ -35,9 +35,7 @@ var (
 	ErrNoSrc   = errors.New("ipv6: no usable source address")
 )
 
-// ICMPv6 error kinds the layer can ask its error sink to emit.  The
-// actual message construction lives in icmp6; the layer only knows the
-// trigger points.
+// ICMPv6 error types the layer originates through ip.Layer.Error.
 const (
 	ErrDstUnreach   = 1 // type 1: no route (code 0), addr unreachable (code 3)
 	ErrPacketTooBig = 2 // type 2: forwarding hit a smaller link MTU
@@ -52,11 +50,6 @@ const (
 	ParamUnknownOpt  = 2 // unrecognized option
 	ParamHeaderChain = 3 // first fragment lacks the header chain (RFC 7112)
 )
-
-// ErrorFunc emits an ICMPv6 error about a received packet. orig is the
-// offending packet from its IPv6 header; param is the type-specific
-// 32-bit field (MTU for Packet Too Big, pointer for Param Problem).
-type ErrorFunc func(kind int, code uint8, param uint32, orig *mbuf.Mbuf, rcvIf string)
 
 // Neighbor Discovery's timing and reject linger (§4.3), which the
 // shared neighbor cache runs IPv6 neighbors with.
@@ -153,8 +146,6 @@ type Layer struct {
 	// DefaultHopLimit is used when OutputOpts.HopLimit is 0.
 	DefaultHopLimit uint8
 
-	// Error is the ICMPv6 error sink, registered by icmp6.
-	Error ErrorFunc
 	// Solicit sends a Neighbor Solicit for target: to its
 	// solicited-node group while resolving, unicast to probe a stale
 	// neighbor.  icmp6 registers it; the shared neighbor cache calls it.
@@ -216,6 +207,17 @@ func NewLayer(rt *route.Table) *Layer {
 		NoRouteReason:       stat.RV6NoRoute,
 		HoldFullReason:      stat.RNDQueueFull,
 		ResolveFailReason:   stat.RNDResolveFailed,
+		ICMP: ip.ICMPFamily[inet.IP6]{
+			Offender: offender,
+			MaxQuote: MinMTU - HeaderLen - 8,
+			GroupExempt: func(typ, code uint8) bool {
+				return typ == ErrPacketTooBig || typ == ErrParamProblem && code == ParamUnknownOpt
+			},
+			Send: func(typ, code uint8, word uint32, data []byte, dst inet.IP6, rcvIf string) {
+				l.SendICMP(typ, code, word, data, inet.IP6{}, dst, OutputOpts{IfName: rcvIf})
+			},
+			RateLimitedReason: stat.RICMP6RateLimited,
+		},
 	})
 	return l
 }
@@ -341,9 +343,7 @@ func (l *Layer) SourceFor(dst inet.IP6, ifp *netif.Interface) (inet.IP6, bool) {
 	if ifp != nil {
 		ifp.EachAddr6(consider)
 	} else {
-		for _, i := range l.Interfaces() {
-			i.EachAddr6(consider)
-		}
+		l.EachInterface(func(i *netif.Interface) { i.EachAddr6(consider) })
 	}
 	if bestScore < 0 {
 		return inet.IP6{}, false
@@ -718,10 +718,10 @@ func (l *Layer) process(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, depth i
 		if _, isOptErr := err.(*OptionError); !isOptErr {
 			l.Stats.InHdrErrors.Inc()
 			l.Drops.DropPkt(stat.RV6BadExtChain, b)
-			if l.Error != nil && info.Truncated {
-				l.Error(ErrParamProblem, ParamErrHeader, uint32(info.FinalOff), pkt, ifp.Name)
+			if info.Truncated {
+				l.paramProblem(ifp, pkt, ParamErrHeader, uint32(info.FinalOff))
 			}
-			pkt.Free() // the error hook quoted its copy
+			pkt.Free()
 			return
 		}
 	}
@@ -877,7 +877,7 @@ func (l *Layer) processRouting(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, 
 	b[rec.Offset+3] = byte(rh.SegLeft - 1)
 	if b[7] <= 1 {
 		l.Drops.DropPkt(stat.RV6HopLimit, b)
-		l.sendErr(ErrTimeExceeded, 0, 0, pkt, ifp.Name)
+		l.Error(ErrTimeExceeded, 0, 0, pkt, ifp.Name)
 		pkt.Free()
 		return true, false
 	}
@@ -886,7 +886,7 @@ func (l *Layer) processRouting(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, 
 	rt, ok := l.ensureHostRoute(next)
 	if !ok {
 		l.Drops.DropPkt(stat.RV6NoRoute, b)
-		l.sendErr(ErrDstUnreach, 0, 0, pkt, ifp.Name)
+		l.Error(ErrDstUnreach, 0, 0, pkt, ifp.Name)
 		pkt.Free()
 		return true, false
 	}
@@ -895,7 +895,7 @@ func (l *Layer) processRouting(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf, 
 	// strict source routing" case of §4.1 (Unreachable, not-a-neighbor).
 	if rh.StrictBits&(1<<uint(i)) != 0 && l.EntryFlags(rt)&route.FlagGateway != 0 {
 		l.Drops.DropPkt(stat.RV6RouteHdrErr, b)
-		l.sendErr(ErrDstUnreach, 2 /* not a neighbor */, 0, pkt, ifp.Name)
+		l.Error(ErrDstUnreach, 2 /* not a neighbor */, 0, pkt, ifp.Name)
 		pkt.Free()
 		return true, false
 	}
@@ -1010,7 +1010,7 @@ func (l *Layer) forward(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 	b := pkt.Bytes()
 	if h.HopLimit <= 1 {
 		l.Drops.DropPkt(stat.RV6HopLimit, b)
-		l.sendErr(ErrTimeExceeded, 0, 0, pkt, ifp.Name)
+		l.Error(ErrTimeExceeded, 0, 0, pkt, ifp.Name)
 		pkt.Free()
 		return
 	}
@@ -1032,7 +1032,7 @@ func (l *Layer) forward(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 		l.Stats.OutNoRoute.Inc()
 		l.Drops.DropPkt(stat.RV6NoRoute, b)
 		if hop.Route == nil {
-			l.sendErr(ErrDstUnreach, 0, 0, pkt, ifp.Name)
+			l.Error(ErrDstUnreach, 0, 0, pkt, ifp.Name)
 		}
 		pkt.Free()
 		return
@@ -1040,7 +1040,7 @@ func (l *Layer) forward(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 	mtu := hop.Ifp.MTU()
 	if pkt.Len() > mtu {
 		l.Drops.DropPkt(stat.RV6TooBig, b)
-		l.sendErr(ErrPacketTooBig, 0, uint32(mtu), pkt, ifp.Name)
+		l.Error(ErrPacketTooBig, 0, uint32(mtu), pkt, ifp.Name)
 		pkt.Free()
 		return
 	}
@@ -1052,13 +1052,35 @@ func (l *Layer) forward(ifp *netif.Interface, h *Header, pkt *mbuf.Mbuf) {
 }
 
 func (l *Layer) paramProblem(ifp *netif.Interface, pkt *mbuf.Mbuf, code uint8, ptr uint32) {
-	l.sendErr(ErrParamProblem, code, ptr, pkt, ifp.Name)
+	l.Error(ErrParamProblem, code, ptr, pkt, ifp.Name)
 }
 
-func (l *Layer) sendErr(kind int, code uint8, param uint32, orig *mbuf.Mbuf, rcvIf string) {
-	if l.Error != nil {
-		l.Error(kind, code, param, orig, rcvIf)
+// offender is the IPv6 half of ip.Layer.Error's parse: an ICMPv6
+// message is an error when the high bit of its type is clear (§4).
+func offender(b []byte) (o ip.Offender[inet.IP6], ok bool) {
+	h, err := Parse(b)
+	if err != nil {
+		return o, false
 	}
+	o.Src, o.Group, o.Quote = h.Src, h.Dst.IsMulticast(), len(b)
+	if info, err := Preparse(b, false); err == nil && info.Final == proto.ICMPv6 && info.FinalOff < len(b) {
+		o.Error = b[info.FinalOff]&0x80 == 0
+	}
+	return o, true
+}
+
+// SendICMP sends an ICMPv6 message built by ip.BuildICMP.  The
+// checksum's pseudo-header needs the final source, so an unspecified
+// src is replaced by the one Output would pick toward dst, out of
+// opts.IfName when it is set, unless opts.UnspecSource keeps it.
+func (l *Layer) SendICMP(typ, code uint8, word uint32, data []byte, src, dst inet.IP6, opts OutputOpts) error {
+	if src.IsUnspecified() && !opts.UnspecSource {
+		if s, ok := l.SourceFor(dst, l.Interface(opts.IfName)); ok {
+			src = s
+		}
+	}
+	sum := inet.PseudoHeader6(src, dst, uint32(8+len(data)), proto.ICMPv6)
+	return l.Output(ip.BuildICMP(typ, code, word, data, sum), src, dst, proto.ICMPv6, opts)
 }
 
 // SlowTimo drives periodic work (reassembly expiry). The paper's
@@ -1071,6 +1093,6 @@ func (l *Layer) sendErr(kind int, code uint8, param uint32, orig *mbuf.Mbuf, rcv
 // saw.
 func (l *Layer) SlowTimo(now time.Time) {
 	l.ExpireReasm(now, func(first *mbuf.Mbuf) {
-		l.sendErr(ErrTimeExceeded, 1, 0, first, first.Hdr().RcvIf)
+		l.Error(ErrTimeExceeded, 1, 0, first, first.Hdr().RcvIf)
 	})
 }

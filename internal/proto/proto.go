@@ -116,6 +116,7 @@ const (
 	CtlParamProb                      // parameter problem
 )
 
+// String names the notification, as traces print it.
 func (c CtlType) String() string {
 	switch c {
 	case CtlUnreach:

@@ -126,6 +126,8 @@ const (
 	RV4FragUnaligned   // non-final IPv4 fragment not a multiple of 8 bytes
 	RV6FragHeaderChain // first IPv6 fragment without the whole header chain
 
+	RICMP4RateLimited // outbound ICMPv4 error refused by the layer's token bucket
+
 	reasonCount // sentinel: number of reasons, keep last
 )
 
@@ -207,6 +209,8 @@ var reasonNames = [reasonCount]string{
 	RV6FragUnaligned:   "ip6-frag-unaligned",
 	RV4FragUnaligned:   "ip4-frag-unaligned",
 	RV6FragHeaderChain: "ip6-frag-header-chain",
+
+	RICMP4RateLimited: "icmp4-rate-limited",
 }
 
 // String returns the reason's stable snapshot key.

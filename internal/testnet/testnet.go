@@ -52,7 +52,7 @@ func NewNode(name string) *Node {
 	v4.Drops = drops
 	v6.Drops = drops
 	rt.Drops = drops
-	tun := tunnel.Attach(v4, v6, ic6)
+	tun := tunnel.Attach(v4, v6)
 	tun.Drops = drops
 	n := &Node{Name: name, RT: rt, V4: v4, V6: v6, ICMP4: ic4, ICMP6: ic6, Sec: sec, Keys: ke, Tun: tun, Drops: drops}
 	lo := netif.NewLoopback(name+"-lo", 32768)

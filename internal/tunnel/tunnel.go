@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"sync"
 
-	"bsd6/internal/icmp6"
 	"bsd6/internal/inet"
 	"bsd6/internal/ipv4"
 	"bsd6/internal/ipv6"
@@ -162,9 +161,8 @@ func (t *Tunnel) Config() Config { return t.cfg }
 // / protocol-4 decapsulation entries in both IP layers' protocol
 // switches.
 type Module struct {
-	v4  *ipv4.Layer
-	v6  *ipv6.Layer
-	ic6 *icmp6.Module
+	v4 *ipv4.Layer
+	v6 *ipv6.Layer
 
 	// Drops is the stack-wide drop observability sink; nil counts
 	// nothing.
@@ -179,8 +177,8 @@ type Module struct {
 // IPv6-in-IPv6 (41 over v6) — in the IP layers' protocol switches,
 // both the input (decapsulation) and ctlinput (nested PMTU
 // translation) entries.
-func Attach(v4 *ipv4.Layer, v6 *ipv6.Layer, ic6 *icmp6.Module) *Module {
-	m := &Module{v4: v4, v6: v6, ic6: ic6}
+func Attach(v4 *ipv4.Layer, v6 *ipv6.Layer) *Module {
+	m := &Module{v4: v4, v6: v6}
 	v4.Register(proto.IPv6, m.decapInput, m.ctlInput4)
 	v6.Register(proto.IPv4, m.decapInput, m.ctlInput6)
 	v6.Register(proto.IPv6, m.decapInput, m.ctlInput6)
@@ -484,11 +482,11 @@ func (m *Module) translatePTB(t *Tunnel, inner []byte, outerMTU int) {
 	if len(inner) == 0 {
 		return // truncated ICMP payload: device MTU narrowed, nothing to relay
 	}
+	orig := mbuf.New(inner)
 	if t.Mode.innerV6() {
-		if m.ic6 != nil {
-			m.ic6.SendPTB(innerMTU, mbuf.New(inner), "")
-		}
-		return
+		m.v6.Error(ipv6.ErrPacketTooBig, 0, uint32(innerMTU), orig, "")
+	} else {
+		m.v4.Error(ipv4.IcmpUnreach, ipv4.CodeFragNeeded, uint32(innerMTU), orig, "")
 	}
-	m.v4.SendError(ipv4.IcmpUnreach, ipv4.CodeFragNeeded, innerMTU, inner)
+	orig.Free()
 }

@@ -298,35 +298,33 @@ func (u *UDP) input(pkt *mbuf.Mbuf, meta proto.Meta) {
 	}
 }
 
-// portUnreach reconstructs the offending datagram and asks ICMP to
-// report an unreachable port.
+// portUnreach rebuilds the offending datagram's IP header in front of
+// udpHdr, the UDP datagram, and asks the IP layer for a port
+// unreachable about it.  The rebuilt packet carries the received
+// flags, so the layer's link-layer broadcast and multicast rule sees
+// how the datagram arrived.
 func (u *UDP) portUnreach(pkt *mbuf.Mbuf, meta *proto.Meta, udpHdr []byte) {
-	if pkt.Hdr().Flags&(mbuf.MBcast|mbuf.MMcast) != 0 {
-		return
-	}
+	var orig *mbuf.Mbuf
 	if meta.Family == inet.AFInet {
 		oh := ipv4.Header{
 			TotalLen: ipv4.HeaderLen + len(udpHdr), TTL: meta.Hops,
 			Proto: proto.UDP, Src: meta.Src4, Dst: meta.Dst4,
 		}
-		ctx := oh.Marshal(nil)
-		n := len(udpHdr)
-		if n > 8 {
-			n = 8
+		orig = mbuf.New(append(oh.Marshal(nil), udpHdr[:min(len(udpHdr), 8)]...))
+	} else {
+		oh := ipv6.Header{
+			PayloadLen: len(udpHdr), NextHdr: proto.UDP, HopLimit: meta.Hops,
+			Src: meta.Src6, Dst: meta.Dst6,
 		}
-		ctx = append(ctx, udpHdr[:n]...)
-		u.v4.SendError(ipv4.IcmpUnreach, ipv4.CodePortUnreach, 0, ctx)
-		return
+		orig = mbuf.New(append(oh.Marshal(nil), udpHdr...))
 	}
-	oh := ipv6.Header{
-		PayloadLen: len(udpHdr), NextHdr: proto.UDP, HopLimit: meta.Hops,
-		Src: meta.Src6, Dst: meta.Dst6,
-	}
-	orig := mbuf.New(oh.Marshal(nil))
-	orig.Append(udpHdr)
-	if u.v6.Error != nil {
+	orig.Hdr().Flags = pkt.Hdr().Flags
+	if meta.Family == inet.AFInet {
+		u.v4.Error(ipv4.IcmpUnreach, ipv4.CodePortUnreach, 0, orig, meta.RcvIf)
+	} else {
 		u.v6.Error(ipv6.ErrDstUnreach, 4 /* port */, 0, orig, meta.RcvIf)
 	}
+	orig.Free()
 }
 
 // ctlInput is udp_ctlinput: route ICMP errors to the owning sockets.
